@@ -4,9 +4,10 @@
 //
 // Where bench_throughput measures the bare engine loop, this bench measures
 // the *serving overhead on top of it*: snapshot-directory routing, the
-// per-session lock, the span→Vector feature bridge, ticket issue +
-// pending-cut detach, and feedback routing. `--products` decouples the
-// client count from the product count, so both regimes are measurable:
+// per-session lock, panel packing, ticket issue with the cut context
+// written into the ticket slot, and feedback routing. `--products`
+// decouples the client count from the product count, so both regimes are
+// measurable:
 //
 //   bench_broker_throughput                        # 8 clients, one product each
 //   bench_broker_throughput --threads=8 --products=1   # all clients contend

@@ -193,7 +193,9 @@ Broker::Broker(const BrokerConfig& config) : config_(config) {
     metrics_.spill = gw.GetGauge(
         "pdm_broker_spill_bytes", "Bytes currently held in cold-tier spill files.");
     metrics_.batch_size = gw.GetHistogram(
-        "pdm_broker_batch_size", "Requests per batched PostPrices/Observes call.");
+        "pdm_broker_batch_size",
+        "Requests per PostPrices/Observes call (single PostPrice/Observe calls "
+        "record 1).");
     metrics_.fault_in_ns = gw.GetHistogram(
         "pdm_broker_fault_in_ns",
         "Cold-tier fault-in latency: spill read, decode, engine rebuild, "
@@ -785,8 +787,8 @@ size_t Broker::EvictLocked(size_t max_resident) {
 
 bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index) {
   SessionSnapshot snapshot;
-  // Engines without snapshot support (or holding an attached pending round)
-  // are skipped — they simply stay resident.
+  // Engines without snapshot support are skipped — they simply stay
+  // resident.
   if (!slot->session->Snapshot(&snapshot).ok()) return false;
   // Spills carry the checksummed pdm.snap.v2 envelope and land through
   // tmp + fsync + atomic rename (DESIGN.md §14): at no instant does the
@@ -848,16 +850,9 @@ BrokerStats Broker::Stats() const {
 Status Broker::PostPrice(ProductHandle handle, std::span<const double> features,
                          double reserve, Quote* quote) {
   if (quote == nullptr) return Status::InvalidArgument("null quote output");
-  EnforceResidencyLimit();
-  LockedSlot acquired = AcquireHandle(handle);
-  if (!acquired) {
-    quote->ticket = 0;
-    quote->status = acquired.error.code();
-    return std::move(acquired.error);
-  }
-  Status status = acquired.session()->PostPrice(features, reserve, quote);
-  if (status.ok()) metrics_.quotes.Increment();
-  return status;
+  const HandleRequest request{handle, features, reserve};
+  return PostPrices(std::span<const HandleRequest>(&request, 1),
+                    std::span<Quote>(quote, 1));
 }
 
 Status Broker::PostPrice(const PriceRequest& request, Quote* quote) {
@@ -907,12 +902,6 @@ Status Broker::PostPricesGrouped(std::span<const HandleRequest> requests,
       scratch.positions.push_back(j);
     }
     if (scratch.positions.empty()) continue;
-    if (scratch.positions.size() == 1) {
-      const size_t j = scratch.positions[0];
-      record(j, acquired.session()->PostPrice(requests[j].features,
-                                              requests[j].reserve, &quotes[j]));
-      continue;
-    }
     // Gather the group into the session's batched entry point: batched
     // engines then spend one matrix–panel pass per kQuoteTile-sized run
     // (DESIGN.md §11) instead of one mat-vec per request, still under the
@@ -1006,21 +995,8 @@ Status Broker::PostPrices(std::span<const PriceRequest> requests,
 }
 
 Status Broker::Observe(uint64_t ticket, bool accepted) {
-  EnforceResidencyLimit();
-  LockedSlot acquired = AcquireTicket(ticket);
-  if (!acquired) return std::move(acquired.error);
-  ObserveResult result;
-  Status status = acquired.session()->Observe(ticket, accepted, &result);
-  if (status.ok()) {
-    if (result.accepted) {
-      metrics_.accepts.Increment();
-    } else {
-      metrics_.rejects.Increment();
-      metrics_.regret.Add(result.price);
-    }
-    if (result.slot_retired) metrics_.retirements.Increment();
-  }
-  return status;
+  const FeedbackRequest feedback{ticket, accepted};
+  return Observes(std::span<const FeedbackRequest>(&feedback, 1));
 }
 
 Status Broker::Observes(std::span<const FeedbackRequest> feedback,

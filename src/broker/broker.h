@@ -30,7 +30,9 @@
 /// end. Requests name their product (or carry a resolved `ProductHandle`);
 /// quotes carry ticket ids whose high bits route feedback back to the owning
 /// session without any global ticket table; feedback may be delayed and
-/// interleaved across products. Misuse (unknown product, stale handle,
+/// interleaved across products. There is one request path: a single
+/// `PostPrice`/`Observe` is a `PostPrices`/`Observes` batch of one. Misuse
+/// (unknown product, stale handle,
 /// duplicate/unknown ticket, dimension mismatch) returns a `pdm::Status` —
 /// the broker never aborts on client input.
 ///
@@ -52,8 +54,9 @@
 /// `ArenaPool` as products close, evict, and fault back in. A configurable
 /// cold tier bounds resident engine state: when more than
 /// `max_resident_sessions` sessions hold live engines, the least-recently
-/// touched evictable sessions are serialized through the `pdm.snap.v1` codec
-/// to `spill_dir` and their in-memory state is dropped; the next request
+/// touched evictable sessions are spilled to `spill_dir` as checksummed
+/// `pdm.snap.v2` blobs (crash-atomic writes, DESIGN.md §14) and their
+/// in-memory state is dropped; the next request
 /// that touches an evicted product faults it back in transparently, and the
 /// snapshot round trip makes the resumed session *bit-identical* to one that
 /// was never evicted. Handles and outstanding tickets remain valid across
@@ -246,8 +249,9 @@ class Broker {
   // ------------------------------------------------- request fast path
 
   /// Prices one request against a resolved handle, filling `*quote`
-  /// (ticket, price, flags). Errors: NotFound (stale/closed/foreign
-  /// handle), plus the session-level statuses (dimension mismatch, ...).
+  /// (ticket, price, flags): PostPrices of one. Errors: NotFound
+  /// (stale/closed/foreign handle), plus the session-level statuses
+  /// (dimension mismatch, ...).
   Status PostPrice(ProductHandle handle, std::span<const double> features,
                    double reserve, Quote* quote);
 
@@ -265,9 +269,9 @@ class Broker {
   Status PostPrice(const PriceRequest& request, Quote* quote);
   Status PostPrices(std::span<const PriceRequest> requests, std::span<Quote> quotes);
 
-  /// Routes accept/reject feedback to the ticket's session. Errors:
-  /// NotFound (ticket of a closed session, unknown or already-resolved
-  /// ticket — duplicate feedback lands here).
+  /// Routes accept/reject feedback to the ticket's session: Observes of
+  /// one. Errors: NotFound (ticket of a closed session, unknown or
+  /// already-resolved ticket — duplicate feedback lands here).
   Status Observe(uint64_t ticket, bool accepted);
 
   /// Batched feedback, grouped by owning session exactly like PostPrices

@@ -20,51 +20,9 @@ PricingSession::PricingSession(std::string product,
 Status PricingSession::PostPrice(std::span<const double> features, double reserve,
                                  Quote* quote) {
   if (quote == nullptr) return Status::InvalidArgument("null quote output");
-  quote->ticket = 0;
-  quote->status = StatusCode::kOk;
-  int want = engine_->input_dim();
-  if (static_cast<int>(features.size()) != want) {
-    quote->status = StatusCode::kInvalidArgument;
-    return Status::InvalidArgument(
-        "dimension mismatch for product '" + product_ + "': got " +
-        std::to_string(features.size()) + " features, engine expects " +
-        std::to_string(want));
-  }
-
-  // Engines without detached-feedback support keep the pending round
-  // attached; a second outstanding quote would trip their alternation CHECK,
-  // so refuse it as a client error instead.
-  if (has_attached_pending_) {
-    quote->status = StatusCode::kFailedPrecondition;
-    return Status::FailedPrecondition(
-        "product '" + product_ +
-        "': engine without detached-feedback support already has an "
-        "outstanding ticket");
-  }
-
-  // Slot allocation runs before the engine is consulted: a failed
-  // allocation must not leave a pending round dangling inside the engine.
-  size_t index = 0;
-  Status alloc = AllocateSlot(&index);
-  if (!alloc.ok()) {
-    quote->status = alloc.code();
-    return alloc;
-  }
-
-  // Bridge the span into the engine's Vector parameter; the buffer reaches
-  // steady-state capacity after the first request of each dimension.
-  features_buf_.assign(features.begin(), features.end());
-  PostedPrice posted = engine_->PostPrice(features_buf_, reserve);
-
-  TicketSlot& slot = slots_[index];
-  if (!engine_->DetachPending(&slot.cut)) {
-    // Third-party engine without the serving hooks: the round stays attached
-    // inside the engine and this ticket is the only one allowed outstanding.
-    slot.cut.kind = kAttachedKind;
-    has_attached_pending_ = true;
-  }
-  FinishIssue(index, posted, quote);
-  return Status::Ok();
+  const SessionRequest request{features, reserve};
+  return PostPrices(std::span<const SessionRequest>(&request, 1),
+                    std::span<Quote>(quote, 1));
 }
 
 Status PricingSession::AllocateSlot(size_t* out_index) {
@@ -138,25 +96,14 @@ Status PricingSession::PostPrices(std::span<const SessionRequest> requests,
     }
   };
 
-  if (!engine_->SupportsBatchedQuotes()) {
-    // Scalar fallback: engines without the batch hook (interval, baselines,
-    // third-party) price request by request — same results, no panel.
-    for (size_t i = 0; i < requests.size(); ++i) {
-      record(i, PostPrice(requests[i].features, requests[i].reserve, &quotes[i]));
-    }
-    if (error_index != nullptr) *error_index = first_error_index;
-    return first_error;
-  }
-
   const int want = engine_->input_dim();
   for (size_t start = 0; start < requests.size();
        start += static_cast<size_t>(kQuoteTile)) {
     const size_t end =
         std::min(requests.size(), start + static_cast<size_t>(kQuoteTile));
     // Pass 1: validate and allocate ticket slots in request order — the same
-    // free-list pops the scalar path would perform, so the issued ticket ids
-    // are identical — and pack the valid queries into the feature panel.
-    panel_buf_.resize((end - start) * static_cast<size_t>(want));
+    // free-list pops one-at-a-time calls would perform, so the issued ticket
+    // ids are identical.
     reserve_buf_.resize(end - start);
     tile_slots_.clear();
     tile_positions_.clear();
@@ -180,8 +127,6 @@ Status PricingSession::PostPrices(std::span<const SessionRequest> requests,
         record(i, std::move(alloc));
         continue;
       }
-      std::copy(requests[i].features.begin(), requests[i].features.end(),
-                panel_buf_.begin() + m * static_cast<size_t>(want));
       reserve_buf_[m] = requests[i].reserve;
       tile_slots_.push_back(index);
       tile_positions_.push_back(i);
@@ -189,19 +134,28 @@ Status PricingSession::PostPrices(std::span<const SessionRequest> requests,
     }
     if (m == 0) continue;
 
-    // Pass 2: one engine pass for the whole tile. The cut pointers are
+    // Pass 2: one engine pass for the whole tile. A lone query's features
+    // are its own panel; more are packed query-major. The cut pointers are
     // collected only now — every allocation is done, so `slots_` can no
-    // longer reallocate under them. The engine writes each detached cut
-    // context straight into its ticket slot.
+    // longer reallocate under them. The engine writes each cut context
+    // straight into its ticket slot.
+    const double* panel = requests[tile_positions_[0]].features.data();
+    if (m > 1) {
+      panel_buf_.resize(m * static_cast<size_t>(want));
+      for (size_t j = 0; j < m; ++j) {
+        const std::span<const double> x = requests[tile_positions_[j]].features;
+        std::copy(x.begin(), x.end(), panel_buf_.begin() + j * static_cast<size_t>(want));
+      }
+      panel = panel_buf_.data();
+    }
     posted_buf_.resize(m);
     cut_buf_.resize(m);
     for (size_t j = 0; j < m; ++j) cut_buf_[j] = &slots_[tile_slots_[j]].cut;
-    engine_->PostPriceBatch(panel_buf_.data(), static_cast<int>(m),
-                            reserve_buf_.data(), posted_buf_.data(),
-                            cut_buf_.data());
+    engine_->PostPriceBatch(panel, static_cast<int>(m), reserve_buf_.data(),
+                            posted_buf_.data(), cut_buf_.data());
 
     // Pass 3: issue tickets in request order (generation bumps, issue-order
-    // stamps, and counters land exactly as the scalar path would).
+    // stamps, and counters land exactly as one-at-a-time calls would).
     for (size_t j = 0; j < m; ++j) {
       FinishIssue(tile_slots_[j], posted_buf_[j], &quotes[tile_positions_[j]]);
     }
@@ -219,12 +173,7 @@ Status PricingSession::Observe(uint64_t ticket, bool accepted,
                             std::to_string(ticket));
   }
   TicketSlot& slot = slots_[index];
-  if (slot.cut.kind == kAttachedKind) {
-    engine_->Observe(accepted);
-    has_attached_pending_ = false;
-  } else {
-    engine_->ObserveDetached(slot.cut, accepted);
-  }
+  engine_->ObserveDetached(slot.cut, accepted);
   if (accepted) accepted_value_ += slot.price;
   if (result != nullptr) {
     result->price = slot.price;
@@ -281,11 +230,6 @@ Status PricingSession::Snapshot(SessionSnapshot* out) const {
   prices.reserve(static_cast<size_t>(pending_count_));
   for (const TicketSlot& slot : slots_) {
     if (slot.ticket == 0) continue;
-    if (slot.cut.kind == kAttachedKind) {
-      return Status::FailedPrecondition(
-          "product '" + product_ +
-          "': outstanding attached round cannot be snapshotted");
-    }
     snap.pending.push_back({slot.ticket, slot.cut});
     issue_order.push_back(slot.issued_at);
     prices.push_back(slot.price);
@@ -391,7 +335,6 @@ Status PricingSession::Restore(const SessionSnapshot& snapshot) {
   feedback_received_ = snapshot.feedback_received;
   slots_.clear();
   free_slots_.clear();
-  has_attached_pending_ = false;
   pending_count_ = 0;
   slots_retired_ = 0;
   // Value totals resume where the snapshot left them; pre-metrics blobs

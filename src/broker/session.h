@@ -19,12 +19,13 @@
 ///
 /// Where the simulation layer's `RunMarket` enforces the Fig. 2 strict
 /// PostPrice/Observe alternation (and `PDM_CHECK`-aborts on misuse), a
-/// session is a *serving* object: `PostPrice` returns a `Quote` carrying a
-/// ticket id, the posting-time cut context is detached from the engine and
-/// buffered per ticket, and `Observe(ticket, accepted)` may arrive later, in
-/// any order, interleaved with further quotes. Client-facing misuse
-/// (dimension mismatch, unknown or already-resolved ticket) returns a
-/// `pdm::Status` instead of aborting the process.
+/// session is a *serving* object: `PostPrices` returns `Quote`s carrying
+/// ticket ids, the engine writes each round's posting-time cut context
+/// straight into its ticket slot, and `Observe(ticket, accepted)` may arrive
+/// later, in any order, interleaved with further quotes. A single
+/// `PostPrice` is a batch of one. Client-facing misuse (dimension mismatch,
+/// unknown or already-resolved ticket) returns a `pdm::Status` instead of
+/// aborting the process.
 ///
 /// Feedback semantics under delay: cut contexts are applied to the knowledge
 /// set in the order feedback *arrives*, each with its posting-time support.
@@ -34,9 +35,9 @@
 ///
 /// A session is not internally synchronized; `Broker` guards each session
 /// with its own cache-line-padded lock (DESIGN.md §9). Steady-state
-/// PostPrice/Observe round trips perform zero
-/// heap allocations (ticket slots, their direction buffers, and the feature
-/// bridge buffer are all recycled — tests/allocation_test.cc).
+/// PostPrice/Observe round trips perform zero heap allocations (ticket
+/// slots, their direction buffers, and the panel workspaces are all
+/// recycled — tests/allocation_test.cc).
 
 namespace pdm::broker {
 
@@ -110,11 +111,9 @@ class PricingSession {
   const PricingEngine& engine() const { return *engine_; }
   uint64_t ticket_base() const { return ticket_base_; }
 
-  /// Prices one request. On success fills `*quote` (with a fresh ticket) and
-  /// detaches the engine's pending cut context into the ticket table.
-  /// Errors: InvalidArgument (dimension mismatch, null quote),
-  /// FailedPrecondition (engine without detached-feedback support already
-  /// has an outstanding ticket; ticket-slot space exhausted at 2^20
+  /// Prices one request: PostPrices of one. On success fills `*quote` (with
+  /// a fresh ticket). Errors: InvalidArgument (dimension mismatch, null
+  /// quote), FailedPrecondition (ticket-slot space exhausted at 2^20
   /// outstanding quotes).
   Status PostPrice(std::span<const double> features, double reserve, Quote* quote);
 
@@ -124,17 +123,17 @@ class PricingSession {
   /// a batch a client sends.
   static constexpr int kQuoteTile = 32;
 
-  /// Prices `requests[i]` into `quotes[i]` in batch order. When the engine
-  /// supports batched quotes (PricingEngine::SupportsBatchedQuotes), each
-  /// kQuoteTile-sized run is packed into a feature panel and priced with one
-  /// engine pass — bit-identical to sequential PostPrice calls, including
-  /// the issued ticket ids (slots are allocated in request order, exactly as
-  /// the scalar path would). Engines without batch support fall back to the
-  /// scalar loop. Individual request failures do not abort the batch: each
-  /// failed quote carries its status (and ticket 0), the returned Status is
-  /// the failure at the lowest batch position, and `*error_index` (when
-  /// non-null) receives that position (`requests.size()` when everything
-  /// succeeded). Errors: InvalidArgument when the spans' sizes differ.
+  /// Prices `requests[i]` into `quotes[i]` in batch order. Each
+  /// kQuoteTile-sized run is priced with one PricingEngine::PostPriceBatch
+  /// call (a lone valid request is passed as its own panel, larger runs are
+  /// packed) — bit-identical to sequential PostPrice calls, including the
+  /// issued ticket ids (slots are allocated in request order, exactly as
+  /// one-at-a-time calls would). Individual request failures do not abort
+  /// the batch: each failed quote carries its status (and ticket 0), the
+  /// returned Status is the failure at the lowest batch position, and
+  /// `*error_index` (when non-null) receives that position
+  /// (`requests.size()` when everything succeeded). Errors: InvalidArgument
+  /// when the spans' sizes differ.
   Status PostPrices(std::span<const SessionRequest> requests, std::span<Quote> quotes,
                     size_t* error_index = nullptr);
 
@@ -165,8 +164,7 @@ class PricingSession {
   double accepted_value() const { return accepted_value_; }
 
   /// Captures the full resumable session state. Errors: Unimplemented (the
-  /// engine has no snapshot support), FailedPrecondition (an engine without
-  /// detached-feedback support holds an attached pending round).
+  /// engine has no snapshot support).
   Status Snapshot(SessionSnapshot* out) const;
 
   /// Restores state captured by Snapshot on a session with a compatible
@@ -202,43 +200,37 @@ class PricingSession {
     PendingCut cut;
   };
 
-  /// Sentinel `PendingCut::kind` for engines without DetachPending support:
-  /// the pending round stayed attached inside the engine, and Observe must
-  /// use the classic call (at most one such ticket can be outstanding).
-  static constexpr int kAttachedKind = -1;
-
   /// Pops (or grows) a free ticket slot, retiring generation-saturated
   /// candidates along the way. Fails with FailedPrecondition when the slot
   /// space is exhausted. Runs *before* the engine is consulted, so a failed
-  /// allocation never leaves a dangling pending round inside the engine.
+  /// allocation never prices a round that has nowhere to keep its cut.
   Status AllocateSlot(size_t* out_index);
 
-  /// Shared tail of the scalar and batched quote paths: bumps the slot
-  /// generation, stamps issue order, composes the ticket id, updates the
-  /// session counters, and fills `*quote` from `posted`. The slot's cut
-  /// context must already be populated.
+  /// Per-quote tail of PostPrices: bumps the slot generation, stamps issue
+  /// order, composes the ticket id, updates the session counters, and fills
+  /// `*quote` from `posted`. The slot's cut context must already be
+  /// populated.
   void FinishIssue(size_t index, const PostedPrice& posted, Quote* quote);
 
   std::string product_;
   std::unique_ptr<PricingEngine> engine_;
   uint64_t ticket_base_;
-  /// True while an engine without DetachPending support holds its round
-  /// attached — at most one ticket may then be outstanding.
-  bool has_attached_pending_ = false;
   int64_t pending_count_ = 0;
   int64_t quotes_issued_ = 0;
   int64_t feedback_received_ = 0;
   int64_t slots_retired_ = 0;
   double posted_value_ = 0.0;
   double accepted_value_ = 0.0;
-  /// Bridge buffer: span request → the Vector the engine API takes.
+  /// Bridge buffer for EstimateValue: span request → the Vector
+  /// EstimateValueInterval takes.
   Vector features_buf_;
   std::vector<TicketSlot> slots_;
   std::vector<size_t> free_slots_;
 
   // PostPrices tile workspaces, bounded by kQuoteTile and reused across
-  // batches so the batched path is allocation-free in steady state: the
-  // packed feature panel and reserves handed to the engine, the per-tile
+  // batches so quoting is allocation-free in steady state: the packed
+  // feature panel (tiles of two or more) and reserves handed to the engine,
+  // the per-tile
   // posted-price and cut-pointer tables, and the slot/batch-position maps
   // that tie engine outputs back to tickets and caller quotes.
   Vector panel_buf_;

@@ -65,18 +65,53 @@ SupportInterval Ellipsoid::Support(const Vector& x) const {
 }
 
 void Ellipsoid::Support(const Vector& x, SupportInterval* out) const {
-  PDM_CHECK(out != nullptr);
   PDM_CHECK(static_cast<int>(x.size()) == dim());
   PDM_DCHECK(&x != &out->direction);
-  out->midpoint = Dot(x, center_);
-  // One O(n²) pass computes both A·x (the support direction) and xᵀAx; the
-  // caller's direction buffer is reused as the A·x target.
-  if (packed_mode_) {
-    packed_shape_.MatVecInto(x, &out->direction);
-  } else {
-    shape_.MatVecInto(x, &out->direction);
+  SupportBatch(x.data(), 1, &out);
+}
+
+void Ellipsoid::SupportBatch(const double* panel, int k,
+                             SupportInterval* const* out) const {
+  PDM_CHECK(k >= 0);
+  if (k == 0) return;
+  PDM_CHECK(panel != nullptr && out != nullptr);
+  const size_t n = static_cast<size_t>(dim());
+  if (k == 1) {
+    // A lone query needs no workspace: its A·x lands straight in the
+    // caller's direction buffer, whose capacity is reused across rounds.
+    out[0]->direction.resize(n);
+    ShapeTimesPanel(panel, 1, out[0]->direction.data());
+    FinishSupport(panel, out[0]);
+    return;
   }
-  double quad = Dot(x, out->direction);
+  // One matrix–panel pass computes every query's A·x_j; resize never shrinks
+  // capacity, so the workspace reaches a steady high-water mark and stops
+  // allocating.
+  batch_panel_ws_.resize(static_cast<size_t>(k) * n);
+  ShapeTimesPanel(panel, k, batch_panel_ws_.data());
+  for (int j = 0; j < k; ++j) {
+    const double* ax = batch_panel_ws_.data() + static_cast<size_t>(j) * n;
+    // assign reuses the caller's buffer capacity, so recycled intervals stay
+    // allocation-free.
+    out[j]->direction.assign(ax, ax + n);
+    FinishSupport(panel + static_cast<size_t>(j) * n, out[j]);
+  }
+}
+
+void Ellipsoid::ShapeTimesPanel(const double* panel, int k, double* y) const {
+  // Per query the panel kernels reduce in exactly the mat-vec order, so a
+  // column of a k-query pass is bit-identical to the k = 1 pass.
+  if (packed_mode_) {
+    packed_shape_.MatPanelInto(panel, k, y);
+  } else {
+    shape_.MatPanelInto(panel, k, y);
+  }
+}
+
+void Ellipsoid::FinishSupport(const double* x, SupportInterval* out) const {
+  const size_t n = static_cast<size_t>(dim());
+  out->midpoint = Dot(x, center_.data(), n);
+  double quad = Dot(x, out->direction.data(), n);
   if (quad <= 0.0 || !std::isfinite(quad)) {
     // Collapsed (or numerically indefinite) direction: the probe width is
     // treated as zero, which routes the engine to the conservative price.
@@ -89,43 +124,6 @@ void Ellipsoid::Support(const Vector& x, SupportInterval* out) const {
   out->lower = out->midpoint - out->half_width;
   out->upper = out->midpoint + out->half_width;
   // direction keeps the raw A·x; the cuts fold in the 1/half_width scaling.
-}
-
-void Ellipsoid::SupportBatch(const double* panel, int k, SupportInterval* out) const {
-  PDM_CHECK(k >= 0);
-  if (k == 0) return;
-  PDM_CHECK(panel != nullptr && out != nullptr);
-  const int n = dim();
-  // One matrix–panel pass computes every query's A·x_j; resize never shrinks
-  // capacity, so the workspace reaches a steady high-water mark and stops
-  // allocating.
-  batch_panel_ws_.resize(static_cast<size_t>(k) * static_cast<size_t>(n));
-  if (packed_mode_) {
-    packed_shape_.MatPanelInto(panel, k, batch_panel_ws_.data());
-  } else {
-    shape_.MatPanelInto(panel, k, batch_panel_ws_.data());
-  }
-  for (int j = 0; j < k; ++j) {
-    const double* x = panel + static_cast<size_t>(j) * n;
-    const double* ax = batch_panel_ws_.data() + static_cast<size_t>(j) * n;
-    SupportInterval& o = out[j];
-    // Same per-query arithmetic as Support(): midpoint and quadratic form
-    // through the shared Dot kernel, degenerate handling identical.
-    o.midpoint = Dot(x, center_.data(), static_cast<size_t>(n));
-    double quad = Dot(x, ax, static_cast<size_t>(n));
-    if (quad <= 0.0 || !std::isfinite(quad)) {
-      o.lower = o.upper = o.midpoint;
-      o.half_width = 0.0;
-      o.direction.clear();  // keeps capacity; "empty when half_width = 0"
-      continue;
-    }
-    o.half_width = std::sqrt(quad);
-    o.lower = o.midpoint - o.half_width;
-    o.upper = o.midpoint + o.half_width;
-    // Copy the raw A·x_j out of the workspace panel; assign reuses the
-    // caller's buffer capacity, so recycled intervals stay allocation-free.
-    o.direction.assign(ax, ax + n);
-  }
 }
 
 double Ellipsoid::CutAlpha(const Vector& x, double cut_value) const {

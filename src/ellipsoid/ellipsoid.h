@@ -97,22 +97,26 @@ class Ellipsoid {
 
   /// Hot-path overload writing into a caller-owned interval whose `direction`
   /// buffer is reused across rounds: steady-state calls perform no heap
-  /// allocation. `x` must not alias `out->direction`. Produces bit-identical
-  /// results to the by-value overload.
+  /// allocation. `x` must not alias `out->direction`. A batch of one
+  /// (SupportBatch), so bit-identical to the by-value overload.
   void Support(const Vector& x, SupportInterval* out) const;
 
   /// Batched support: `panel` packs k query vectors query-major (query j at
-  /// panel + j·dim()), `out[0..k)` receive exactly what k sequential
-  /// Support(x_j, &out[j]) calls would produce — BIT-IDENTICAL per query,
+  /// panel + j·dim()), `*out[j]` receives exactly what
+  /// Support(x_j, out[j]) would produce — BIT-IDENTICAL per query,
   /// because the matrix–panel pass keeps each query's reduction order equal
-  /// to the mat-vec pass (Matrix::MatPanelInto) and the midpoint/quadratic
-  /// dots run the same kernel. One streamed O(k·n²) pass over A replaces k
-  /// cold O(n²) passes (DESIGN.md §11). The A·X workspace panel is a mutable
-  /// member reused across calls (steady-state calls allocate nothing once
-  /// out[j].direction buffers reach capacity), which also means concurrent
-  /// SupportBatch calls on one Ellipsoid are NOT safe — the broker serializes
-  /// per-session access, and engines own their ellipsoids exclusively.
-  void SupportBatch(const double* panel, int k, SupportInterval* out) const;
+  /// to the mat-vec pass (Matrix::MatPanelInto) and every query then runs the
+  /// same midpoint/quadratic-form code. One streamed O(k·n²) pass over A
+  /// replaces k cold O(n²) passes (DESIGN.md §11). At k = 1, A·x is written
+  /// straight into `out[0]->direction`; larger panels go through an A·X
+  /// workspace that is a mutable member reused across calls (steady-state
+  /// calls allocate nothing once the out[j]->direction buffers reach capacity),
+  /// which also means concurrent SupportBatch calls on one Ellipsoid are NOT
+  /// safe — the broker serializes per-session access, and engines own their
+  /// ellipsoids exclusively. Each query has its own target pointer, so a
+  /// caller can aim the queries at scattered destinations (an engine's cut
+  /// contexts).
+  void SupportBatch(const double* panel, int k, SupportInterval* const* out) const;
 
   /// Signed cut position α for hyperplane {θ : xᵀθ = cut_value}.
   double CutAlpha(const Vector& x, double cut_value) const;
@@ -166,6 +170,14 @@ class Ellipsoid {
                                      bool packed = false);
 
  private:
+  /// y ← A·X for a query-major panel of k vectors, in either storage mode.
+  void ShapeTimesPanel(const double* panel, int k, double* y) const;
+
+  /// The per-query tail of SupportBatch: with A·x already in
+  /// `out->direction`, fills the midpoint, half-width and bounds (or the
+  /// degenerate zero-width interval).
+  void FinishSupport(const double* x, SupportInterval* out) const;
+
   /// Shared implementation: `sign` +1 keeps below (rejection), −1 keeps
   /// above (acceptance). `ax` is the raw support mat-vec A·x and
   /// `half_width` = √(xᵀAx); the normalized direction b = ax/half_width is

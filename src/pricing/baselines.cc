@@ -1,28 +1,31 @@
 #include "pricing/baselines.h"
 
-#include <algorithm>
 #include <limits>
 
 #include "common/check.h"
-#include "pricing/engine_state.h"
 
 namespace pdm {
 
-PostedPrice ReservePriceBaseline::PostPrice(const Vector& features, double reserve) {
-  PDM_CHECK(!pending_);
-  PDM_CHECK(static_cast<int>(features.size()) == dim_);
-  pending_ = true;
-  ++counters_.rounds;
-  ++counters_.conservative_rounds;
-  PostedPrice posted;
-  posted.price = reserve;
-  return posted;
+void ReservePriceBaseline::PostPriceBatch(const double* panel, int k,
+                                          const double* reserves, PostedPrice* posted,
+                                          PendingCut* const* cuts) {
+  PDM_CHECK(k >= 0);
+  (void)panel;  // the reserve is the whole decision
+  for (int j = 0; j < k; ++j) {
+    ++counters_.rounds;
+    ++counters_.conservative_rounds;
+    posted[j] = PostedPrice{reserves[j], false, false};
+    PendingCut* cut = cuts[j];
+    cut->kind = 1;  // "posted, awaiting feedback" — no context beyond that
+    cut->price = 0.0;
+    cut->x = 0.0;
+    cut->wrapped_skip = false;
+  }
 }
 
-void ReservePriceBaseline::Observe(bool accepted) {
-  PDM_CHECK(pending_);
+void ReservePriceBaseline::ObserveDetached(const PendingCut& cut, bool accepted) {
+  PDM_CHECK(cut.kind != 0);
   (void)accepted;  // the baseline never learns
-  pending_ = false;
 }
 
 ValueInterval ReservePriceBaseline::EstimateValueInterval(const Vector& features) const {
@@ -31,26 +34,8 @@ ValueInterval ReservePriceBaseline::EstimateValueInterval(const Vector& features
                        std::numeric_limits<double>::infinity()};
 }
 
-bool ReservePriceBaseline::DetachPending(PendingCut* out) {
-  PDM_CHECK(out != nullptr);
-  if (!pending_) return false;
-  out->kind = 1;  // "posted, awaiting feedback" — no context beyond that
-  out->price = 0.0;
-  out->x = 0.0;
-  out->wrapped_skip = false;
-  pending_ = false;
-  return true;
-}
-
-void ReservePriceBaseline::ObserveDetached(const PendingCut& cut, bool accepted) {
-  PDM_CHECK(!pending_);
-  PDM_CHECK(cut.kind != 0);
-  (void)accepted;  // the baseline never learns
-}
-
 bool ReservePriceBaseline::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
-  if (pending_) return false;
   out->engine = "baseline";
   out->dim = dim_;
   out->epsilon = 0.0;
@@ -67,32 +52,8 @@ bool ReservePriceBaseline::SaveSnapshot(EngineSnapshot* out) const {
 bool ReservePriceBaseline::LoadSnapshot(const EngineSnapshot& snapshot) {
   if (snapshot.engine != "baseline") return false;
   if (snapshot.dim != dim_) return false;
-  if (pending_) return false;
   counters_ = snapshot.counters;
   return true;
-}
-
-PostedPrice FixedPriceBaseline::PostPrice(const Vector& features, double reserve) {
-  PDM_CHECK(!pending_);
-  PDM_CHECK(static_cast<int>(features.size()) == dim_);
-  pending_ = true;
-  ++counters_.rounds;
-  ++counters_.conservative_rounds;
-  PostedPrice posted;
-  posted.price = std::max(reserve, price_);
-  return posted;
-}
-
-void FixedPriceBaseline::Observe(bool accepted) {
-  PDM_CHECK(pending_);
-  (void)accepted;
-  pending_ = false;
-}
-
-ValueInterval FixedPriceBaseline::EstimateValueInterval(const Vector& features) const {
-  (void)features;
-  return ValueInterval{-std::numeric_limits<double>::infinity(),
-                       std::numeric_limits<double>::infinity()};
 }
 
 }  // namespace pdm

@@ -6,7 +6,7 @@
 #include "pricing/pricing_engine.h"
 
 /// \file
-/// Baseline posted-price policies the evaluation compares against.
+/// The baseline posted-price policy the evaluation compares against.
 
 namespace pdm {
 
@@ -18,16 +18,15 @@ class ReservePriceBaseline : public PricingEngine {
   explicit ReservePriceBaseline(int dim) : dim_(dim) {}
 
   int dim() const override { return dim_; }
-  PostedPrice PostPrice(const Vector& features, double reserve) override;
-  void Observe(bool accepted) override;
   ValueInterval EstimateValueInterval(const Vector& features) const override;
   const EngineCounters& counters() const override { return counters_; }
   std::string name() const override { return "risk-averse"; }
 
-  /// Serving hooks: the baseline carries no cut context (it never learns),
-  /// so detach/observe only track the outstanding-round bit, and snapshots
-  /// are the counters alone.
-  bool DetachPending(PendingCut* out) override;
+  /// Posts each query's reserve. The baseline never learns, so a cut
+  /// context only marks its round as posted, and snapshots are the counters
+  /// alone.
+  void PostPriceBatch(const double* panel, int k, const double* reserves,
+                      PostedPrice* posted, PendingCut* const* cuts) override;
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
   bool SaveSnapshot(EngineSnapshot* out) const override;
   bool LoadSnapshot(const EngineSnapshot& snapshot) override;
@@ -35,28 +34,6 @@ class ReservePriceBaseline : public PricingEngine {
  private:
   int dim_;
   EngineCounters counters_;
-  bool pending_ = false;
-};
-
-/// Posts max(reserve, fixed price): a static marked-price policy, the
-/// non-adaptive strategy of the query-pricing literature the paper contrasts
-/// with (Section VI-A).
-class FixedPriceBaseline : public PricingEngine {
- public:
-  FixedPriceBaseline(int dim, double price) : dim_(dim), price_(price) {}
-
-  int dim() const override { return dim_; }
-  PostedPrice PostPrice(const Vector& features, double reserve) override;
-  void Observe(bool accepted) override;
-  ValueInterval EstimateValueInterval(const Vector& features) const override;
-  const EngineCounters& counters() const override { return counters_; }
-  std::string name() const override { return "fixed-price"; }
-
- private:
-  int dim_;
-  double price_;
-  EngineCounters counters_;
-  bool pending_ = false;
 };
 
 }  // namespace pdm

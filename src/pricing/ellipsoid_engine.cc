@@ -55,136 +55,67 @@ EllipsoidPricingEngine::EllipsoidPricingEngine(const EllipsoidEngineConfig& conf
   PDM_CHECK(epsilon_ > 0.0);
 }
 
-PostedPrice EllipsoidPricingEngine::PostPrice(const Vector& features, double reserve) {
-  PDM_CHECK(pending_ == PendingKind::kNone);
-  PDM_CHECK(static_cast<int>(features.size()) == config_.dim);
-  ++counters_.rounds;
-
-  // The pending interval doubles as the engine's reusable workspace: its
-  // direction buffer is written in place, so steady-state rounds allocate
-  // nothing.
-  ellipsoid_.Support(features, &pending_support_);
-  const SupportInterval& support = pending_support_;
-
-  double q = config_.use_reserve ? reserve : -std::numeric_limits<double>::infinity();
-
-  PostedPrice posted;
-  // Lines 8–10 (Algorithm 2): q ≥ p̄ + δ ⇒ the posted price must exceed the
-  // market value w.h.p.; no refinement is possible either.
-  if (config_.use_reserve && q >= support.upper + config_.delta) {
-    ++counters_.skipped_rounds;
-    posted.price = q;
-    posted.exploratory = false;
-    posted.certain_no_sale = true;
-    pending_ = PendingKind::kSkip;
-    pending_price_ = posted.price;
-    return posted;
-  }
-
-  if (support.upper - support.lower > epsilon_) {
-    // Exploratory price: max(q, (p̲+p̄)/2) (Line 13).
-    posted.price = std::max(q, support.midpoint);
-    posted.exploratory = true;
-    pending_ = PendingKind::kExploratory;
-    ++counters_.exploratory_rounds;
-  } else {
-    // Conservative price: max(q, p̲ − δ) (Line 27; δ = 0 recovers Line 23 of
-    // Algorithm 1).
-    posted.price = std::max(q, support.lower - config_.delta);
-    posted.exploratory = false;
-    pending_ = PendingKind::kConservative;
-    ++counters_.conservative_rounds;
-  }
-  pending_price_ = posted.price;
-  return posted;
-}
-
 void EllipsoidPricingEngine::PostPriceBatch(const double* panel, int k,
                                             const double* reserves, PostedPrice* posted,
                                             PendingCut* const* cuts) {
-  PDM_CHECK(pending_ == PendingKind::kNone);
   PDM_CHECK(k >= 0);
   if (k == 0) return;
   PDM_CHECK(panel != nullptr && reserves != nullptr && posted != nullptr &&
             cuts != nullptr);
-  if (k == 1) {
-    // A single query gains nothing from the panel kernel; route it through
-    // the scalar path (bridging the raw pointer into the Vector signature —
-    // assign reuses the bridge buffer's capacity).
-    batch_features_.assign(panel, panel + config_.dim);
-    posted[0] = PostPrice(batch_features_, reserves[0]);
-    PDM_CHECK(DetachPending(cuts[0]));
-    return;
-  }
-
-  // Grow-only: shrinking would destroy the recycled per-entry direction
-  // buffers and reintroduce steady-state allocation.
-  if (static_cast<int>(batch_support_.size()) < k) {
-    batch_support_.resize(static_cast<size_t>(k));
-  }
-  // One matrix–panel pass for all k supports; every quote below prices
-  // against this same frozen knowledge set, which is exactly what sequential
-  // PostPrice+DetachPending pairs do (detaching prevents any cut in between).
-  ellipsoid_.SupportBatch(panel, k, batch_support_.data());
+  // One matrix–panel pass for all k supports, each written straight into its
+  // cut context; every quote below prices against this same frozen
+  // knowledge set.
+  support_out_.resize(static_cast<size_t>(k));
+  for (int j = 0; j < k; ++j) support_out_[static_cast<size_t>(j)] = &cuts[j]->support;
+  ellipsoid_.SupportBatch(panel, k, support_out_.data());
 
   for (int j = 0; j < k; ++j) {
-    const SupportInterval& support = batch_support_[static_cast<size_t>(j)];
+    PendingCut* cut = cuts[j];
+    const SupportInterval& support = cut->support;
     ++counters_.rounds;
     double q = config_.use_reserve ? reserves[j] : -std::numeric_limits<double>::infinity();
 
-    // The same Algorithm 2 decision ladder as PostPrice, fused with
-    // DetachPending's context export.
     PostedPrice& out = posted[j];
     PendingKind kind;
     if (config_.use_reserve && q >= support.upper + config_.delta) {
+      // Lines 8–10 (Algorithm 2): q ≥ p̄ + δ ⇒ the posted price must exceed
+      // the market value w.h.p.; no refinement is possible either.
       ++counters_.skipped_rounds;
       out.price = q;
       out.exploratory = false;
       out.certain_no_sale = true;
       kind = PendingKind::kSkip;
     } else if (support.upper - support.lower > epsilon_) {
+      // Exploratory price: max(q, (p̲+p̄)/2) (Line 13).
       out.price = std::max(q, support.midpoint);
       out.exploratory = true;
       out.certain_no_sale = false;
       kind = PendingKind::kExploratory;
       ++counters_.exploratory_rounds;
     } else {
+      // Conservative price: max(q, p̲ − δ) (Line 27; δ = 0 recovers Line 23
+      // of Algorithm 1).
       out.price = std::max(q, support.lower - config_.delta);
       out.exploratory = false;
       out.certain_no_sale = false;
       kind = PendingKind::kConservative;
       ++counters_.conservative_rounds;
     }
-
-    PendingCut* cut = cuts[j];
     cut->kind = static_cast<int>(kind);
     cut->price = out.price;
     cut->x = 0.0;
     cut->wrapped_skip = false;
-    cut->support.lower = support.lower;
-    cut->support.upper = support.upper;
-    cut->support.half_width = support.half_width;
-    cut->support.midpoint = support.midpoint;
-    // Copy-assignment reuses the ticket slot's capacity (see DetachPending).
-    cut->support.direction = support.direction;
   }
 }
 
-void EllipsoidPricingEngine::Observe(bool accepted) {
-  PDM_CHECK(pending_ != PendingKind::kNone);
-  PendingKind kind = pending_;
-  pending_ = PendingKind::kNone;
-  ApplyFeedback(kind, pending_support_, pending_price_, accepted);
-}
-
-void EllipsoidPricingEngine::ApplyFeedback(PendingKind kind,
-                                           const SupportInterval& support,
-                                           double price, bool accepted) {
-  if (kind == PendingKind::kSkip) return;
+void EllipsoidPricingEngine::ObserveDetached(const PendingCut& cut, bool accepted) {
+  const PendingKind kind = static_cast<PendingKind>(cut.kind);
+  PDM_CHECK(kind != PendingKind::kNone);
   bool may_cut =
       kind == PendingKind::kExploratory ||
       (kind == PendingKind::kConservative && config_.allow_conservative_cuts);
   if (!may_cut) return;
+  const SupportInterval& support = cut.support;
   if (support.half_width <= 0.0) return;  // degenerate probe direction
 
   double n = static_cast<double>(config_.dim);
@@ -193,7 +124,7 @@ void EllipsoidPricingEngine::ApplyFeedback(PendingKind kind,
   if (!accepted) {
     // Rejection ⇒ p ≥ v ≥ xᵀθ* − δ: cut below the effective price p + δ
     // (Lines 14–19). α = (mid − (p + δ)) / √(xᵀAx).
-    double alpha = (mid - (price + config_.delta)) / half_width;
+    double alpha = (mid - (cut.price + config_.delta)) / half_width;
     if (alpha >= -1.0 / n && alpha < 1.0) {
       ellipsoid_.CutKeepBelow(support, alpha);
       ++counters_.cuts_applied;
@@ -203,7 +134,7 @@ void EllipsoidPricingEngine::ApplyFeedback(PendingKind kind,
   } else {
     // Acceptance ⇒ p ≤ v ≤ xᵀθ* + δ: cut above the effective price p − δ
     // (Lines 20–25). Validity window −α ∈ [−1/n, 1).
-    double alpha = (mid - (price - config_.delta)) / half_width;
+    double alpha = (mid - (cut.price - config_.delta)) / half_width;
     if (-alpha >= -1.0 / n && -alpha < 1.0) {
       ellipsoid_.CutKeepAbove(support, alpha);
       ++counters_.cuts_applied;
@@ -213,33 +144,8 @@ void EllipsoidPricingEngine::ApplyFeedback(PendingKind kind,
   }
 }
 
-bool EllipsoidPricingEngine::DetachPending(PendingCut* out) {
-  PDM_CHECK(out != nullptr);
-  if (pending_ == PendingKind::kNone) return false;
-  out->kind = static_cast<int>(pending_);
-  out->price = pending_price_;
-  out->x = 0.0;
-  out->wrapped_skip = false;
-  // Vector copy-assignment reuses the slot's capacity, so recycled cut
-  // slots keep the steady state allocation-free.
-  out->support.lower = pending_support_.lower;
-  out->support.upper = pending_support_.upper;
-  out->support.half_width = pending_support_.half_width;
-  out->support.midpoint = pending_support_.midpoint;
-  out->support.direction = pending_support_.direction;
-  pending_ = PendingKind::kNone;
-  return true;
-}
-
-void EllipsoidPricingEngine::ObserveDetached(const PendingCut& cut, bool accepted) {
-  PDM_CHECK(pending_ == PendingKind::kNone);
-  PDM_CHECK(cut.kind != static_cast<int>(PendingKind::kNone));
-  ApplyFeedback(static_cast<PendingKind>(cut.kind), cut.support, cut.price, accepted);
-}
-
 bool EllipsoidPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
-  if (pending_ != PendingKind::kNone) return false;
   out->engine = "ellipsoid";
   out->dim = config_.dim;
   out->epsilon = epsilon_;
@@ -266,7 +172,6 @@ bool EllipsoidPricingEngine::LoadSnapshot(const EngineSnapshot& snapshot) {
   if (snapshot.cuts_since_symmetrize < 0 || snapshot.cuts_since_symmetrize >= 32) {
     return false;
   }
-  if (pending_ != PendingKind::kNone) return false;
   ellipsoid_ = Ellipsoid::FromSnapshotState(snapshot.center, snapshot.shape,
                                             snapshot.cuts_since_symmetrize,
                                             config_.packed_shape);

@@ -67,26 +67,23 @@ class EllipsoidPricingEngine : public PricingEngine {
   explicit EllipsoidPricingEngine(const EllipsoidEngineConfig& config);
 
   int dim() const override { return config_.dim; }
-  PostedPrice PostPrice(const Vector& features, double reserve) override;
-  void Observe(bool accepted) override;
   ValueInterval EstimateValueInterval(const Vector& features) const override;
   const EngineCounters& counters() const override { return counters_; }
   std::string name() const override;
 
-  /// Serving hooks (DESIGN.md §9): the pending support/price move into the
-  /// ticket's cut context, and snapshots carry the full ellipsoid state
-  /// (center, shape, symmetrization phase) plus counters.
-  bool DetachPending(PendingCut* out) override;
-  void ObserveDetached(const PendingCut& cut, bool accepted) override;
-  bool SaveSnapshot(EngineSnapshot* out) const override;
-  bool LoadSnapshot(const EngineSnapshot& snapshot) override;
-
-  /// Batched quoting (DESIGN.md §11): one Ellipsoid::SupportBatch pass covers
-  /// the whole panel, then the per-query Algorithm 2 decision logic runs
-  /// unchanged. Bit-identical to k sequential PostPrice+DetachPending pairs.
+  /// One Ellipsoid::SupportBatch pass covers the whole panel (DESIGN.md
+  /// §11), writing each query's support interval into its cut context; then
+  /// the Algorithm 2 decision ladder runs per query.
   bool SupportsBatchedQuotes() const override { return true; }
   void PostPriceBatch(const double* panel, int k, const double* reserves,
                       PostedPrice* posted, PendingCut* const* cuts) override;
+  /// Cuts the knowledge set with the round's posting-time support and price.
+  void ObserveDetached(const PendingCut& cut, bool accepted) override;
+
+  /// Snapshots carry the full ellipsoid state (center, shape,
+  /// symmetrization phase) plus counters.
+  bool SaveSnapshot(EngineSnapshot* out) const override;
+  bool LoadSnapshot(const EngineSnapshot& snapshot) override;
 
   /// The knowledge set E_t (diagnostics, tests, Lemma 6/7 volume tracking).
   const Ellipsoid& knowledge_set() const { return ellipsoid_; }
@@ -95,36 +92,17 @@ class EllipsoidPricingEngine : public PricingEngine {
   double epsilon() const { return epsilon_; }
 
  private:
+  /// PendingCut::kind values (serialized with pending tickets).
   enum class PendingKind { kNone, kExploratory, kConservative, kSkip };
-
-  /// Shared feedback path of Observe and ObserveDetached: applies the
-  /// accept/reject bit with the given posting-time context. Bit-identical
-  /// between the attached and detached calls by construction.
-  void ApplyFeedback(PendingKind kind, const SupportInterval& support,
-                     double price, bool accepted);
 
   EllipsoidEngineConfig config_;
   double epsilon_;
   Ellipsoid ellipsoid_;
   EngineCounters counters_;
 
-  // Context of the round awaiting feedback, doubling as the engine's
-  // reusable workspace: PostPrice writes the support computation into it in
-  // place (the direction buffer holds the raw A·x — see SupportInterval —
-  // and is reused across rounds, so steady-state rounds perform no heap
-  // allocation) and Observe() cuts with it without recomputing the O(n²)
-  // mat-vec.
-  PendingKind pending_ = PendingKind::kNone;
-  SupportInterval pending_support_;
-  double pending_price_ = 0.0;
-
-  // PostPriceBatch workspaces, grown to the high-water batch size and then
-  // reused: batch_support_ holds the panel's support intervals (its entries'
-  // direction buffers are recycled, and the vector is never shrunk — shrinking
-  // would free those buffers) and batch_features_ bridges the k=1 scalar
-  // fallback into PostPrice's Vector signature.
-  std::vector<SupportInterval> batch_support_;
-  Vector batch_features_;
+  // PostPriceBatch's table of where each query's support lands (its cut
+  // context), grown to the high-water batch size and then reused.
+  std::vector<SupportInterval*> support_out_;
 };
 
 }  // namespace pdm

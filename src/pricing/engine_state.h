@@ -7,35 +7,34 @@
 #include "ellipsoid/ellipsoid.h"
 #include "linalg/matrix.h"
 #include "linalg/vector_ops.h"
-#include "pricing/pricing_engine.h"
 
 /// \file
-/// Externalized engine state for the serving layer (DESIGN.md §9).
+/// The values an engine's state is made of (DESIGN.md §9).
 ///
-/// The Fig. 2 protocol binds PostPrice and Observe into a strict
-/// alternation because the knowledge-set update needs the *posting-time*
-/// context of the round being answered (the support interval the ellipsoid
-/// engine probed, the feature scalar of the 1-d engine). A serving broker
-/// cannot hold an engine hostage to that alternation: feedback arrives late,
-/// out of order across products, and in batches. These two value types break
-/// the coupling:
+/// The Fig. 2 protocol binds a price to its feedback: the knowledge-set
+/// update needs the *posting-time* context of the round being answered (the
+/// support interval the ellipsoid engine probed, the feature scalar of the
+/// 1-d engine). Engines do not keep that context themselves — every quote
+/// writes it into a caller-owned `PendingCut`, and the feedback hands it
+/// back. A serving broker keeps one per ticket, so feedback may arrive late,
+/// out of order across products, and in batches; `PricingEngine::PostPrice`
+/// keeps one for the classic alternating loop.
 ///
 ///  - `PendingCut` is the posting-time cut context of one quoted round,
-///    detached from the engine right after PostPrice (PricingEngine::
-///    DetachPending) and re-injected when that round's feedback finally
-///    arrives (ObserveDetached). Detach-then-observe immediately is
-///    bit-identical to the classic Observe call.
+///    written by PricingEngine::PostPriceBatch and consumed by
+///    ObserveDetached when that round's feedback arrives.
+///  - `EngineCounters` are the Table I-style behaviour counters.
 ///  - `EngineSnapshot` is the full persistent state of an engine between
 ///    rounds — knowledge set, effective threshold, counters — used by the
 ///    broker's session checkpoint/migration path.
 ///
-/// Both structs reuse their vector buffers on assignment, so a broker that
+/// The structs reuse their vector buffers on assignment, so a broker that
 /// recycles `PendingCut` slots keeps the steady-state zero-allocation
 /// guarantee of DESIGN.md §6.
 
 namespace pdm {
 
-/// Posting-time feedback context of one round, detached from the engine so
+/// Posting-time feedback context of one round, held outside the engine so
 /// the accept/reject bit can be applied later (and interleaved with other
 /// rounds' contexts). Which fields are meaningful depends on the engine
 /// family; `kind` is the engine's own PendingKind encoding and is only ever
@@ -53,6 +52,17 @@ struct PendingCut {
   /// Ellipsoid engines: the support interval probed at posting time. Its
   /// `direction` buffer is reused across slot recycles.
   SupportInterval support;
+};
+
+/// Cumulative behaviour counters (exposed for the regret analysis benches:
+/// Lemma 6/7 bound `exploratory_rounds`).
+struct EngineCounters {
+  int64_t rounds = 0;
+  int64_t exploratory_rounds = 0;
+  int64_t conservative_rounds = 0;
+  int64_t skipped_rounds = 0;  ///< certain-no-sale rounds
+  int64_t cuts_applied = 0;
+  int64_t cuts_discarded = 0;  ///< feedback outside the valid α window
 };
 
 /// Full serializable state of a pricing engine between rounds. One flat

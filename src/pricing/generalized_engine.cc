@@ -17,30 +17,10 @@ GeneralizedPricingEngine::GeneralizedPricingEngine(std::unique_ptr<PricingEngine
   PDM_CHECK(map_ != nullptr);
 }
 
-PostedPrice GeneralizedPricingEngine::PostPrice(const Vector& features, double reserve) {
-  PDM_CHECK(!pending_skip_);
-  // A reserve at or above the range of g can never be met by any market
-  // value: certain no sale without consulting the base engine.
-  if (reserve >= link_->range_sup()) {
-    pending_skip_ = true;
-    PostedPrice posted;
-    posted.price = reserve;
-    posted.certain_no_sale = true;
-    return posted;
-  }
-  map_->MapInto(features, &ws_.z_features);
-  double z_reserve = link_->Inverse(reserve);
-  PostedPrice z_posted = base_->PostPrice(ws_.z_features, z_reserve);
-  PostedPrice posted = z_posted;
-  posted.price = std::max(link_->Apply(z_posted.price), reserve);
-  return posted;
-}
-
 void GeneralizedPricingEngine::PostPriceBatch(const double* panel, int k,
                                               const double* reserves,
                                               PostedPrice* posted,
                                               PendingCut* const* cuts) {
-  PDM_CHECK(!pending_skip_);
   PDM_CHECK(k >= 0);
   if (k == 0) return;
   PDM_CHECK(panel != nullptr && reserves != nullptr && posted != nullptr &&
@@ -48,8 +28,9 @@ void GeneralizedPricingEngine::PostPriceBatch(const double* panel, int k,
   const int in_dim = input_dim();
   const int z_dim = base_->dim();
 
-  // Pass 1: resolve link-range skips in the wrapper (they never reach the
-  // base engine — same as the scalar path) and φ-map the survivors into a
+  // Pass 1: resolve link-range skips in the wrapper (a reserve at or above
+  // the range of g can never be met by any market value: certain no sale
+  // without consulting the base engine) and φ-map the survivors into a
   // packed z-space panel. The scatter tables remember each survivor's batch
   // position so pass 3 can write results back in place.
   ws_.z_panel.resize(static_cast<size_t>(k) * static_cast<size_t>(z_dim));
@@ -60,10 +41,9 @@ void GeneralizedPricingEngine::PostPriceBatch(const double* panel, int k,
   int m = 0;
   for (int j = 0; j < k; ++j) {
     if (reserves[j] >= link_->range_sup()) {
-      // Scalar skip ≡ PostPrice's early return + DetachPending's
-      // wrapped-skip export: price = reserve, certain no sale, and the cut
-      // context (including its support buffer) is left untouched apart from
-      // the wrapped_skip routing fields.
+      // Price = reserve, certain no sale; the cut context (including its
+      // support buffer) is left untouched apart from the wrapped_skip
+      // routing fields.
       posted[j].price = reserves[j];
       posted[j].exploratory = false;
       posted[j].certain_no_sale = true;
@@ -87,12 +67,12 @@ void GeneralizedPricingEngine::PostPriceBatch(const double* panel, int k,
   if (m == 0) return;
 
   // Pass 2: one base-engine batch over the surviving z-space panel. The base
-  // writes the detached cut contexts straight into the caller's slots.
+  // writes the cut contexts straight into the caller's slots.
   base_->PostPriceBatch(ws_.z_panel.data(), m, ws_.z_reserves.data(),
                         ws_.z_posted.data(), ws_.z_cuts.data());
 
-  // Pass 3: scatter the z-space decisions back through the link, exactly as
-  // the scalar path does per round.
+  // Pass 3: scatter the z-space decisions back through the link, posting
+  // max(g(p_z), q).
   for (int i = 0; i < m; ++i) {
     int j = ws_.z_positions[static_cast<size_t>(i)];
     PostedPrice out = ws_.z_posted[static_cast<size_t>(i)];
@@ -101,17 +81,9 @@ void GeneralizedPricingEngine::PostPriceBatch(const double* panel, int k,
   }
 }
 
-void GeneralizedPricingEngine::Observe(bool accepted) {
-  if (pending_skip_) {
-    pending_skip_ = false;
-    return;
-  }
-  base_->Observe(accepted);
-}
-
 ValueInterval GeneralizedPricingEngine::EstimateValueInterval(const Vector& features) const {
   // Adaptive streams call this every round; its own scratch keeps the call
-  // allocation-free without touching the pending round's φ(x) buffer.
+  // allocation-free without touching the batch's φ(x) buffer.
   map_->MapInto(features, &ws_.z_estimate);
   ValueInterval z = base_->EstimateValueInterval(ws_.z_estimate);
   return ValueInterval{link_->Apply(z.lower), link_->Apply(z.upper)};
@@ -126,30 +98,13 @@ int GeneralizedPricingEngine::input_dim() const {
   return raw > 0 ? raw : base_->dim();
 }
 
-bool GeneralizedPricingEngine::DetachPending(PendingCut* out) {
-  PDM_CHECK(out != nullptr);
-  if (pending_skip_) {
-    pending_skip_ = false;
-    out->kind = 0;
-    out->price = 0.0;
-    out->x = 0.0;
-    out->wrapped_skip = true;
-    return true;
-  }
-  if (!base_->DetachPending(out)) return false;
-  out->wrapped_skip = false;
-  return true;
-}
-
 void GeneralizedPricingEngine::ObserveDetached(const PendingCut& cut, bool accepted) {
-  PDM_CHECK(!pending_skip_);
   if (cut.wrapped_skip) return;  // the round never reached the base engine
   base_->ObserveDetached(cut, accepted);
 }
 
 bool GeneralizedPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
-  if (pending_skip_) return false;
   if (!base_->SaveSnapshot(out)) return false;
   out->engine = "generalized(" + out->engine + ")";
   return true;
@@ -162,7 +117,6 @@ bool GeneralizedPricingEngine::LoadSnapshot(const EngineSnapshot& snapshot) {
       snapshot.engine.back() != ')') {
     return false;
   }
-  if (pending_skip_) return false;
   EngineSnapshot unwrapped = snapshot;
   unwrapped.engine =
       snapshot.engine.substr(kPrefix.size(), snapshot.engine.size() - kPrefix.size() - 1);

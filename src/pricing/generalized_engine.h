@@ -31,8 +31,6 @@ class GeneralizedPricingEngine : public PricingEngine {
   /// Raw input feature dimension is whatever the map accepts; dim() reports
   /// the base engine's (z-space) dimension for introspection.
   int dim() const override { return base_->dim(); }
-  PostedPrice PostPrice(const Vector& features, double reserve) override;
-  void Observe(bool accepted) override;
   ValueInterval EstimateValueInterval(const Vector& features) const override;
   const EngineCounters& counters() const override { return base_->counters(); }
   std::string name() const override;
@@ -42,34 +40,29 @@ class GeneralizedPricingEngine : public PricingEngine {
   /// Raw feature dimension the map accepts (≠ dim() for kernel maps).
   int input_dim() const override;
 
-  /// Serving hooks (DESIGN.md §9): link-range skips are flagged on the cut
-  /// context; everything else passes through to the base engine, whose
-  /// snapshot is re-tagged "generalized(<base>)" — the wrapper itself holds
-  /// no persistent state.
-  bool DetachPending(PendingCut* out) override;
-  void ObserveDetached(const PendingCut& cut, bool accepted) override;
-  bool SaveSnapshot(EngineSnapshot* out) const override;
-  bool LoadSnapshot(const EngineSnapshot& snapshot) override;
-
-  /// Batched quoting (DESIGN.md §11): link-range skips are resolved in the
-  /// wrapper; the surviving queries are φ-mapped into a z-space panel and
-  /// handed to the base engine's batch in one call. Bit-identical to k
-  /// sequential PostPrice+DetachPending pairs on this wrapper.
+  /// Link-range skips are resolved in the wrapper and flagged on their cut
+  /// contexts; the surviving queries are φ-mapped into a z-space panel and
+  /// handed to the base engine's batch in one call (DESIGN.md §11).
   bool SupportsBatchedQuotes() const override {
     return base_->SupportsBatchedQuotes();
   }
   void PostPriceBatch(const double* panel, int k, const double* reserves,
                       PostedPrice* posted, PendingCut* const* cuts) override;
+  void ObserveDetached(const PendingCut& cut, bool accepted) override;
+
+  /// The base engine's snapshot, re-tagged "generalized(<base>)" — the
+  /// wrapper itself holds no persistent state.
+  bool SaveSnapshot(EngineSnapshot* out) const override;
+  bool LoadSnapshot(const EngineSnapshot& snapshot) override;
 
  private:
   /// Scratch buffers reused across rounds so steady-state calls perform no
   /// heap allocation (the workspace convention of README's Performance
   /// section). Mutable because EstimateValueInterval is a const observer on
   /// the adaptive-stream hot path; it gets its own buffer so interleaved
-  /// diagnostic calls never clobber the pending round's φ(x).
+  /// diagnostic calls never clobber a batch's φ(x).
   struct Workspace {
-    /// φ(x) target of MapInto in PostPrice (and the per-query map target of
-    /// PostPriceBatch, which never runs concurrently with a pending round).
+    /// Per-query φ(x) target of MapInto in PostPriceBatch.
     Vector z_features;
     /// φ(x) target of MapInto in EstimateValueInterval.
     Vector z_estimate;
@@ -88,7 +81,6 @@ class GeneralizedPricingEngine : public PricingEngine {
   std::unique_ptr<PricingEngine> base_;
   std::shared_ptr<const LinkFunction> link_;
   std::shared_ptr<const FeatureMap> map_;
-  bool pending_skip_ = false;
   mutable Workspace ws_;
 };
 

@@ -28,54 +28,53 @@ IntervalPricingEngine::IntervalPricingEngine(const IntervalEngineConfig& config)
   PDM_CHECK(epsilon_ > 0.0);
 }
 
-PostedPrice IntervalPricingEngine::PostPrice(const Vector& features, double reserve) {
-  PDM_CHECK(pending_ == PendingKind::kNone);
-  PDM_CHECK(features.size() == 1);
-  ++counters_.rounds;
-  double x = features[0];
-  pending_x_ = x;
+void IntervalPricingEngine::PostPriceBatch(const double* panel, int k,
+                                           const double* reserves, PostedPrice* posted,
+                                           PendingCut* const* cuts) {
+  PDM_CHECK(k >= 0);
+  for (int j = 0; j < k; ++j) {
+    ++counters_.rounds;
+    const double x = panel[j];
+    // Support of θ ↦ x·θ over [lo, hi]; a negative feature flips the ends.
+    double lower = x >= 0.0 ? x * lo_ : x * hi_;
+    double upper = x >= 0.0 ? x * hi_ : x * lo_;
+    double mid = 0.5 * (lower + upper);
+    double q = config_.use_reserve ? reserves[j] : -std::numeric_limits<double>::infinity();
 
-  // Support of θ ↦ x·θ over [lo, hi]; a negative feature flips the ends.
-  double lower = x >= 0.0 ? x * lo_ : x * hi_;
-  double upper = x >= 0.0 ? x * hi_ : x * lo_;
-  double mid = 0.5 * (lower + upper);
-  double q = config_.use_reserve ? reserve : -std::numeric_limits<double>::infinity();
-
-  PostedPrice posted;
-  if (config_.use_reserve && q >= upper + config_.delta) {
-    ++counters_.skipped_rounds;
-    posted.price = q;
-    posted.certain_no_sale = true;
-    pending_ = PendingKind::kSkip;
-    pending_price_ = posted.price;
-    return posted;
+    PostedPrice& out = posted[j];
+    PendingKind kind;
+    if (config_.use_reserve && q >= upper + config_.delta) {
+      ++counters_.skipped_rounds;
+      out.price = q;
+      out.exploratory = false;
+      out.certain_no_sale = true;
+      kind = PendingKind::kSkip;
+    } else if (upper - lower > epsilon_) {
+      out.price = std::max(q, mid);
+      out.exploratory = true;
+      out.certain_no_sale = false;
+      kind = PendingKind::kExploratory;
+      ++counters_.exploratory_rounds;
+    } else {
+      out.price = std::max(q, lower - config_.delta);
+      out.exploratory = false;
+      out.certain_no_sale = false;
+      kind = PendingKind::kConservative;
+      ++counters_.conservative_rounds;
+    }
+    PendingCut* cut = cuts[j];
+    cut->kind = static_cast<int>(kind);
+    cut->price = out.price;
+    cut->x = x;
+    cut->wrapped_skip = false;
   }
-
-  if (upper - lower > epsilon_) {
-    posted.price = std::max(q, mid);
-    posted.exploratory = true;
-    pending_ = PendingKind::kExploratory;
-    ++counters_.exploratory_rounds;
-  } else {
-    posted.price = std::max(q, lower - config_.delta);
-    posted.exploratory = false;
-    pending_ = PendingKind::kConservative;
-    ++counters_.conservative_rounds;
-  }
-  pending_price_ = posted.price;
-  return posted;
 }
 
-void IntervalPricingEngine::Observe(bool accepted) {
-  PDM_CHECK(pending_ != PendingKind::kNone);
-  PendingKind kind = pending_;
-  pending_ = PendingKind::kNone;
-  ApplyFeedback(kind, pending_x_, pending_price_, accepted);
-}
-
-void IntervalPricingEngine::ApplyFeedback(PendingKind kind, double x, double price,
-                                          bool accepted) {
+void IntervalPricingEngine::ObserveDetached(const PendingCut& cut, bool accepted) {
+  const PendingKind kind = static_cast<PendingKind>(cut.kind);
+  PDM_CHECK(kind != PendingKind::kNone);
   if (kind != PendingKind::kExploratory) return;  // conservative/skip: no cut
+  const double x = cut.x;
   if (x == 0.0) return;  // the price carried no information about θ*
 
   // Rejection ⇒ x·θ* ≥ v ... more precisely p ≥ v = x·θ* − δ_t ⇒
@@ -84,14 +83,14 @@ void IntervalPricingEngine::ApplyFeedback(PendingKind kind, double x, double pri
   double new_lo = lo_;
   double new_hi = hi_;
   if (!accepted) {
-    double bound = (price + config_.delta) / x;
+    double bound = (cut.price + config_.delta) / x;
     if (x > 0.0) {
       new_hi = std::min(new_hi, bound);
     } else {
       new_lo = std::max(new_lo, bound);
     }
   } else {
-    double bound = (price - config_.delta) / x;
+    double bound = (cut.price - config_.delta) / x;
     if (x > 0.0) {
       new_lo = std::max(new_lo, bound);
     } else {
@@ -109,26 +108,8 @@ void IntervalPricingEngine::ApplyFeedback(PendingKind kind, double x, double pri
   }
 }
 
-bool IntervalPricingEngine::DetachPending(PendingCut* out) {
-  PDM_CHECK(out != nullptr);
-  if (pending_ == PendingKind::kNone) return false;
-  out->kind = static_cast<int>(pending_);
-  out->price = pending_price_;
-  out->x = pending_x_;
-  out->wrapped_skip = false;
-  pending_ = PendingKind::kNone;
-  return true;
-}
-
-void IntervalPricingEngine::ObserveDetached(const PendingCut& cut, bool accepted) {
-  PDM_CHECK(pending_ == PendingKind::kNone);
-  PDM_CHECK(cut.kind != static_cast<int>(PendingKind::kNone));
-  ApplyFeedback(static_cast<PendingKind>(cut.kind), cut.x, cut.price, accepted);
-}
-
 bool IntervalPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
-  if (pending_ != PendingKind::kNone) return false;
   out->engine = "interval";
   out->dim = 1;
   out->epsilon = epsilon_;
@@ -146,7 +127,6 @@ bool IntervalPricingEngine::LoadSnapshot(const EngineSnapshot& snapshot) {
   if (snapshot.engine != "interval") return false;
   if (snapshot.dim != 1) return false;
   if (!(snapshot.lo <= snapshot.hi)) return false;
-  if (pending_ != PendingKind::kNone) return false;
   lo_ = snapshot.lo;
   hi_ = snapshot.hi;
   epsilon_ = snapshot.epsilon;

@@ -40,15 +40,14 @@ class IntervalPricingEngine : public PricingEngine {
   explicit IntervalPricingEngine(const IntervalEngineConfig& config);
 
   int dim() const override { return 1; }
-  PostedPrice PostPrice(const Vector& features, double reserve) override;
-  void Observe(bool accepted) override;
   ValueInterval EstimateValueInterval(const Vector& features) const override;
   const EngineCounters& counters() const override { return counters_; }
   std::string name() const override;
 
-  /// Serving hooks (DESIGN.md §9): the pending (x, price) pair moves into
-  /// the ticket's cut context; snapshots carry [lo, hi] plus counters.
-  bool DetachPending(PendingCut* out) override;
+  /// Prices the panel query by query; each round's (x, price) pair is its
+  /// cut context. Snapshots carry [lo, hi] plus counters.
+  void PostPriceBatch(const double* panel, int k, const double* reserves,
+                      PostedPrice* posted, PendingCut* const* cuts) override;
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
   bool SaveSnapshot(EngineSnapshot* out) const override;
   bool LoadSnapshot(const EngineSnapshot& snapshot) override;
@@ -58,10 +57,8 @@ class IntervalPricingEngine : public PricingEngine {
   double epsilon() const { return epsilon_; }
 
  private:
+  /// PendingCut::kind values (serialized with pending tickets).
   enum class PendingKind { kNone, kExploratory, kConservative, kSkip };
-
-  /// Shared feedback path of Observe and ObserveDetached.
-  void ApplyFeedback(PendingKind kind, double x, double price, bool accepted);
 
   // The 1-d knowledge set is two scalars, so this engine needs no vector
   // workspace: rounds are allocation-free by construction (covered by the
@@ -71,10 +68,6 @@ class IntervalPricingEngine : public PricingEngine {
   double lo_;
   double hi_;
   EngineCounters counters_;
-
-  PendingKind pending_ = PendingKind::kNone;
-  double pending_x_ = 0.0;
-  double pending_price_ = 0.0;
 };
 
 }  // namespace pdm

@@ -6,27 +6,25 @@
 
 #include "common/check.h"
 #include "linalg/vector_ops.h"
+#include "pricing/engine_state.h"
 
 /// \file
 /// The posted-price mechanism interface.
 ///
 /// Protocol per round t (Fig. 2): the broker receives a query with feature
-/// vector x_t and reserve price q_t, calls PostPrice, shows the returned
-/// price to the consumer, then reports the binary accept/reject feedback via
-/// Observe. PostPrice and Observe must strictly alternate — the engine's
-/// knowledge-set update depends on the pending round's context.
+/// vector x_t and reserve price q_t, posts a price, shows it to the
+/// consumer, then learns from the binary accept/reject feedback.
 ///
-/// The serving layer (src/broker, DESIGN.md §9) relaxes the alternation
-/// without changing the math: right after PostPrice it *detaches* the
-/// pending cut context into a `PendingCut` ticket and re-injects it when the
-/// (possibly delayed) feedback arrives. The optional hooks at the bottom of
-/// the interface implement that path; engines that support them also expose
-/// `EngineSnapshot` save/load for session checkpointing.
+/// Every engine implements that loop once, as a batch: `PostPriceBatch`
+/// prices k queries and writes each round's posting-time cut context into a
+/// caller-owned `PendingCut`; `ObserveDetached` applies one round's feedback
+/// with its cut context. Engines hold no pending round, so whoever owns the
+/// cut contexts decides when feedback arrives — the serving layer
+/// (src/broker, DESIGN.md §9) keeps one per ticket. `PostPrice`/`Observe`
+/// are the classic strictly alternating loop: a batch of one into a cut
+/// context this base class owns.
 
 namespace pdm {
-
-struct PendingCut;      // pricing/engine_state.h
-struct EngineSnapshot;  // pricing/engine_state.h
 
 /// The broker's decision for one round.
 struct PostedPrice {
@@ -52,17 +50,6 @@ struct ValueInterval {
   double midpoint() const { return 0.5 * (lower + upper); }
 };
 
-/// Cumulative behaviour counters (exposed for the regret analysis benches:
-/// Lemma 6/7 bound `exploratory_rounds`).
-struct EngineCounters {
-  int64_t rounds = 0;
-  int64_t exploratory_rounds = 0;
-  int64_t conservative_rounds = 0;
-  int64_t skipped_rounds = 0;  ///< certain-no-sale rounds
-  int64_t cuts_applied = 0;
-  int64_t cuts_discarded = 0;  ///< feedback outside the valid α window
-};
-
 class PricingEngine {
  public:
   virtual ~PricingEngine() = default;
@@ -70,12 +57,51 @@ class PricingEngine {
   /// Feature dimension this engine prices over.
   virtual int dim() const = 0;
 
-  /// Chooses the price for a query. `reserve` is q_t (ignored by engines
-  /// configured without the reserve constraint).
-  virtual PostedPrice PostPrice(const Vector& features, double reserve) = 0;
+  /// Raw feature dimension the engine accepts. Equals dim() except for
+  /// engines wrapping a dimension-changing feature map (the broker validates
+  /// request dimensions against this, not against the z-space dim()).
+  virtual int input_dim() const { return dim(); }
 
-  /// Reports whether the pending posted price was accepted (p_t ≤ v_t).
-  virtual void Observe(bool accepted) = 0;
+  /// Chooses the price for a query: a batch of one whose cut context stays
+  /// in this object until Observe. `reserve` is q_t (ignored by engines
+  /// configured without the reserve constraint). PostPrice and Observe must
+  /// strictly alternate.
+  PostedPrice PostPrice(const Vector& features, double reserve) {
+    PDM_CHECK(!round_open_);
+    PDM_CHECK(static_cast<int>(features.size()) == input_dim());
+    PostedPrice posted;
+    PendingCut* cut = &round_cut_;
+    PostPriceBatch(features.data(), 1, &reserve, &posted, &cut);
+    round_open_ = true;
+    return posted;
+  }
+
+  /// Reports whether the price posted by the last PostPrice was accepted
+  /// (p_t ≤ v_t).
+  void Observe(bool accepted) {
+    PDM_CHECK(round_open_);
+    round_open_ = false;
+    ObserveDetached(round_cut_, accepted);
+  }
+
+  /// Prices k queries against the knowledge set as it stands. `panel` packs
+  /// the raw feature vectors query-major (query j occupies panel +
+  /// j·input_dim()), `reserves[j]` is query j's reserve, `posted[j]`
+  /// receives the decision and `*cuts[j]` the round's cut context. No
+  /// knowledge-set update happens inside the batch, so query j's price is
+  /// exactly what a batch of one would post for it (DESIGN.md §11).
+  virtual void PostPriceBatch(const double* panel, int k, const double* reserves,
+                              PostedPrice* posted, PendingCut* const* cuts) = 0;
+
+  /// Applies accept/reject feedback for a round priced by PostPriceBatch on
+  /// this engine. Cut contexts are applied in the order feedback arrives,
+  /// each against the *current* knowledge set with its *posting-time*
+  /// support (see DESIGN.md §9 for the semantics under delayed feedback).
+  virtual void ObserveDetached(const PendingCut& cut, bool accepted) = 0;
+
+  /// True when PostPriceBatch prices the whole panel in one kernel pass
+  /// (rather than query by query), i.e. when batching pays.
+  virtual bool SupportsBatchedQuotes() const { return false; }
 
   /// Current knowledge-set bounds on the market value of `features`.
   virtual ValueInterval EstimateValueInterval(const Vector& features) const = 0;
@@ -85,72 +111,10 @@ class PricingEngine {
   /// Short identifier used in bench/table output (e.g. "reserve+uncertainty").
   virtual std::string name() const = 0;
 
-  // -------------------------------------------------------------------------
-  // Serving hooks (src/broker). All built-in engines implement them; the
-  // defaults below keep third-party engines source-compatible — a broker
-  // falls back to strict alternation when DetachPending reports
-  // unsupported, and snapshotting is simply unavailable.
-  // -------------------------------------------------------------------------
-
-  /// Raw feature dimension PostPrice accepts. Equals dim() except for
-  /// engines wrapping a dimension-changing feature map (the broker validates
-  /// request dimensions against this, not against the z-space dim()).
-  virtual int input_dim() const { return dim(); }
-
-  /// Moves the round awaiting feedback out of the engine into `*out`
-  /// (clearing the engine's own pending state, so another PostPrice may
-  /// follow immediately). Returns false when unsupported *or* when no round
-  /// is pending; `out`'s buffers are reused across calls. Calling
-  /// ObserveDetached with the detached context right away is bit-identical
-  /// to the classic Observe call.
-  virtual bool DetachPending(PendingCut* out) {
-    (void)out;
-    return false;
-  }
-
-  /// Applies accept/reject feedback for a round previously externalized by
-  /// DetachPending on this engine. Must not be called while a non-detached
-  /// round is pending. Cut contexts are applied in the order feedback
-  /// arrives, each against the *current* knowledge set with its
-  /// *posting-time* support (see DESIGN.md §9 for the semantics under
-  /// delayed feedback).
-  virtual void ObserveDetached(const PendingCut& cut, bool accepted) {
-    (void)cut;
-    (void)accepted;
-    PDM_CHECK(false && "engine does not support detached feedback");
-  }
-
-  /// True when the engine implements PostPriceBatch. Engines reporting
-  /// support must also support DetachPending — the batched call fuses
-  /// PostPrice + DetachPending per query, so it only makes sense on engines
-  /// that already run the ticketed feedback protocol.
-  virtual bool SupportsBatchedQuotes() const { return false; }
-
-  /// Quotes k same-engine queries in one pass. `panel` packs the raw feature
-  /// vectors query-major (query j occupies panel + j·input_dim()),
-  /// `reserves[j]` is query j's reserve, `posted[j]` receives the decision
-  /// and `*cuts[j]` the detached cut context — exactly what the sequence
-  /// { PostPrice(x_j, reserves[j]); DetachPending(cuts[j]); } would produce,
-  /// BIT-IDENTICAL per query (DESIGN.md §11). Because every cut context is
-  /// detached before the next quote, no knowledge-set update happens inside
-  /// the batch: the whole panel prices against one frozen knowledge set,
-  /// which is what lets the ellipsoid engine spend a single matrix–panel
-  /// pass on it. Leaves no round attached. The default CHECK-fails; callers
-  /// must consult SupportsBatchedQuotes() first.
-  virtual void PostPriceBatch(const double* panel, int k, const double* reserves,
-                              PostedPrice* posted, PendingCut* const* cuts) {
-    (void)panel;
-    (void)k;
-    (void)reserves;
-    (void)posted;
-    (void)cuts;
-    PDM_CHECK(false && "engine does not support batched quotes");
-  }
-
   /// Writes the engine's full persistent state (knowledge set, thresholds,
-  /// counters) into `*out`. Returns false when unsupported or when a
-  /// non-detached round is pending (pending context belongs to the broker's
-  /// ticket table, not the engine snapshot).
+  /// counters) into `*out`; returns false when unsupported. Cut contexts are
+  /// not engine state: they belong to their owners (the broker's ticket
+  /// table, or PostPrice's open round).
   virtual bool SaveSnapshot(EngineSnapshot* out) const {
     (void)out;
     return false;
@@ -164,6 +128,11 @@ class PricingEngine {
     (void)snapshot;
     return false;
   }
+
+ private:
+  /// The cut context of the round PostPrice opened, awaiting Observe.
+  PendingCut round_cut_;
+  bool round_open_ = false;
 };
 
 }  // namespace pdm

@@ -77,11 +77,19 @@ bool DecodePriceBody(WireReader* r, std::vector<double>* scratch, PriceFrame* ou
   out->features_at = scratch->size();
   out->features_len = n;
   for (uint32_t i = 0; i < n; ++i) {
-    double v;
+    double v = 0.0;
     r->GetF64(&v);
     scratch->push_back(v);
   }
   return r->AtEnd();
+}
+
+/// The error message of one failed item of a PostPrice/Observe run. A lone
+/// frame answers with the broker's own message; items of a coalesced run
+/// only know their status code.
+std::string RunErrorMessage(size_t run_size, const Status& status, StatusCode code) {
+  if (run_size == 1) return status.message();
+  return std::string("batched request failed: ") + StatusCodeName(code);
 }
 
 struct ObserveFrame {
@@ -120,8 +128,21 @@ struct TcpServer::Connection {
   bool output_pending() const { return out_offset < out.size(); }
 };
 
+/// ServeRun's decode and broker-call buffers. Only the event loop serves
+/// frames, so one set is cleared and reused run after run: steady-state runs
+/// allocate nothing.
+struct TcpServer::RunBuffers {
+  std::vector<double> features;
+  std::vector<PriceFrame> prices;
+  std::vector<HandleRequest> requests;
+  std::vector<Quote> quotes;
+  std::vector<ObserveFrame> observes;
+  std::vector<FeedbackRequest> feedback;
+  std::vector<StatusCode> codes;
+};
+
 TcpServer::TcpServer(broker::Broker* broker, const ServerConfig& config)
-    : broker_(broker), config_(config) {
+    : broker_(broker), config_(config), run_(std::make_unique<RunBuffers>()) {
   registry_ = config_.metrics;
   if (registry_ == nullptr) {
     // Private fallback: stats() and GetMetrics must always read real cells,
@@ -526,14 +547,16 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
 size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>& frames,
                            size_t at) {
   const uint8_t op = static_cast<uint8_t>(frames[at][0]);
+  RunBuffers& b = *run_;
 
-  // Coalescing: a pipelined run of single-op kPostPrice (kObserve) frames
-  // becomes one batched broker call — one session-lock acquisition per run.
-  // A frame of another opcode, a short header, or a malformed body ends the
-  // run; the run is only taken when at least two frames qualify.
+  // A run of consecutive single-op kPostPrice (kObserve) frames becomes one
+  // batched broker call — one session-lock acquisition per run; a lone frame
+  // is a run of one. A frame of another opcode, a short header, or a
+  // malformed body ends the run; a malformed first frame is answered by
+  // ServeFrame.
   if (op == static_cast<uint8_t>(Opcode::kPostPrice)) {
-    std::vector<double> scratch;
-    std::vector<PriceFrame> run;
+    b.features.clear();
+    b.prices.clear();
     size_t taken = at;
     while (taken < frames.size() && frames[taken].size() >= kHeaderBytes &&
            static_cast<uint8_t>(frames[taken][0]) == op) {
@@ -542,36 +565,34 @@ size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>
       PriceFrame pf;
       r.GetU8(&opcode);
       r.GetU64(&pf.id);
-      if (!DecodePriceBody(&r, &scratch, &pf)) break;
-      run.push_back(pf);
+      if (!DecodePriceBody(&r, &b.features, &pf)) break;
+      b.prices.push_back(pf);
       ++taken;
     }
-    if (run.size() >= 2) {
-      std::vector<HandleRequest> requests(run.size());
-      std::vector<Quote> quotes(run.size());
-      for (size_t i = 0; i < run.size(); ++i) {
-        requests[i].handle = run[i].handle;
-        requests[i].reserve = run[i].reserve;
-        requests[i].features = std::span<const double>(
-            scratch.data() + run[i].features_at, run[i].features_len);
+    const size_t n = b.prices.size();
+    if (n != 0) {
+      b.requests.resize(n);
+      b.quotes.assign(n, Quote{});
+      for (size_t i = 0; i < n; ++i) {
+        b.requests[i].handle = b.prices[i].handle;
+        b.requests[i].reserve = b.prices[i].reserve;
+        b.requests[i].features = std::span<const double>(
+            b.features.data() + b.prices[i].features_at, b.prices[i].features_len);
       }
-      (void)broker_->PostPrices(requests, quotes);
-      for (size_t i = 0; i < run.size(); ++i) {
-        if (quotes[i].status == StatusCode::kOk) {
-          WriteQuote(&conn->out, run[i].id, quotes[i]);
+      const Status status = broker_->PostPrices(b.requests, b.quotes);
+      for (size_t i = 0; i < n; ++i) {
+        if (b.quotes[i].status == StatusCode::kOk) {
+          WriteQuote(&conn->out, b.prices[i].id, b.quotes[i]);
         } else {
-          WriteError(&conn->out, Opcode::kPostPrice, run[i].id, quotes[i].status,
-                     std::string("batched request failed: ") +
-                         StatusCodeName(quotes[i].status));
+          WriteError(&conn->out, Opcode::kPostPrice, b.prices[i].id, b.quotes[i].status,
+                     RunErrorMessage(n, status, b.quotes[i].status));
         }
       }
-      metrics_.frames_by_op[op].Add(run.size());
-      metrics_.frames_coalesced.Add(run.size());
-      metrics_.coalesced_runs.Increment();
-      return run.size();
+      CountRun(op, n);
+      return n;
     }
   } else if (op == static_cast<uint8_t>(Opcode::kObserve)) {
-    std::vector<ObserveFrame> run;
+    b.observes.clear();
     size_t taken = at;
     while (taken < frames.size() && frames[taken].size() >= kHeaderBytes &&
            static_cast<uint8_t>(frames[taken][0]) == op) {
@@ -581,34 +602,42 @@ size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>
       r.GetU8(&opcode);
       r.GetU64(&of.id);
       if (!DecodeObserveBody(&r, &of)) break;
-      run.push_back(of);
+      b.observes.push_back(of);
       ++taken;
     }
-    if (run.size() >= 2) {
-      std::vector<FeedbackRequest> feedback(run.size());
-      std::vector<StatusCode> codes(run.size());
-      for (size_t i = 0; i < run.size(); ++i) feedback[i] = run[i].feedback;
-      (void)broker_->Observes(feedback, codes);
-      for (size_t i = 0; i < run.size(); ++i) {
-        if (codes[i] == StatusCode::kOk) {
+    const size_t n = b.observes.size();
+    if (n != 0) {
+      b.feedback.resize(n);
+      b.codes.assign(n, StatusCode{});
+      for (size_t i = 0; i < n; ++i) b.feedback[i] = b.observes[i].feedback;
+      const Status status = broker_->Observes(b.feedback, b.codes);
+      for (size_t i = 0; i < n; ++i) {
+        if (b.codes[i] == StatusCode::kOk) {
           WireWriter w(&conn->out);
           size_t frame = w.BeginFrame();
-          w.PutResponseHeader(Opcode::kObserve, run[i].id, StatusCode::kOk);
+          w.PutResponseHeader(Opcode::kObserve, b.observes[i].id, StatusCode::kOk);
           w.EndFrame(frame);
         } else {
-          WriteError(&conn->out, Opcode::kObserve, run[i].id, codes[i],
-                     std::string("batched request failed: ") + StatusCodeName(codes[i]));
+          WriteError(&conn->out, Opcode::kObserve, b.observes[i].id, b.codes[i],
+                     RunErrorMessage(n, status, b.codes[i]));
         }
       }
-      metrics_.frames_by_op[op].Add(run.size());
-      metrics_.frames_coalesced.Add(run.size());
-      metrics_.coalesced_runs.Increment();
-      return run.size();
+      CountRun(op, n);
+      return n;
     }
   }
 
   ServeFrame(conn, frames[at]);
   return 1;
+}
+
+void TcpServer::CountRun(uint8_t op, size_t frames) {
+  metrics_.frames_by_op[op].Add(frames);
+  // Only runs of two or more were coalesced.
+  if (frames >= 2) {
+    metrics_.frames_coalesced.Add(frames);
+    metrics_.coalesced_runs.Increment();
+  }
 }
 
 void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
@@ -666,31 +695,6 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
       return;
     }
 
-    case Opcode::kPostPrice: {
-      std::vector<double> scratch;
-      PriceFrame pf;
-      if (!DecodePriceBody(&r, &scratch, &pf)) return malformed();
-      Quote quote;
-      Status s = broker_->PostPrice(
-          pf.handle, std::span<const double>(scratch.data(), pf.features_len),
-          pf.reserve, &quote);
-      if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WriteQuote(out, id, quote);
-      return;
-    }
-
-    case Opcode::kObserve: {
-      ObserveFrame of;
-      if (!DecodeObserveBody(&r, &of)) return malformed();
-      Status s = broker_->Observe(of.feedback.ticket, of.feedback.accepted);
-      if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.EndFrame(frame);
-      return;
-    }
-
     case Opcode::kEstimateValue: {
       ProductHandle handle;
       uint32_t n;
@@ -734,7 +738,7 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
           pf.features_at = scratch.size();
           pf.features_len = n;
           for (uint32_t j = 0; j < n; ++j) {
-            double v;
+            double v = 0.0;
             r.GetF64(&v);
             scratch.push_back(v);
           }
@@ -805,6 +809,12 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
       w.EndFrame(frame);
       return;
     }
+
+    // ServeRun answers every decodable PostPrice/Observe frame, so one that
+    // reaches here has a malformed body.
+    case Opcode::kPostPrice:
+    case Opcode::kObserve:
+      return malformed();
   }
 }
 

@@ -27,12 +27,14 @@
 /// the server's job is purely to move frames, and a single loop keeps the
 /// serving path allocation-light and trivially TSan-clean.
 ///
-/// Pipelining is rewarded: when a connection's read buffer holds a *run* of
-/// consecutive `kPostPrice` (or `kObserve`) frames, the loop coalesces the
-/// run into one `Broker::PostPrices` (`Observes`) call — one session-lock
-/// acquisition per run instead of one per request — then emits the per-frame
-/// responses individually. A client that pipelines N requests gets batch-path
-/// throughput without ever speaking the batch opcodes.
+/// Every `kPostPrice` (or `kObserve`) frame is served through one
+/// `Broker::PostPrices` (`Observes`) call, and pipelining is rewarded: when a
+/// connection's read buffer holds a *run* of consecutive such frames, the
+/// loop coalesces the run into one call — one session-lock acquisition per
+/// run instead of one per request — then emits the per-frame responses
+/// individually. A lone frame is a run of one. A client that pipelines N
+/// requests gets batch-path throughput without ever speaking the batch
+/// opcodes.
 ///
 /// Shutdown drains gracefully: `Stop()` stops accepting, serves every frame
 /// already buffered, flushes pending responses, and closes connections —
@@ -90,7 +92,8 @@ struct ServerStats {
   int64_t connections_accepted = 0;
   int64_t frames_served = 0;
   /// Frames answered through a coalesced PostPrices/Observes run (subset of
-  /// frames_served) and the number of such runs (>= 2 frames each).
+  /// frames_served) and the number of such runs (>= 2 frames each; a lone
+  /// frame is a run of one and counts in neither).
   int64_t frames_coalesced = 0;
   int64_t coalesced_runs = 0;
   /// Connections dropped for framing violations (oversized/truncated
@@ -139,6 +142,7 @@ class TcpServer {
 
  private:
   struct Connection;
+  struct RunBuffers;
 
   void EventLoop();
   void AcceptNew(int listen_fd, bool scrape);
@@ -151,12 +155,19 @@ class TcpServer {
   /// Answers a buffered HTTP scrape request once its header is complete;
   /// the response is followed by close (HTTP/1.0, no keep-alive).
   void ServeScrape(Connection* conn);
-  /// Decodes and answers one frame into `conn`'s write buffer.
+  /// Decodes and answers one frame into `conn`'s write buffer — any frame
+  /// except a decodable PostPrice/Observe frame, which ServeRun serves.
   void ServeFrame(Connection* conn, std::string_view payload);
-  /// Coalesces a run of identical single-op frames starting at `frames[at]`;
-  /// returns the number of frames consumed (>= 1).
+  /// Serves the frame at `frames[at]`. A PostPrice (Observe) frame starts a
+  /// run of consecutive decodable frames of its opcode, served by one
+  /// Broker::PostPrices (Observes) call — a lone frame is a run of one;
+  /// every other frame goes to ServeFrame. Returns the number of frames
+  /// consumed (>= 1).
   size_t ServeRun(Connection* conn, const std::vector<std::string_view>& frames,
                   size_t at);
+  /// Counts a served run's frames; runs of two or more also count as
+  /// coalesced.
+  void CountRun(uint8_t op, size_t frames);
   /// Nonblocking flush of `conn`'s write buffer; false on fatal write error.
   bool FlushWrites(Connection* conn);
 
@@ -194,6 +205,8 @@ class TcpServer {
   metrics::MetricRegistry* registry_ = nullptr;
   std::unique_ptr<metrics::MetricRegistry> own_registry_;
   Instruments metrics_;
+  /// ServeRun's buffers, reused run after run (defined in server.cc).
+  std::unique_ptr<RunBuffers> run_;
 };
 
 }  // namespace pdm::server

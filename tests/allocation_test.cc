@@ -340,11 +340,11 @@ TEST(SteadyStateAllocations, BrokerRoundTripsWithLiveMetricsRegistry) {
 
 TEST(SteadyStateAllocations, BrokerTicketedRoundTrips) {
   // The serving surface must inherit the hot-path guarantee end to end:
-  // product lookup, PostPrice (span → engine bridge), ticket issue + cut
-  // detach, and Observe (ticket retire + detached cut) — all through the
-  // striped-lock Broker front end, with several tickets in flight so slot
-  // recycling is exercised. Ok statuses carry no message and allocate
-  // nothing (DESIGN.md §9).
+  // product lookup, PostPrice (a batch of one: ticket issue, with the engine
+  // writing the cut context into the ticket slot), and Observe (ticket
+  // retire + cut) — all through the Broker front end, with several tickets
+  // in flight so slot recycling is exercised. Ok statuses carry no message
+  // and allocate nothing (DESIGN.md §9).
   scenario::StreamFactory factory;
   scenario::ScenarioSpec spec;
   spec.name = "alloc/broker/linear";
@@ -461,8 +461,8 @@ TEST(SteadyStateAllocations, BrokerHandlePathBatchedMixedProductRoundTrips) {
 
 TEST(SteadyStateAllocations, BatchedEnginePanelQuotes) {
   // The batched quoting path at the engine layer (DESIGN.md §11): a full
-  // panel of PostPriceBatch quotes plus their detached feedback must stop
-  // allocating once the engine's panel workspaces and the caller's cut
+  // panel of PostPriceBatch quotes plus their ObserveDetached feedback must
+  // stop allocating once the engine's panel workspaces and the caller's cut
   // contexts reach steady-state capacity.
   NoisyLinearMarketConfig market;
   market.feature_dim = 8;

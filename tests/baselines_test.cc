@@ -27,18 +27,8 @@ TEST(ReservePriceBaseline, EstimateIsVacuous) {
   EXPECT_TRUE(std::isinf(interval.upper));
 }
 
-TEST(FixedPriceBaseline, PostsMaxOfFixedAndReserve) {
-  FixedPriceBaseline baseline(2, 5.0);
-  Vector x{1.0, 0.0};
-  EXPECT_DOUBLE_EQ(baseline.PostPrice(x, 1.0).price, 5.0);
-  baseline.Observe(false);
-  EXPECT_DOUBLE_EQ(baseline.PostPrice(x, 7.0).price, 7.0);
-  baseline.Observe(false);
-}
-
 TEST(Baselines, NamesAreStable) {
   EXPECT_EQ(ReservePriceBaseline(1).name(), "risk-averse");
-  EXPECT_EQ(FixedPriceBaseline(1, 1.0).name(), "fixed-price");
 }
 
 }  // namespace

@@ -22,10 +22,8 @@
 #include "market/round.h"
 #include "market/simulator.h"
 #include "pricing/ellipsoid_engine.h"
-#include "pricing/engine_state.h"
 #include "pricing/feature_maps.h"
 #include "pricing/generalized_engine.h"
-#include "pricing/interval_engine.h"
 #include "pricing/link_functions.h"
 #include "rng/rng.h"
 #include "scenario/mechanism_registry.h"
@@ -239,13 +237,14 @@ TEST(Broker, BatchedPostPricesMatchesSingleRequests) {
 TEST(Broker, BatchedSameProductRunsMatchSingleAcrossTilesAndEngines) {
   // Long same-product runs hit the session's panel path across several
   // kQuoteTile tiles (70 > 2×32), the n = 1 product routes to the interval
-  // engine (no batch support — the scalar fallback inside PostPrices), and
-  // the kernel product runs the generalized wrapper's skip/panel split.
-  // Everything must be bit-identical to the one-at-a-time entry point,
-  // tickets included.
+  // engine (a per-query loop inside its PostPriceBatch), the risk-averse
+  // product to the baseline's own PostPriceBatch, and the kernel product
+  // runs the generalized wrapper's skip/panel split. Everything must be
+  // bit-identical to the one-at-a-time entry point, tickets included.
   StreamFactory factory;
   ScenarioSpec linear = LinearSpec("tile/linear", 20, 40000, "reserve", 41);
   ScenarioSpec one_d = LinearSpec("tile/interval", 1, 40000, "reserve", 42);
+  ScenarioSpec averse = LinearSpec("tile/risk-averse", 8, 40000, "risk-averse", 43);
   const ScenarioSpec* kernel_found =
       ScenarioRegistry::PaperExhibits().Find("kernel/m=10");
   ASSERT_NE(kernel_found, nullptr);
@@ -256,6 +255,7 @@ TEST(Broker, BatchedSameProductRunsMatchSingleAcrossTilesAndEngines) {
   for (Broker* broker : {&single, &batched}) {
     ASSERT_TRUE(broker->OpenSession(linear.name, linear, factory.Prepare(linear)).ok());
     ASSERT_TRUE(broker->OpenSession(one_d.name, one_d, factory.Prepare(one_d)).ok());
+    ASSERT_TRUE(broker->OpenSession(averse.name, averse, factory.Prepare(averse)).ok());
     ASSERT_TRUE(broker->OpenSession(kernel.name, kernel, factory.Prepare(kernel)).ok());
   }
   struct Run {
@@ -263,9 +263,10 @@ TEST(Broker, BatchedSameProductRunsMatchSingleAcrossTilesAndEngines) {
     int dim;
     int count;
   };
-  const std::array<Run, 3> runs = {{
+  const std::array<Run, 4> runs = {{
       {&linear.name, single.FindEngine(linear.name)->input_dim(), 70},
       {&one_d.name, single.FindEngine(one_d.name)->input_dim(), 5},
+      {&averse.name, single.FindEngine(averse.name)->input_dim(), 7},
       {&kernel.name, single.FindEngine(kernel.name)->input_dim(), 9},
   }};
 
@@ -276,7 +277,9 @@ TEST(Broker, BatchedSameProductRunsMatchSingleAcrossTilesAndEngines) {
     std::vector<PriceRequest> requests;
     // Requests hold spans into `features`; reserve up front so push_back
     // never reallocates under them.
-    features.reserve(static_cast<size_t>(runs[0].count + runs[1].count + runs[2].count));
+    size_t total = 0;
+    for (const Run& run : runs) total += static_cast<size_t>(run.count);
+    features.reserve(total);
     for (const Run& run : runs) {
       for (int i = 0; i < run.count; ++i) {
         features.push_back(rng.GaussianVector(run.dim));
@@ -1072,54 +1075,6 @@ TEST(Broker, ConcurrentTrafficAcrossProductsIsSafeAndComplete) {
   EXPECT_EQ(info.quotes_issued, kThreads * kRoundsPerThread);
   EXPECT_EQ(info.feedback_received, kThreads * kRoundsPerThread);
   EXPECT_EQ(info.pending, 0);
-}
-
-// ---------------------------------------------------------- engine detach
-
-TEST(EngineDetach, DetachThenObserveMatchesClassicObserve) {
-  // Unit-level pin of the serving hooks: the detached path must drive the
-  // knowledge set exactly like the classic alternation, engine by engine.
-  Rng rng(7);
-  EllipsoidEngineConfig config;
-  config.dim = 5;
-  config.horizon = 2000;
-  config.initial_radius = 2.0;
-  config.delta = 0.01;
-  EllipsoidPricingEngine classic(config), detached(config);
-
-  Vector x(5);
-  PendingCut cut;
-  for (int t = 0; t < 800; ++t) {
-    for (double& v : x) v = rng.NextUniform(-1.0, 1.0);
-    double reserve = rng.NextUniform(0.0, 0.8);
-    PostedPrice a = classic.PostPrice(x, reserve);
-    PostedPrice b = detached.PostPrice(x, reserve);
-    ASSERT_EQ(a.price, b.price);
-    bool accepted = rng.NextUniform(0.0, 1.0) < 0.5;
-    classic.Observe(accepted);
-    ASSERT_TRUE(detached.DetachPending(&cut));
-    detached.ObserveDetached(cut, accepted);
-  }
-  EXPECT_EQ(classic.counters().cuts_applied, detached.counters().cuts_applied);
-  EXPECT_EQ(classic.knowledge_set().center(), detached.knowledge_set().center());
-
-  IntervalEngineConfig iconfig;
-  iconfig.horizon = 2000;
-  IntervalPricingEngine iclassic(iconfig), idetached(iconfig);
-  Vector x1(1);
-  for (int t = 0; t < 400; ++t) {
-    x1[0] = rng.NextUniform(0.1, 1.0);
-    double reserve = rng.NextUniform(0.0, 0.5);
-    PostedPrice a = iclassic.PostPrice(x1, reserve);
-    PostedPrice b = idetached.PostPrice(x1, reserve);
-    ASSERT_EQ(a.price, b.price);
-    bool accepted = rng.NextUniform(0.0, 1.0) < 0.5;
-    iclassic.Observe(accepted);
-    ASSERT_TRUE(idetached.DetachPending(&cut));
-    idetached.ObserveDetached(cut, accepted);
-  }
-  EXPECT_EQ(iclassic.theta_lower(), idetached.theta_lower());
-  EXPECT_EQ(iclassic.theta_upper(), idetached.theta_upper());
 }
 
 // ------------------------------------------ generation wrap refusal (§9)

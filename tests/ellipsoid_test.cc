@@ -241,8 +241,12 @@ TEST(Ellipsoid, SupportBatchMatchesSequentialSupportBitwise) {
       Vector panel(static_cast<size_t>(k) * d);
       for (double& v : panel) v = rng.NextGaussian();
       std::vector<SupportInterval> batched(static_cast<size_t>(k));
-      for (SupportInterval& s : batched) s.direction.assign(7, -42.0);  // dirty
-      e.SupportBatch(panel.data(), k, batched.data());
+      std::vector<SupportInterval*> targets;
+      for (SupportInterval& s : batched) {
+        s.direction.assign(7, -42.0);  // dirty
+        targets.push_back(&s);
+      }
+      e.SupportBatch(panel.data(), k, targets.data());
       Vector x(static_cast<size_t>(d));
       SupportInterval expected;
       for (int j = 0; j < k; ++j) {
@@ -278,7 +282,8 @@ TEST(Ellipsoid, SupportBatchClearsDirectionOnDegenerateColumn) {
                0.0, 1.0};  // degenerate column (probes the collapsed axis)
   std::vector<SupportInterval> out(2);
   out[1].direction.assign(4, 3.0);  // stale content from a previous round
-  e.SupportBatch(panel.data(), 2, out.data());
+  SupportInterval* const targets[] = {&out[0], &out[1]};
+  e.SupportBatch(panel.data(), 2, targets);
   EXPECT_GT(out[0].half_width, 0.0);
   EXPECT_DOUBLE_EQ(out[1].half_width, 0.0);
   EXPECT_TRUE(out[1].direction.empty());
@@ -377,8 +382,12 @@ TEST(EllipsoidPacked, SupportBatchMatchesSequentialSupportBitwise) {
       Vector panel(static_cast<size_t>(k) * d);
       for (double& v : panel) v = rng.NextGaussian();
       std::vector<SupportInterval> batched(static_cast<size_t>(k));
-      for (SupportInterval& s : batched) s.direction.assign(7, -42.0);  // dirty
-      e.SupportBatch(panel.data(), k, batched.data());
+      std::vector<SupportInterval*> targets;
+      for (SupportInterval& s : batched) {
+        s.direction.assign(7, -42.0);  // dirty
+        targets.push_back(&s);
+      }
+      e.SupportBatch(panel.data(), k, targets.data());
       Vector x(static_cast<size_t>(d));
       SupportInterval expected;
       for (int j = 0; j < k; ++j) {

@@ -175,6 +175,18 @@ TEST(TcpServer, PingResolveAndErrorsRoundTrip) {
   EXPECT_EQ(client.PostPrice(stale, x, 0.0, &quote).code(), StatusCode::kNotFound);
   EXPECT_EQ(quote.ticket, 0u);
 
+  // A lone (not pipelined) frame is served as a run of one, but its error
+  // still carries the broker's own message, not a coalesced-run summary.
+  Status stale_status = client.PostPrice(stale, x, 0.0, &quote);
+  EXPECT_EQ(stale_status.code(), StatusCode::kNotFound);
+  EXPECT_EQ(stale_status.message(), "stale, closed, or foreign product handle");
+  ASSERT_TRUE(client.PostPrice(local_handle, x, 0.0, &quote).ok());
+  ASSERT_TRUE(client.Observe(quote.ticket, true).ok());
+  Status resolved = client.Observe(quote.ticket, true);
+  EXPECT_EQ(resolved.code(), StatusCode::kNotFound);
+  EXPECT_EQ(resolved.message(), "product 'wire/basic': unknown or already-resolved ticket " +
+                                    std::to_string(quote.ticket));
+
   // EstimateValue returns the exact bits the broker computes.
   ValueInterval wire_iv, local_iv;
   ASSERT_TRUE(client.EstimateValue(local_handle, x, &wire_iv).ok());
