@@ -47,9 +47,10 @@ int main(int argc, char** argv) {
   std::string metrics_mode = "none";
   pdm::FlagSet flags("bench_broker_throughput");
   flags.AddString("metrics", &metrics_mode,
-                  "metric gateway on the hot path: none (sink cells) or live "
-                  "(a wired MetricRegistry) — the <3%% regression gate "
-                  "compares the two");
+                  "metric gateway: none (unwired) or live (a wired "
+                  "MetricRegistry). Both run the same request path, whose "
+                  "counters are pulled at scrape time, so the two should "
+                  "match within noise");
   flags.AddInt64("threads", &threads, "client threads");
   flags.AddInt64("products", &products,
                  "distinct products; clients map round-robin (0 = one per "

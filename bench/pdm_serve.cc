@@ -14,8 +14,9 @@
 // enabled (scripts scrape both to find the ephemeral ports).
 //
 // One MetricRegistry backs the broker and server instruments, the scrape
-// endpoint, the GetMetrics opcode, and the shutdown stats printed below —
-// a single vocabulary, no duplicated counters (DESIGN.md §13).
+// endpoint and the GetMetrics opcode. The shutdown stats printed below come
+// from Broker::Stats() — the same summation the broker's scrape collector
+// reports (DESIGN.md §13) — and ServerStats.
 
 #include <atomic>
 #include <chrono>
@@ -140,8 +141,6 @@ int main(int argc, char** argv) {
   }
 
   server.Stop();
-  // Shutdown stats read the registry — the idempotent (name, labels) lookup
-  // returns handles on the same cells the serving path wrote.
   pdm::server::ServerStats stats = server.stats();
   std::printf("served %lld frames (%lld coalesced in %lld runs) over %lld "
               "connections; %lld protocol errors\n",
@@ -150,32 +149,25 @@ int main(int argc, char** argv) {
               static_cast<long long>(stats.coalesced_runs),
               static_cast<long long>(stats.connections_accepted),
               static_cast<long long>(stats.protocol_errors));
+  pdm::broker::BrokerStats totals = broker.Stats();
   std::printf("quotes: %llu posted (%llu accepted, %llu rejected); regret "
               "proxy %.3f\n",
-              static_cast<unsigned long long>(
-                  registry.GetCounter("pdm_broker_quotes_total", "").value()),
-              static_cast<unsigned long long>(
-                  registry.GetCounter("pdm_broker_accepts_total", "").value()),
-              static_cast<unsigned long long>(
-                  registry.GetCounter("pdm_broker_rejects_total", "").value()),
-              registry.GetGauge("pdm_broker_regret_proxy", "").value());
-  pdm::broker::BrokerStats slab = broker.Stats();
-  std::printf("memory: %.0f sessions (%.0f resident, %.0f evicted); slab slots "
-              "%zu live / %zu tombstoned / %zu free; %llu evictions, %llu "
-              "fault-ins, %.0f spill bytes, %llu retired ticket slots\n",
-              registry.GetGauge("pdm_broker_open_products", "").value(),
-              registry.GetGauge("pdm_broker_resident_sessions", "").value(),
-              registry.GetGauge("pdm_broker_evicted_sessions", "").value(),
-              slab.slab_live_slots, slab.slab_tombstoned_slots,
-              slab.slab_free_capacity,
-              static_cast<unsigned long long>(
-                  registry.GetCounter("pdm_broker_evictions_total", "").value()),
-              static_cast<unsigned long long>(
-                  registry.GetCounter("pdm_broker_fault_ins_total", "").value()),
-              registry.GetGauge("pdm_broker_spill_bytes", "").value(),
-              static_cast<unsigned long long>(
-                  registry.GetCounter("pdm_broker_ticket_retirements_total", "")
-                      .value()));
+              static_cast<unsigned long long>(totals.quotes),
+              static_cast<unsigned long long>(totals.accepts),
+              static_cast<unsigned long long>(totals.rejects), totals.regret_proxy);
+  std::printf("memory: %zu sessions (%zu resident, %zu evicted, %zu "
+              "quarantined); slab slots %zu live / %zu tombstoned / %zu free; "
+              "%llu evictions, %llu fault-ins, %zu spill bytes, %lld retired "
+              "ticket slots\n",
+              totals.open_sessions, totals.resident_sessions,
+              totals.evicted_sessions, totals.quarantined_sessions,
+              totals.slab_live_slots, totals.slab_tombstoned_slots,
+              totals.slab_free_capacity,
+              static_cast<unsigned long long>(totals.evictions),
+              static_cast<unsigned long long>(totals.fault_ins), totals.spill_bytes,
+              static_cast<long long>(totals.retired_ticket_slots));
+  // The fault counters stay push instruments (they fire on rare cold-path
+  // events), so their registry cells are current without a scrape.
   std::printf("faults: %llu spill corruptions, %llu spill write errors, %lld "
               "shed frames, %lld idle reaped\n",
               static_cast<unsigned long long>(

@@ -54,6 +54,15 @@ BatchScratch& Scratch() {
   return scratch;
 }
 
+/// The calling thread's stripe number: threads draw consecutive numbers on
+/// first use, so up to `stripes` concurrent request threads get a stripe of
+/// their own. One shared RMW per thread lifetime, none per request.
+size_t ThreadStripe(size_t stripes) {
+  static std::atomic<size_t> next{0};
+  thread_local const size_t number = next.fetch_add(1, std::memory_order_relaxed);
+  return number % stripes;
+}
+
 /// Crash-consistent spill write (DESIGN.md §14): the bytes land in
 /// `path + ".tmp"`, are fsync'd, and only then atomically renamed over
 /// `path` — a crash at any instant leaves either the old spill, the new
@@ -136,7 +145,8 @@ void Broker::PoolDeleter::operator()(PricingSession* session) const {
   broker->session_pool_.Destroy(session);
 }
 
-Broker::Broker(const BrokerConfig& config) : config_(config) {
+Broker::Broker(const BrokerConfig& config)
+    : config_(config), stripes_(std::make_unique<Stripe[]>(kStripes)) {
   if (!config_.spill_dir.empty()) {
     std::error_code ec;
     std::filesystem::create_directories(config_.spill_dir, ec);
@@ -159,40 +169,42 @@ Broker::Broker(const BrokerConfig& config) : config_(config) {
         "Leftover tmp files and unclaimed spills deleted by the sweeps.");
   }
   SweepSpillDirOnStartup();
+  directory_.Publish(std::make_unique<const Directory>());
   if (config_.metrics != nullptr) {
-    // Resolved exactly once; after this the gateway is never consulted again
-    // (DESIGN.md §13). Without a gateway the default handles write to sink
-    // cells, so every instrument site stays branch-free.
+    // Resolved exactly once, in the order the families render (DESIGN.md
+    // §13). The request path writes none of these: the collected handles
+    // are filled by Collect() at scrape time, and the push handles fire on
+    // cold-path events only.
     metrics::MetricGateway& gw = *config_.metrics;
-    metrics_.quotes =
+    collected_.quotes =
         gw.GetCounter("pdm_broker_quotes_total", "Quotes issued (tickets created).");
-    metrics_.accepts =
+    collected_.accepts =
         gw.GetCounter("pdm_broker_accepts_total", "Quotes accepted by consumers.");
-    metrics_.rejects =
+    collected_.rejects =
         gw.GetCounter("pdm_broker_rejects_total", "Quotes rejected by consumers.");
     metrics_.retirements = gw.GetCounter(
         "pdm_broker_ticket_retirements_total",
         "Ticket slots permanently retired at the generation bound.");
-    metrics_.evictions = gw.GetCounter("pdm_broker_evictions_total",
-                                       "Sessions evicted to the cold tier.");
-    metrics_.fault_ins = gw.GetCounter(
+    collected_.evictions = gw.GetCounter("pdm_broker_evictions_total",
+                                         "Sessions evicted to the cold tier.");
+    collected_.fault_ins = gw.GetCounter(
         "pdm_broker_fault_ins_total",
         "Sessions faulted back in from the cold tier.");
-    metrics_.regret = gw.GetGauge(
+    collected_.regret = gw.GetGauge(
         "pdm_broker_regret_proxy",
         "Cumulative posted-vs-accepted surplus: total value-space price of "
         "rejected quotes.");
-    metrics_.resident = gw.GetGauge(
+    collected_.resident = gw.GetGauge(
         "pdm_broker_resident_sessions",
         "Open sessions holding a live in-memory engine.");
-    metrics_.evicted = gw.GetGauge(
+    collected_.evicted = gw.GetGauge(
         "pdm_broker_evicted_sessions",
         "Open sessions currently spilled to the cold tier.");
-    metrics_.open_products =
+    collected_.open_products =
         gw.GetGauge("pdm_broker_open_products", "Products currently open.");
-    metrics_.spill = gw.GetGauge(
+    collected_.spill = gw.GetGauge(
         "pdm_broker_spill_bytes", "Bytes currently held in cold-tier spill files.");
-    metrics_.batch_size = gw.GetHistogram(
+    collected_.batch_size = gw.GetHistogram(
         "pdm_broker_batch_size",
         "Requests per PostPrices/Observes call (single PostPrice/Observe calls "
         "record 1).");
@@ -200,11 +212,23 @@ Broker::Broker(const BrokerConfig& config) : config_(config) {
         "pdm_broker_fault_in_ns",
         "Cold-tier fault-in latency: spill read, decode, engine rebuild, "
         "restore (nanoseconds).");
+    // Last: a scrape on another thread may call Collect() from here on.
+    gw.AddCollector(this);
   }
-  directory_.Publish(std::make_unique<const Directory>());
 }
 
 Broker::~Broker() {
+  if (config_.metrics != nullptr) {
+    // Unregister before anything Collect() reads is torn down; this waits
+    // out a scrape in progress and folds the final totals into the cells.
+    // Counters (and the cumulative regret proxy) keep what this broker
+    // counted; its occupancy leaves with it.
+    config_.metrics->RemoveCollector(this);
+    collected_.resident.Sub(static_cast<double>(reported_.resident_sessions));
+    collected_.evicted.Sub(static_cast<double>(reported_.evicted_sessions));
+    collected_.open_products.Sub(static_cast<double>(reported_.open_sessions));
+    collected_.spill.Sub(static_cast<double>(reported_.spill_bytes));
+  }
   // Slots live in the arena, so ~Broker runs their destructors explicitly
   // (sessions return to the pool through PoolDeleter — both the pool and
   // the arena outlive this loop because the member destructors have not run
@@ -385,8 +409,6 @@ Status Broker::OpenSession(std::string product, std::unique_ptr<PricingEngine> e
   // reachable only through the release-published directory snapshot below.
   slot->state.store(1, std::memory_order_relaxed);
   resident_sessions_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.resident.Add(1.0);
-  metrics_.open_products.Add(1.0);
 
   auto next = std::make_unique<Directory>(*current);
   next->slots.push_back(slot);
@@ -420,25 +442,29 @@ Status Broker::OpenSessions(std::span<const std::string> products,
     return Status::FailedPrecondition("session-slot space exhausted");
   }
   // All-or-nothing validation against the current directory AND the batch
-  // itself, before any slot is allocated.
-  for (size_t i = 0; i < products.size(); ++i) {
-    if (products[i].empty()) return Status::InvalidArgument("empty product name");
-    if (current->by_name.find(products[i]) != current->by_name.end()) {
-      return Status::FailedPrecondition("product '" + products[i] +
-                                        "' is already open");
+  // itself, before any slot is allocated. Duplicates are found with one
+  // hashed counting pass, keeping the bulk open O(N) (DESIGN.md §12); the
+  // error names the first position that is empty, already open, or the
+  // first occurrence of a repeated name.
+  std::unordered_map<std::string_view, size_t> occurrences;
+  occurrences.reserve(products.size());
+  for (const std::string& product : products) ++occurrences[product];
+  for (const std::string& product : products) {
+    if (product.empty()) return Status::InvalidArgument("empty product name");
+    if (current->by_name.find(product) != current->by_name.end()) {
+      return Status::FailedPrecondition("product '" + product + "' is already open");
     }
-    for (size_t j = i + 1; j < products.size(); ++j) {
-      if (products[i] == products[j]) {
-        return Status::FailedPrecondition("product '" + products[i] +
-                                          "' appears twice in the batch");
-      }
+    if (occurrences[product] > 1) {
+      return Status::FailedPrecondition("product '" + product +
+                                        "' appears twice in the batch");
     }
   }
 
   // One shared recipe and ONE directory copy + publish for the whole batch:
   // this is what keeps a million-product open O(N) instead of O(N²)
   // (DESIGN.md §12).
-  auto recipe = std::make_shared<const RebuildRecipe>(RebuildRecipe{spec, info});
+  recipes_.push_back(std::make_unique<const RebuildRecipe>(RebuildRecipe{spec, info}));
+  const RebuildRecipe* recipe = recipes_.back().get();
   auto next = std::make_unique<Directory>(*current);
   uint64_t epoch = sweep_epoch_.load(std::memory_order_relaxed);
   size_t fresh = 0;
@@ -464,8 +490,6 @@ Status Broker::OpenSessions(std::span<const std::string> products,
           slot->evicted = true;
           slot->spill_size = rec->second.size;
           spill_bytes_.fetch_add(rec->second.size, std::memory_order_relaxed);
-          metrics_.spill.Add(static_cast<double>(rec->second.size));
-          metrics_.evicted.Add(1.0);
           metrics_.spill_adopted.Increment();
           ++recovery_report_.adopted;
           adopted = true;
@@ -495,8 +519,6 @@ Status Broker::OpenSessions(std::span<const std::string> products,
     next->by_name.emplace(product, ProductHandle{static_cast<uint32_t>(index), 1});
   }
   resident_sessions_.fetch_add(fresh, std::memory_order_relaxed);
-  metrics_.resident.Add(static_cast<double>(fresh));
-  metrics_.open_products.Add(static_cast<double>(products.size()));
   directory_.Publish(std::move(next));
   return Status::Ok();
 }
@@ -520,22 +542,18 @@ Status Broker::CloseSession(std::string_view product) {
       // Close-while-cold: drop the spill file, nothing to fault back in.
       // A quarantined slot already surrendered its bytes (the file lives on
       // under `*.quarantined` and its accounting is zero), so these are
-      // no-ops for it beyond clearing the occupancy gauge.
+      // no-ops for it beyond clearing the flags.
       std::error_code ec;
       std::filesystem::remove(SpillPath(it->second.index), ec);
       spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
-      metrics_.spill.Sub(static_cast<double>(slot->spill_size));
-      metrics_.evicted.Sub(1.0);
       slot->spill_size = 0;
       slot->evicted = false;
       slot->quarantined = false;
     } else {
       slot->session.reset();
       resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
-      metrics_.resident.Sub(1.0);
     }
   }
-  metrics_.open_products.Sub(1.0);
   ++slots_tombstoned_;
   auto next = std::make_unique<Directory>(*current);
   next->by_name.erase(std::string(product));
@@ -587,7 +605,6 @@ void Broker::QuarantineLocked(SessionSlot* slot, size_t index) {
   std::error_code ec;
   std::filesystem::rename(path, path + ".quarantined", ec);
   spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
-  metrics_.spill.Sub(static_cast<double>(slot->spill_size));
   slot->spill_size = 0;
   slot->quarantined = true;
   metrics_.spill_corruptions.Increment();
@@ -647,13 +664,9 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   std::error_code ec;
   std::filesystem::remove(path, ec);
   spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
-  metrics_.spill.Sub(static_cast<double>(slot->spill_size));
   slot->spill_size = 0;
   resident_sessions_.fetch_add(1, std::memory_order_relaxed);
   fault_ins_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.resident.Add(1.0);
-  metrics_.evicted.Sub(1.0);
-  metrics_.fault_ins.Increment();
   metrics_.fault_in_ns.Record(static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - fault_start)
@@ -807,26 +820,66 @@ bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index) {
   spill_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
   resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
   evictions_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.spill.Add(static_cast<double>(bytes.size()));
-  metrics_.resident.Sub(1.0);
-  metrics_.evicted.Add(1.0);
-  metrics_.evictions.Increment();
   return true;
+}
+
+void Broker::SumTotals(BrokerStats* stats) const {
+  const Directory* dir = directory_.Load();
+  for (const SessionSlot* slot : dir->slots) {
+    stats->quotes += slot->quotes.value();
+    stats->accepts += slot->accepts.value();
+    stats->rejects += slot->rejects.value();
+    stats->regret_proxy += slot->rejected_value.value();
+  }
+  stats->open_sessions = dir->by_name.size();
+  stats->resident_sessions = resident_sessions_.load(std::memory_order_relaxed);
+  stats->evictions = evictions_.load(std::memory_order_relaxed);
+  stats->fault_ins = fault_ins_.load(std::memory_order_relaxed);
+  stats->spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
+}
+
+void Broker::Collect() {
+  BrokerStats now;
+  SumTotals(&now);
+  // The evicted gauge counts every open session without a live engine,
+  // quarantined ones included; an open or close in flight can briefly put
+  // the resident count ahead of the directory.
+  now.evicted_sessions =
+      now.open_sessions - std::min(now.resident_sessions, now.open_sessions);
+  // Add only what changed since the previous scrape: brokers sharing a
+  // registry then report their sum, and counters never step back.
+  auto gauge_delta = [](size_t after, size_t before) {
+    return static_cast<double>(after) - static_cast<double>(before);
+  };
+  collected_.quotes.Add(now.quotes - reported_.quotes);
+  collected_.accepts.Add(now.accepts - reported_.accepts);
+  collected_.rejects.Add(now.rejects - reported_.rejects);
+  collected_.evictions.Add(now.evictions - reported_.evictions);
+  collected_.fault_ins.Add(now.fault_ins - reported_.fault_ins);
+  collected_.regret.Add(now.regret_proxy - reported_.regret_proxy);
+  collected_.resident.Add(gauge_delta(now.resident_sessions, reported_.resident_sessions));
+  collected_.evicted.Add(gauge_delta(now.evicted_sessions, reported_.evicted_sessions));
+  collected_.open_products.Add(gauge_delta(now.open_sessions, reported_.open_sessions));
+  collected_.spill.Add(gauge_delta(now.spill_bytes, reported_.spill_bytes));
+  for (size_t i = 0; i < kStripes; ++i) {
+    collected_.batch_size.DrainFrom(&stripes_[i].batch_size);
+  }
+  reported_ = now;
+}
+
+void Broker::RecordBatchSize(size_t requests) {
+  stripes_[ThreadStripe(kStripes)].batch_size.Record(requests);
 }
 
 BrokerStats Broker::Stats() const {
   BrokerStats stats;
   std::lock_guard control(control_mu_);
+  SumTotals(&stats);
   const Directory* dir = directory_.Load();
-  stats.open_sessions = dir->by_name.size();
   stats.slab_total_slots = slots_.size();
   stats.slab_tombstoned_slots = slots_tombstoned_;
   stats.slab_live_slots = slots_.size() - slots_tombstoned_;
   stats.slab_free_capacity = kMaxSessions - slots_.size();
-  stats.resident_sessions = resident_sessions_.load(std::memory_order_relaxed);
-  stats.evictions = evictions_.load(std::memory_order_relaxed);
-  stats.fault_ins = fault_ins_.load(std::memory_order_relaxed);
-  stats.spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
   for (SessionSlot* slot : dir->slots) {
     if ((slot->state.load(std::memory_order_acquire) & 1) == 0) continue;
     std::lock_guard slot_lock(slot->mu);
@@ -919,20 +972,18 @@ Status Broker::PostPricesGrouped(std::span<const HandleRequest> requests,
     Status group_status = acquired.session()->PostPrices(
         std::span<const SessionRequest>(scratch.session_requests),
         std::span<Quote>(scratch.session_quotes), &group_error);
+    uint64_t issued = 0;
     for (size_t g = 0; g < scratch.positions.size(); ++g) {
       quotes[scratch.positions[g]] = scratch.session_quotes[g];
+      issued += scratch.session_quotes[g].status == StatusCode::kOk ? 1 : 0;
     }
+    // Counted on the slot this group holds locked: no shared line touched.
+    acquired.slot->quotes.Add(issued);
     if (!group_status.ok() && group_error < scratch.positions.size()) {
       record(scratch.positions[group_error], std::move(group_status));
     }
   }
-  // One shared-cell RMW per counter per batch: tally locally, flush once.
-  uint64_t issued = 0;
-  for (const Quote& quote : quotes) {
-    if (quote.status == StatusCode::kOk) ++issued;
-  }
-  metrics_.quotes.Add(issued);
-  metrics_.batch_size.Record(requests.size());
+  RecordBatchSize(requests.size());
   return first_error;
 }
 
@@ -1021,16 +1072,16 @@ Status Broker::Observes(std::span<const FeedbackRequest> feedback,
   };
   // Same grouping discipline as the batched PostPrices: one session lock
   // acquisition per distinct ticket base per batch, items in batch order.
-  // Outcomes are tallied locally and flushed once per batch — one shared
-  // metric-cell RMW per counter, not one per item.
-  uint64_t accepts = 0;
-  uint64_t rejects = 0;
+  // Outcomes are tallied per group and added to the group's slot while its
+  // lock is still held — no shared line touched.
   uint64_t retired = 0;
-  double regret = 0.0;
   for (size_t i = 0; i < feedback.size(); ++i) {
     if (scratch.Done(i)) continue;
     const uint64_t base = feedback[i].ticket >> 40;
     LockedSlot acquired = AcquireTicket(feedback[i].ticket);
+    uint64_t accepts = 0;
+    uint64_t rejects = 0;
+    double rejected_value = 0.0;
     for (size_t j = i; j < feedback.size(); ++j) {
       if (scratch.Done(j) || (feedback[j].ticket >> 40) != base) continue;
       scratch.MarkDone(j);
@@ -1046,18 +1097,20 @@ Status Broker::Observes(std::span<const FeedbackRequest> feedback,
           ++accepts;
         } else {
           ++rejects;
-          regret += result.price;
+          rejected_value += result.price;
         }
         if (result.slot_retired) ++retired;
       }
       record(j, status);
     }
+    if (!acquired) continue;
+    acquired.slot->accepts.Add(accepts);
+    acquired.slot->rejects.Add(rejects);
+    acquired.slot->rejected_value.Add(rejected_value);
   }
-  metrics_.accepts.Add(accepts);
-  metrics_.rejects.Add(rejects);
-  metrics_.retirements.Add(retired);
-  if (rejects != 0) metrics_.regret.Add(regret);
-  metrics_.batch_size.Record(feedback.size());
+  // About once per 2^20 tickets on a slot: rare enough to push.
+  if (retired != 0) metrics_.retirements.Add(retired);
+  RecordBatchSize(feedback.size());
   return first_error;
 }
 

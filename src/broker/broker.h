@@ -76,10 +76,12 @@ struct BrokerConfig {
   /// evictable; sessions opened with caller-built engines always stay
   /// resident, as does any session whose snapshot is not currently capturable.
   size_t max_resident_sessions = 0;
-  /// Telemetry gateway (DESIGN.md §13). Instrument handles are resolved once
-  /// in the Broker constructor; null leaves the default handles, which write
-  /// to process-wide sink cells — the no-op gateway in all but name. The
-  /// gateway must outlive the broker.
+  /// Telemetry gateway (DESIGN.md §13). The broker resolves its instruments
+  /// and registers its scrape-time collector in the constructor. The request
+  /// path is the same with or without a gateway: it writes only the slot it
+  /// holds locked and the calling thread's stripe. Null leaves the few
+  /// cold-path push instruments on the default sink handles. The gateway
+  /// must outlive the broker.
   metrics::MetricGateway* metrics = nullptr;
   /// Crash recovery (DESIGN.md §14). When true and `spill_dir` is set, the
   /// constructor sweeps the directory: `*.tmp` orphans from torn writes are
@@ -170,9 +172,19 @@ struct SessionInfo {
   EngineCounters counters;
 };
 
-/// Broker-wide memory and occupancy counters (monitoring surface; the TCP
-/// server folds these into its ServerStats shutdown line).
+/// Broker-wide request totals plus memory and occupancy counters
+/// (monitoring surface; `pdm_serve` prints them on shutdown). The request
+/// totals and the occupancy/cold-tier fields come from the same summation
+/// that feeds the `pdm_broker_*` scrape, so the two cannot disagree.
 struct BrokerStats {
+  /// Request totals over the broker's life, summed over every slot it ever
+  /// opened (closed ones included, so these never decrease): quotes issued,
+  /// feedback by outcome, and the value-space price of every rejected quote
+  /// (the regret proxy).
+  uint64_t quotes = 0;
+  uint64_t accepts = 0;
+  uint64_t rejects = 0;
+  double regret_proxy = 0.0;
   /// Products currently open (directory size).
   size_t open_sessions = 0;
   /// Open sessions holding a live in-memory engine.
@@ -200,10 +212,13 @@ struct BrokerStats {
   size_t arena_bytes_used = 0;
 };
 
-class Broker {
+/// The broker is its own scrape-time metrics collector (DESIGN.md §13): it
+/// registers with the configured gateway at construction and unregisters
+/// first thing in its destructor, while its slots are still alive.
+class Broker : private metrics::MetricCollector {
  public:
   explicit Broker(const BrokerConfig& config = {});
-  ~Broker();
+  ~Broker() override;
 
   Broker(const Broker&) = delete;
   Broker& operator=(const Broker&) = delete;
@@ -302,8 +317,9 @@ class Broker {
   /// Snapshot of the recovery bookkeeping (startup sweep + adoptions so far).
   RecoveryReport recovery_report() const;
 
-  /// Broker-wide occupancy/memory counters (takes each live slot's lock
-  /// briefly; intended for monitoring cadence, not the request path).
+  /// Broker-wide request totals and occupancy/memory counters (takes each
+  /// live slot's lock briefly for the quarantine/eviction split; intended
+  /// for monitoring cadence, not the request path).
   BrokerStats Stats() const;
 
   /// Lock-free counter reads, cheap enough for the request path (the memory
@@ -386,6 +402,15 @@ class Broker {
   /// eviction sweep's LRU clock: Acquire* stamps it with the current sweep
   /// epoch using plain relaxed stores, so the request hot path stays free
   /// of shared read-modify-writes (DESIGN.md §9's core invariant).
+  ///
+  /// Request counters: the product's quote and feedback tallies live here,
+  /// next to the LRU stamp, because the request already holds `mu` — so
+  /// counting costs a load and a store on a line it owns, and the scrape
+  /// sums them lock-free (DESIGN.md §13). They belong to the slot, not the
+  /// session, so they survive eviction, fault-in and close.
+  ///
+  /// Layout (glibc, 40-byte mutex): line 0 holds `state`, `mu` and
+  /// `session`; line 1 holds everything else.
   struct alignas(kCacheLineSize) SessionSlot {
     std::atomic<uint32_t> state{0};
     std::mutex mu;
@@ -401,11 +426,19 @@ class Broker {
     /// Bytes of this slot's spill file (0 unless evicted). Guarded by `mu`.
     size_t spill_size = 0;
     /// Immutable after the slot is published; null for caller-built engines
-    /// (such sessions are never evicted).
-    std::shared_ptr<const RebuildRecipe> recipe;
+    /// (such sessions are never evicted). Owned by `recipes_`.
+    const RebuildRecipe* recipe = nullptr;
     /// LRU clock stamp (see above). Plain loads/stores only.
     std::atomic<uint64_t> last_touch_epoch{0};
+    /// Request counters (see above): written under `mu`, read by SumTotals.
+    SingleWriterCounter<uint64_t> quotes;
+    SingleWriterCounter<uint64_t> accepts;
+    SingleWriterCounter<uint64_t> rejects;
+    /// Value-space price of every rejected quote (the regret proxy).
+    SingleWriterCounter<double> rejected_value;
   };
+  static_assert(sizeof(std::mutex) != 40 || sizeof(SessionSlot) == 2 * kCacheLineSize,
+                "SessionSlot outgrew its two cache lines");
 
   /// Transparent string hashing so hot name lookups take string_views.
   struct StringViewHash {
@@ -504,15 +537,27 @@ class Broker {
   /// when the session is not evictable right now.
   bool EvictSlotLocked(SessionSlot* slot, size_t index);
 
-  /// Instrument handles, resolved once from `config.metrics` at construction
-  /// (DESIGN.md §13). Default-constructed handles point at process-wide sink
-  /// cells, so every site below writes unconditionally — no branches, no
-  /// nullability — whether or not a live registry is wired.
+  /// Push instruments, resolved once from `config.metrics` at construction
+  /// (DESIGN.md §13): only events that fire at most once per fault-in,
+  /// spill, or ticket-slot retirement, so their shared cells never sit on
+  /// the request path. Default-constructed handles point at process-wide
+  /// sink cells, so every site writes unconditionally, wired or not.
   struct Instruments {
+    metrics::Counter retirements;
+    metrics::Histogram fault_in_ns;
+    /// Fault-tolerance counters (DESIGN.md §14).
+    metrics::Counter spill_corruptions;
+    metrics::Counter spill_write_errors;
+    metrics::Counter spill_adopted;
+    metrics::Counter spill_orphans_reclaimed;
+  };
+
+  /// Pull instruments (DESIGN.md §13): written only by Collect(), which
+  /// adds what SumTotals and the stripes gained since the previous scrape.
+  struct Collected {
     metrics::Counter quotes;
     metrics::Counter accepts;
     metrics::Counter rejects;
-    metrics::Counter retirements;
     metrics::Counter evictions;
     metrics::Counter fault_ins;
     metrics::Gauge regret;
@@ -521,13 +566,36 @@ class Broker {
     metrics::Gauge open_products;
     metrics::Gauge spill;
     metrics::Histogram batch_size;
-    metrics::Histogram fault_in_ns;
-    /// Fault-tolerance counters (DESIGN.md §14).
-    metrics::Counter spill_corruptions;
-    metrics::Counter spill_write_errors;
-    metrics::Counter spill_adopted;
-    metrics::Counter spill_orphans_reclaimed;
   };
+
+  /// Per-thread batch-size stripes: each request thread records the size of
+  /// its PostPrices/Observes calls into its own stripe, padded so that
+  /// neighbouring stripes never share a line, and Collect() drains them
+  /// into the registry histogram. Threads take stripes round-robin on
+  /// first use; beyond kStripes concurrent threads, stripes are shared
+  /// (still exact — recording is atomic — only no longer uncontended).
+  static constexpr size_t kStripes = 8;
+  struct alignas(kCacheLineSize) Stripe {
+    metrics::HistogramCell batch_size;
+  };
+
+  /// Records one request-path call of `requests` items into the calling
+  /// thread's stripe.
+  void RecordBatchSize(size_t requests);
+
+  /// The one summation behind both the scrape and Stats(), all lock-free
+  /// reads: the slot request counters over every slot in the directory
+  /// (tombstones included), the directory size, and the control-plane
+  /// occupancy and cold-tier atomics. Fills `quotes`, `accepts`,
+  /// `rejects`, `regret_proxy`, `open_sessions`, `resident_sessions`,
+  /// `evictions`, `fault_ins` and `spill_bytes`; leaves the rest alone.
+  /// O(slots ever opened) per call.
+  void SumTotals(BrokerStats* stats) const;
+
+  /// metrics::MetricCollector: adds what SumTotals and the stripes gained
+  /// since the previous call to the `Collected` handles. The gateway
+  /// serializes calls, which is what guards `reported_`.
+  void Collect() override;
 
   /// The grouped batch core behind both PostPrices overloads. `*error_index`
   /// receives the batch position of the returned failure (`requests.size()`
@@ -555,15 +623,16 @@ class Broker {
   /// this vector is the complete list). Guarded by control_mu_.
   std::vector<SessionSlot*> slots_;
   size_t slots_tombstoned_ = 0;
+  /// Every rebuild recipe ever opened with; slots point into it. Slots live
+  /// as long as the broker, so their recipes do too. Guarded by control_mu_.
+  std::vector<std::unique_ptr<const RebuildRecipe>> recipes_;
 
   SnapshotPtr<Directory> directory_;
 
   /// Cold-tier bookkeeping. The atomics are read on the request path
   /// (EnforceResidencyLimit) but only ever *modified* under either
-  /// control_mu_ (eviction) or a slot lock (fault-in). They stay separate
-  /// from the metric instruments below: the sweep logic and the lock-free
-  /// accessors need exact control-plane values even when a no-op gateway is
-  /// wired, so the cold-path event sites double-write both.
+  /// control_mu_ (eviction) or a slot lock (fault-in). They are the only
+  /// record of these events: the scrape reads them through SumTotals.
   std::atomic<uint64_t> sweep_epoch_{1};
   std::atomic<size_t> resident_sessions_{0};
   std::atomic<uint64_t> evictions_{0};
@@ -584,6 +653,11 @@ class Broker {
   /// Recovery bookkeeping (startup sweep + adoptions). Guarded by control_mu_.
   RecoveryReport recovery_report_;
   Instruments metrics_;
+  Collected collected_;
+  /// What Collect() has added to `collected_` so far. Its `evicted_sessions`
+  /// holds the evicted gauge's value, which counts quarantined sessions too.
+  BrokerStats reported_;
+  std::unique_ptr<Stripe[]> stripes_;
 };
 
 /// The ticket base a broker assigns to its i-th session (index+1 in the

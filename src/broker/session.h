@@ -68,8 +68,8 @@ struct Quote {
 /// Per-feedback outcome detail for the metrics layer (DESIGN.md §13): the
 /// value-space price the resolved quote had posted, whether the consumer
 /// accepted, and whether the ticket slot retired at the generation bound.
-/// The broker aggregates these per batch so shared metric cells see one RMW
-/// per counter per batch, not one per item.
+/// The broker tallies these per session group and adds the tallies to the
+/// counters on the session's slot while it still holds the slot's lock.
 struct ObserveResult {
   double price = 0.0;
   bool accepted = false;

@@ -8,15 +8,18 @@
 
 /// \file
 /// Shared-memory building blocks for the serving layers (DESIGN.md §9):
-/// cache-line geometry constants and a read-mostly atomic-snapshot holder.
+/// cache-line geometry constants, a read-mostly atomic-snapshot holder, and
+/// a single-writer counter.
 ///
 /// The broker's request hot path must never perform an atomic
 /// read-modify-write on state shared across products — a single contended
 /// cache line caps aggregate throughput no matter how many cores serve
-/// independent sessions. These utilities encode the two idioms that keep it
-/// that way: pad per-session state to exclusive cache lines, and publish
+/// independent sessions. These utilities encode the idioms that keep it
+/// that way: pad per-session state to exclusive cache lines, publish
 /// rarely-mutated shared structures (the product directory) as immutable
-/// snapshots behind one atomic pointer so readers pay a plain acquire load.
+/// snapshots behind one atomic pointer so readers pay a plain acquire load,
+/// and count per-session events where the session's lock holder can write
+/// them without an RMW while a scrape reads them (DESIGN.md §13).
 
 namespace pdm {
 
@@ -73,6 +76,25 @@ class SnapshotPtr {
   /// Every snapshot ever published, in order; freed on destruction. Guarded
   /// by the caller's writer serialization.
   std::vector<std::unique_ptr<const T>> retired_;
+};
+
+/// A counter with one writer at a time (the caller serializes writers — the
+/// broker's per-session lock) and lock-free readers on any thread. `Add` is
+/// a relaxed load plus a relaxed store, never a read-modify-write, so it
+/// costs what a plain `+=` costs; the atomic only makes the concurrent read
+/// well-defined. Readers see some recent value, and since a writer only
+/// ever adds non-negative amounts, successive reads never go backwards.
+template <typename T>
+class SingleWriterCounter {
+ public:
+  void Add(T delta) {
+    value_.store(value_.load(std::memory_order_relaxed) + delta,
+                 std::memory_order_relaxed);
+  }
+  T value() const { return value_.load(std::memory_order_relaxed); }
+
+ private:
+  std::atomic<T> value_{};
 };
 
 }  // namespace pdm

@@ -157,6 +157,7 @@ class DumpReader {
 
 void MetricRegistry::RenderPrometheus(std::string* out) const {
   std::lock_guard<std::mutex> lock(mu_);
+  RunCollectorsLocked();
   constexpr size_t kGroups =
       LatencyHistogram::kBucketCount / LatencyHistogram::kSubBuckets;
   for (const Family& family : families_) {
@@ -254,6 +255,7 @@ std::string MetricRegistry::RenderPrometheus() const {
 
 std::string MetricRegistry::EncodeDump() const {
   std::lock_guard<std::mutex> lock(mu_);
+  RunCollectorsLocked();
   std::string out;
   out.append(kDumpMagic, sizeof(kDumpMagic));
   PutU32(kDumpVersion, &out);

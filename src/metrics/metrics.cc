@@ -44,9 +44,41 @@ uint64_t Histogram::Quantile(double q) const {
   return floor;  // count raced ahead of buckets; report the highest seen
 }
 
+void Histogram::DrainFrom(HistogramCell* stripe) {
+  for (size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
+    // Load first: most buckets are empty, and an exchange on each would
+    // write all ~2.5k of them on every scrape.
+    if (stripe->buckets[i].load(std::memory_order_relaxed) == 0) continue;
+    cell_->buckets[i].fetch_add(
+        stripe->buckets[i].exchange(0, std::memory_order_relaxed),
+        std::memory_order_relaxed);
+  }
+  cell_->count.fetch_add(stripe->count.exchange(0, std::memory_order_relaxed),
+                         std::memory_order_relaxed);
+  cell_->sum.fetch_add(stripe->sum.exchange(0, std::memory_order_relaxed),
+                       std::memory_order_relaxed);
+}
+
 MetricGateway* MetricGateway::Noop() {
   static NoopMetricGateway gateway;
   return &gateway;
+}
+
+void MetricRegistry::AddCollector(MetricCollector* collector) {
+  std::lock_guard<std::mutex> lock(mu_);
+  collectors_.push_back(collector);
+}
+
+void MetricRegistry::RemoveCollector(MetricCollector* collector) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = std::find(collectors_.begin(), collectors_.end(), collector);
+  if (it == collectors_.end()) return;
+  collector->Collect();
+  collectors_.erase(it);
+}
+
+void MetricRegistry::RunCollectorsLocked() const {
+  for (MetricCollector* collector : collectors_) collector->Collect();
 }
 
 MetricRegistry::Family* MetricRegistry::FindOrCreateFamily(

@@ -36,11 +36,17 @@
 ///     implementation that names instruments, renders Prometheus text
 ///     exposition format, and encodes the `pdm.metrics.v1` binary dump the
 ///     wire protocol's `GetMetrics` opcode returns.
+///   * **Collectors** — the pull side. A layer that already counts events in
+///     its own per-owner state (the broker's session slots) registers a
+///     `MetricCollector` instead of pushing every event into a shared cell;
+///     the registry runs it right before each render or dump, and it adds
+///     what changed since its previous run to its instruments' cells.
 ///
 /// Instruments are identified by (family name, label set). Lookups are
 /// idempotent: asking twice for the same instrument returns handles on the
-/// same cell, which is how readers (shutdown stats, tests) observe what the
-/// hot path wrote without side plumbing.
+/// same cell. Push instruments are therefore readable through a second
+/// handle at any time; collected ones are only current inside a render or
+/// dump, so readers take a dump (or the owning layer's own stats).
 
 namespace pdm::metrics {
 
@@ -135,6 +141,12 @@ class Histogram {
   explicit Histogram(HistogramCell* cell) : cell_(cell) {}
 
   void Record(uint64_t nanos) { cell_->Record(nanos); }
+  /// Moves every sample recorded in `stripe` into this histogram and leaves
+  /// the stripe empty: the scrape-time merge of a per-thread stripe that
+  /// its owner keeps recording into. Each field moves with one exchange, so
+  /// a sample recorded concurrently lands in this drain or the next one,
+  /// never in both and never in neither.
+  void DrainFrom(HistogramCell* stripe);
   int64_t count() const { return cell_->count.load(std::memory_order_relaxed); }
   uint64_t sum() const { return cell_->sum.load(std::memory_order_relaxed); }
   /// Conservative q-quantile over the relaxed bucket snapshot (same contract
@@ -159,6 +171,20 @@ struct Label {
   }
 };
 
+/// A scrape-time value source (the pull model, DESIGN.md §13). The owner
+/// resolves its handles at wiring time like any push instrument, then
+/// registers itself with `MetricGateway::AddCollector`. Before every render
+/// or dump the registry calls `Collect()`, which reads the owner's own
+/// counters and adds what changed since the previous call to the handles —
+/// so several collectors feeding one instrument report their sum, and
+/// counters stay monotone. Calls are serialized under the registry's mutex;
+/// `Collect()` must not call back into the registry.
+class MetricCollector {
+ public:
+  virtual ~MetricCollector() = default;
+  virtual void Collect() = 0;
+};
+
 /// Abstract wiring surface. Layers take a `MetricGateway*` (null treated as
 /// no-op) and resolve their instrument handles once at construction; after
 /// that the gateway is never consulted again, so the hot path is identical
@@ -173,6 +199,15 @@ class MetricGateway {
                          std::vector<Label> labels) = 0;
   virtual Histogram GetHistogram(std::string_view name, std::string_view help,
                                  std::vector<Label> labels) = 0;
+
+  /// Registers `collector` to run before every render and dump. The
+  /// collector must stay alive until RemoveCollector returns.
+  virtual void AddCollector(MetricCollector* collector) = 0;
+  /// Runs `collector` one last time, so the cells keep everything it
+  /// counted, then forgets it. Blocks while a render or dump is running, so
+  /// once it returns the collector is never called again and its owner may
+  /// be destroyed.
+  virtual void RemoveCollector(MetricCollector* collector) = 0;
 
   Counter GetCounter(std::string_view name, std::string_view help) {
     return GetCounter(name, help, {});
@@ -191,6 +226,7 @@ class MetricGateway {
 
 /// Hands out sink-backed handles: every instrument aliases the same sink
 /// cell per type, so wiring against it costs nothing and records nothing.
+/// Nothing is ever rendered, so collectors are ignored.
 class NoopMetricGateway : public MetricGateway {
  public:
   Counter GetCounter(std::string_view, std::string_view,
@@ -205,6 +241,8 @@ class NoopMetricGateway : public MetricGateway {
                          std::vector<Label>) override {
     return Histogram();
   }
+  void AddCollector(MetricCollector*) override {}
+  void RemoveCollector(MetricCollector*) override {}
 };
 
 enum class InstrumentType : uint8_t {
@@ -215,8 +253,9 @@ enum class InstrumentType : uint8_t {
 
 /// Live registry. Registration (GetCounter/...) takes a mutex and may
 /// allocate; it happens once at wiring time. Reads for rendering/encoding
-/// take the same mutex for the *structure* only — cell values are read with
-/// relaxed atomics, so concurrent hot-path writers are never blocked.
+/// take the same mutex for the *structure* and the collectors only — cell
+/// values are read with relaxed atomics, so concurrent hot-path writers are
+/// never blocked.
 class MetricRegistry : public MetricGateway {
  public:
   MetricRegistry() = default;
@@ -233,16 +272,19 @@ class MetricRegistry : public MetricGateway {
   using MetricGateway::GetGauge;
   using MetricGateway::GetHistogram;
 
+  void AddCollector(MetricCollector* collector) override;
+  void RemoveCollector(MetricCollector* collector) override;
+
   /// Appends the registry in Prometheus text exposition format 0.0.4
   /// (`# HELP`/`# TYPE` headers, escaped help/label text, histograms as
   /// cumulative `_bucket{le=...}`/`_sum`/`_count` series rendered at the
-  /// log-linear grid's occupied octave edges).
+  /// log-linear grid's occupied octave edges). Runs the collectors first.
   void RenderPrometheus(std::string* out) const;
   std::string RenderPrometheus() const;
 
   /// Encodes the `pdm.metrics.v1` binary dump (the `GetMetrics` opcode
   /// payload). Self-describing: magic, version, then every instrument with
-  /// name/labels/type and its current value(s).
+  /// name/labels/type and its current value(s). Runs the collectors first.
   std::string EncodeDump() const;
 
  private:
@@ -262,9 +304,12 @@ class MetricRegistry : public MetricGateway {
   Family* FindOrCreateFamily(std::string_view name, std::string_view help,
                              InstrumentType type);
   Instrument* FindOrCreateInstrument(Family* family, std::vector<Label> labels);
+  /// Runs every collector; `mu_` must be held.
+  void RunCollectorsLocked() const;
 
   mutable std::mutex mu_;
   std::vector<Family> families_;  // registration order = render order
+  std::vector<MetricCollector*> collectors_;
   // Deques: grow without moving, so handed-out cell pointers stay stable.
   std::deque<CounterCell> counter_cells_;
   std::deque<GaugeCell> gauge_cells_;

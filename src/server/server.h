@@ -86,8 +86,9 @@ struct ServerConfig {
 
 /// Monitoring counters, readable concurrently with the event loop; a
 /// registry-backed view (the same cells the scrape endpoint renders).
-/// Memory-engine occupancy moved to the `pdm_broker_*` instruments in the
-/// shared registry (DESIGN.md §13); slab internals stay on Broker::Stats().
+/// Broker request totals and memory-engine occupancy live on
+/// Broker::Stats(), and the `pdm_broker_*` instruments pull the same sums
+/// at scrape time (DESIGN.md §13).
 struct ServerStats {
   int64_t connections_accepted = 0;
   int64_t frames_served = 0;

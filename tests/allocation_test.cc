@@ -272,9 +272,9 @@ TEST(SteadyStateAllocations, MetricInstrumentOpsAreAllocationFree) {
 
 TEST(SteadyStateAllocations, BrokerRoundTripsWithLiveMetricsRegistry) {
   // The serving hot path with a LIVE registry wired: the per-round metric
-  // writes (quote counter, accept/reject counters, regret gauge, batch-size
-  // histogram) must not reintroduce heap traffic. Registration allocates at
-  // wiring time only — before the measured window opens.
+  // writes (the slot's quote/accept/reject/regret counters, the thread's
+  // batch-size stripe) must not reintroduce heap traffic. Registration
+  // allocates at wiring time only — before the measured window opens.
   scenario::StreamFactory factory;
   scenario::ScenarioSpec spec;
   spec.name = "alloc/broker/live-metrics";
@@ -333,7 +333,10 @@ TEST(SteadyStateAllocations, BrokerRoundTripsWithLiveMetricsRegistry) {
       << (after - before) << " allocations in " << kMeasuredRounds
       << " live-metrics broker round trips";
   // Every priced round trip was counted (iterations truncate to kWindow).
-  EXPECT_EQ(registry.GetCounter("pdm_broker_quotes_total", "").value(),
+  // The broker counters are pulled at scrape time, so read them from a dump.
+  metrics::MetricsDump dump;
+  ASSERT_TRUE(metrics::DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
+  EXPECT_EQ(dump.CounterValue("pdm_broker_quotes_total"),
             static_cast<uint64_t>((kWarmupRounds / kWindow) * kWindow +
                                   (kMeasuredRounds / kWindow) * kWindow));
 }

@@ -100,6 +100,98 @@ TEST(NoopGateway, SinkHandlesAcceptWritesAndRenderNothing) {
   EXPECT_GE(c.value(), 6u);  // both writes landed in the shared sink
 }
 
+TEST(MetricHandles, HistogramDrainMovesStripeSamples) {
+  MetricRegistry registry;
+  Histogram h = registry.GetHistogram("drain_ns", "help");
+  h.Record(5);
+  HistogramCell stripe;
+  stripe.Record(5);
+  stripe.Record(100);
+  h.DrainFrom(&stripe);
+  EXPECT_EQ(h.count(), 3);
+  EXPECT_EQ(h.sum(), 110u);
+  EXPECT_EQ(stripe.count.load(), 0);
+  EXPECT_EQ(stripe.sum.load(), 0u);
+  for (const auto& bucket : stripe.buckets) ASSERT_EQ(bucket.load(), 0u);
+  h.DrainFrom(&stripe);  // an empty stripe moves nothing
+  EXPECT_EQ(h.count(), 3);
+  EXPECT_EQ(h.Quantile(1.0), registry.GetHistogram("drain_ns", "help").Quantile(1.0));
+}
+
+// --------------------------------------------------------------- collectors
+
+/// A pull-model source: its total lives outside the registry, and each
+/// Collect adds what changed since the previous one.
+struct PulledCounter : MetricCollector {
+  Counter counter;
+  uint64_t total = 0;
+  uint64_t reported = 0;
+  int calls = 0;
+  void Collect() override {
+    ++calls;
+    counter.Add(total - reported);
+    reported = total;
+  }
+};
+
+TEST(MetricCollectors, RunBeforeEveryRenderAndDumpAndOnceMoreOnRemoval) {
+  MetricRegistry registry;
+  PulledCounter source;
+  source.counter = registry.GetCounter("pulled_total", "Pulled.");
+  registry.AddCollector(&source);
+
+  source.total = 5;
+  EXPECT_EQ(registry.RenderPrometheus(),
+            "# HELP pulled_total Pulled.\n"
+            "# TYPE pulled_total counter\n"
+            "pulled_total 5\n");
+  source.total = 7;
+  MetricsDump dump;
+  ASSERT_TRUE(DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
+  EXPECT_EQ(dump.CounterValue("pulled_total"), 7u);
+  EXPECT_EQ(source.calls, 2);
+
+  // Removal collects once more, so the cell keeps everything the source
+  // counted, and never calls it again.
+  source.total = 9;
+  registry.RemoveCollector(&source);
+  EXPECT_EQ(source.calls, 3);
+  source.total = 100;
+  EXPECT_EQ(registry.RenderPrometheus(),
+            "# HELP pulled_total Pulled.\n"
+            "# TYPE pulled_total counter\n"
+            "pulled_total 9\n");
+  registry.RemoveCollector(&source);  // no longer registered: a no-op
+  EXPECT_EQ(source.calls, 3);
+}
+
+TEST(MetricCollectors, TwoSourcesOnOneInstrumentReportTheirSum) {
+  MetricRegistry registry;
+  PulledCounter a;
+  PulledCounter b;
+  a.counter = registry.GetCounter("pulled_total", "Pulled.");
+  b.counter = registry.GetCounter("pulled_total", "Pulled.");
+  registry.AddCollector(&a);
+  registry.AddCollector(&b);
+  a.total = 3;
+  b.total = 4;
+  MetricsDump dump;
+  ASSERT_TRUE(DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
+  EXPECT_EQ(dump.CounterValue("pulled_total"), 7u);
+  a.total = 10;
+  ASSERT_TRUE(DecodeMetricsDump(registry.EncodeDump(), &dump).ok());
+  EXPECT_EQ(dump.CounterValue("pulled_total"), 14u);
+  registry.RemoveCollector(&a);
+  registry.RemoveCollector(&b);
+}
+
+TEST(MetricCollectors, NoopGatewayIgnoresCollectors) {
+  PulledCounter source;
+  MetricGateway::Noop()->AddCollector(&source);
+  MetricGateway::Noop()->RemoveCollector(&source);
+  EXPECT_EQ(source.calls, 0);
+}
+
 // --------------------------------------------------------------- exposition
 
 TEST(Exposition, CounterGolden) {
