@@ -9,11 +9,19 @@
 //   4. checkpointing a live session and resuming it bit-identically.
 
 #include <cstdio>
+#include <cstdlib>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "pdm.h"
+
+/// Every Status is checked: on failure, name the call and exit non-zero.
+void Check(const pdm::Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  std::exit(1);
+}
 
 int main() {
   std::printf("=== pdm broker serving quickstart ===\n\n");
@@ -41,18 +49,14 @@ int main() {
   mobility.workload_seed = 8;
 
   for (const pdm::scenario::ScenarioSpec& spec : {wearables, mobility}) {
-    pdm::Status status = broker.OpenSession(spec.name, spec, factory.Prepare(spec));
-    if (!status.ok()) {
-      std::fprintf(stderr, "OpenSession: %s\n", status.ToString().c_str());
-      return 1;
-    }
+    Check(broker.OpenSession(spec.name, spec, factory.Prepare(spec)), "OpenSession");
   }
 
   // Steady-state clients resolve each product once; every request after
   // that routes by handle — no string hashing, no directory contention.
   pdm::broker::ProductHandle wearables_handle, mobility_handle;
-  broker.Resolve(wearables.name, &wearables_handle);
-  broker.Resolve(mobility.name, &mobility_handle);
+  Check(broker.Resolve(wearables.name, &wearables_handle), "Resolve");
+  Check(broker.Resolve(mobility.name, &mobility_handle), "Resolve");
 
   // Client loop: batch-price both products, then answer tickets — the
   // feedback for one product may arrive while the other already has new
@@ -70,17 +74,14 @@ int main() {
     stream_b->Next(&rng_b, &round_b);
     requests[0] = {wearables_handle, round_a.features, round_a.reserve};
     requests[1] = {mobility_handle, round_b.features, round_b.reserve};
-    pdm::Status status = broker.PostPrices(
-        std::span<const pdm::broker::HandleRequest>(requests), quotes);
-    if (!status.ok()) {
-      std::fprintf(stderr, "PostPrices: %s\n", status.ToString().c_str());
-      return 1;
-    }
+    Check(broker.PostPrices(std::span<const pdm::broker::HandleRequest>(requests),
+                            quotes),
+          "PostPrices");
     // Consumers answer in their own time; tickets route the feedback.
     bool buy_a = !quotes[0].certain_no_sale && quotes[0].price <= round_a.value;
     bool buy_b = !quotes[1].certain_no_sale && quotes[1].price <= round_b.value;
-    broker.Observe(quotes[1].ticket, buy_b);  // out of order across products
-    broker.Observe(quotes[0].ticket, buy_a);
+    Check(broker.Observe(quotes[1].ticket, buy_b), "Observe");  // out of order
+    Check(broker.Observe(quotes[0].ticket, buy_a), "Observe");
     sales += static_cast<int>(buy_a) + static_cast<int>(buy_b);
   }
 
@@ -94,26 +95,28 @@ int main() {
   // Checkpoint the wearables session, keep trading, then roll back: the
   // restored session re-quotes the same prices the checkpoint would have.
   pdm::broker::SessionSnapshot snapshot;
-  broker.Snapshot(wearables.name, &snapshot);
+  Check(broker.Snapshot(wearables.name, &snapshot), "Snapshot");
   std::string bytes = pdm::broker::EncodeSessionSnapshot(snapshot);
 
   stream_a->Next(&rng_a, &round_a);
   pdm::broker::Quote before, after;
-  broker.PostPrice({wearables.name, round_a.features, round_a.reserve}, &before);
-  broker.Observe(before.ticket, false);
+  Check(broker.PostPrice({wearables.name, round_a.features, round_a.reserve}, &before),
+        "PostPrice");
+  Check(broker.Observe(before.ticket, false), "Observe");
 
   pdm::broker::SessionSnapshot restored;
-  pdm::broker::DecodeSessionSnapshot(bytes, &restored);
-  broker.Restore(wearables.name, restored);
-  broker.PostPrice({wearables.name, round_a.features, round_a.reserve}, &after);
-  broker.Observe(after.ticket, false);
+  Check(pdm::broker::DecodeSessionSnapshot(bytes, &restored), "DecodeSessionSnapshot");
+  Check(broker.Restore(wearables.name, restored), "Restore");
+  Check(broker.PostPrice({wearables.name, round_a.features, round_a.reserve}, &after),
+        "PostPrice");
+  Check(broker.Observe(after.ticket, false), "Observe");
   std::printf("snapshot round-trip (%zu bytes): price %.6f == %.6f -> %s\n\n",
               bytes.size(), before.price, after.price,
               before.price == after.price ? "resumed bit-identically" : "MISMATCH");
 
   for (const std::string& product : broker.Products()) {
     pdm::broker::SessionInfo info;
-    broker.GetSessionInfo(product, &info);
+    Check(broker.GetSessionInfo(product, &info), "GetSessionInfo");
     std::printf("%-22s engine=%-22s quotes=%lld feedback=%lld cuts=%lld\n",
                 product.c_str(), info.engine_name.c_str(),
                 static_cast<long long>(info.quotes_issued),

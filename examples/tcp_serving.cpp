@@ -10,11 +10,19 @@
 //      closing the connections.
 
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "pdm.h"
+
+/// Every Status is checked: on failure, name the call and exit non-zero.
+void Check(const pdm::Status& status, const char* what) {
+  if (status.ok()) return;
+  std::fprintf(stderr, "%s: %s\n", what, status.ToString().c_str());
+  std::exit(1);
+}
 
 int main() {
   std::printf("=== pdm TCP serving quickstart ===\n\n");
@@ -31,32 +39,20 @@ int main() {
   spec.rounds = 4000;
   spec.delta = 0.01;
   spec.workload_seed = 7;
-  pdm::Status status = broker.OpenSession(spec.name, spec, factory.Prepare(spec));
-  if (!status.ok()) {
-    std::fprintf(stderr, "OpenSession: %s\n", status.ToString().c_str());
-    return 1;
-  }
+  Check(broker.OpenSession(spec.name, spec, factory.Prepare(spec)), "OpenSession");
 
   // Put it on the wire: port 0 asks the kernel for an ephemeral port.
   pdm::server::TcpServer server(&broker);
-  status = server.Start();
-  if (!status.ok()) {
-    std::fprintf(stderr, "Start: %s\n", status.ToString().c_str());
-    return 1;
-  }
+  Check(server.Start(), "Start");
   std::printf("serving on 127.0.0.1:%u\n", server.port());
 
   pdm::server::Client client;
-  status = client.Connect("127.0.0.1", server.port());
-  if (!status.ok()) {
-    std::fprintf(stderr, "Connect: %s\n", status.ToString().c_str());
-    return 1;
-  }
+  Check(client.Connect("127.0.0.1", server.port()), "Connect");
 
   // Resolve once, then price by handle — the same steady-state contract
   // as the in-process API, now one frame per call.
   pdm::broker::ProductHandle handle;
-  client.Resolve(spec.name, &handle);
+  Check(client.Resolve(spec.name, &handle), "Resolve");
 
   pdm::Rng rng(spec.sim_seed);
   std::unique_ptr<pdm::QueryStream> stream = factory.CreateStream(spec, &rng);
@@ -76,7 +72,7 @@ int main() {
       stream->Next(&rng, &rounds[k]);
       client.QueuePostPrice(handle, rounds[k].features, rounds[k].reserve);
     }
-    client.Flush();
+    Check(client.Flush(), "Flush");
     for (int k = 0; k < kBatch; ++k) {
       pdm::server::Response resp;
       if (!client.ReadResponse(&resp).ok() || !resp.status.ok()) {
@@ -91,7 +87,7 @@ int main() {
       sales += accepted ? 1 : 0;
       client.QueueObserve(quotes[k].ticket, accepted);
     }
-    client.Flush();
+    Check(client.Flush(), "Flush");
     for (int k = 0; k < kBatch; ++k) {
       pdm::server::Response resp;
       if (!client.ReadResponse(&resp).ok() || !resp.status.ok()) {

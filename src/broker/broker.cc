@@ -478,7 +478,7 @@ Status Broker::OpenSessions(std::span<const std::string> products,
     // back in bit-identically. Only registry opens adopt: fault-in needs the
     // rebuild recipe.
     bool adopted = false;
-    if (config_.recover_spills && !config_.spill_dir.empty()) {
+    if (!config_.spill_dir.empty()) {
       auto rec = recovered_spills_.find(product);
       if (rec != recovered_spills_.end()) {
         // The inventory lives in the `recovered-*.snap` namespace (startup
@@ -803,12 +803,12 @@ bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index) {
   // Engines without snapshot support are skipped — they simply stay
   // resident.
   if (!slot->session->Snapshot(&snapshot).ok()) return false;
-  // Spills carry the checksummed pdm.snap.v2 envelope and land through
+  // Spills carry the checksummed pdm.snap envelope and land through
   // tmp + fsync + atomic rename (DESIGN.md §14): at no instant does the
   // spill name reference torn bytes, and once the rename returns the spill
   // survives kill -9. A failed write keeps the session resident — losing
   // residency headroom beats losing state.
-  std::string bytes = EncodeSessionSnapshotV2(snapshot);
+  std::string bytes = EncodeSessionSnapshot(snapshot);
   std::string path = SpillPath(index);
   if (!WriteSpillAtomic(path, bytes)) {
     metrics_.spill_write_errors.Increment();

@@ -55,7 +55,7 @@
 /// cold tier bounds resident engine state: when more than
 /// `max_resident_sessions` sessions hold live engines, the least-recently
 /// touched evictable sessions are spilled to `spill_dir` as checksummed
-/// `pdm.snap.v2` blobs (crash-atomic writes, DESIGN.md §14) and their
+/// `pdm.snap` blobs (crash-atomic writes, DESIGN.md §14) and their
 /// in-memory state is dropped; the next request
 /// that touches an evicted product faults it back in transparently, and the
 /// snapshot round trip makes the resumed session *bit-identical* to one that
@@ -83,17 +83,6 @@ struct BrokerConfig {
   /// cold-path push instruments on the default sink handles. The gateway
   /// must outlive the broker.
   metrics::MetricGateway* metrics = nullptr;
-  /// Crash recovery (DESIGN.md §14). When true and `spill_dir` is set, the
-  /// constructor sweeps the directory: `*.tmp` orphans from torn writes are
-  /// deleted, and every `slot-*.snap` spill left by a previous (crashed)
-  /// broker is validated and inventoried. A later OpenSession(s) whose
-  /// product name matches an inventoried spill *adopts* it — the session
-  /// starts evicted and faults in from the pre-crash bytes on first touch.
-  /// Spills that fail validation are quarantined (renamed `*.quarantined`)
-  /// and counted as corruptions. When false the constructor sweep still
-  /// removes `*.tmp` files but treats every leftover spill as an orphan for
-  /// SweepUnclaimedSpills.
-  bool recover_spills = true;
 };
 
 /// What the startup sweep and spill adoption did (DESIGN.md §14); `pdm_serve`

@@ -226,13 +226,10 @@ Status PricingSession::Snapshot(SessionSnapshot* out) const {
   snap.pending.reserve(static_cast<size_t>(pending_count_));
   std::vector<uint64_t> issue_order;
   issue_order.reserve(static_cast<size_t>(pending_count_));
-  std::vector<double> prices;
-  prices.reserve(static_cast<size_t>(pending_count_));
   for (const TicketSlot& slot : slots_) {
     if (slot.ticket == 0) continue;
-    snap.pending.push_back({slot.ticket, slot.cut});
+    snap.pending.push_back({slot.ticket, slot.price, slot.cut});
     issue_order.push_back(slot.issued_at);
-    prices.push_back(slot.price);
   }
   // Issue order, so restore replays the table deterministically.
   std::vector<size_t> order(snap.pending.size());
@@ -244,16 +241,12 @@ Status PricingSession::Snapshot(SessionSnapshot* out) const {
   sorted.reserve(snap.pending.size());
   for (size_t i : order) sorted.push_back(std::move(snap.pending[i]));
   snap.pending = std::move(sorted);
-  // Value accounting rides along (tag-2 section), aligned with the sorted
-  // pending table, so a faulted-in session keeps its regret-proxy totals.
-  snap.has_value_totals = true;
+  // Value totals ride along, so a faulted-in session keeps its regret-proxy
+  // accounting.
   snap.posted_value = posted_value_;
   snap.accepted_value = accepted_value_;
-  snap.pending_prices.reserve(order.size());
-  for (size_t i : order) snap.pending_prices.push_back(prices[i]);
   // Full allocator state, so a restored session issues bit-identical future
   // tickets (the cold-tier eviction contract — see SessionSnapshot).
-  snap.has_ticket_table = true;
   snap.slot_generations.reserve(slots_.size());
   for (const TicketSlot& slot : slots_) snap.slot_generations.push_back(slot.generation);
   snap.free_slots.reserve(free_slots_.size());
@@ -278,15 +271,15 @@ Status PricingSession::Restore(const SessionSnapshot& snapshot) {
           " does not belong to this session's ticket base; drain feedback "
           "before migrating across broker slots");
     }
-    // A decoded blob may be structurally valid yet carry cut kinds no engine
-    // issues (corruption, foreign writers). Reject them here: once restored
-    // they would abort inside ObserveDetached instead of returning a Status.
-    bool valid_kind = (p.cut.kind >= 1 && p.cut.kind <= 3) ||
-                      (p.cut.kind == 0 && p.cut.wrapped_skip);
-    if (!valid_kind) {
+    // A decoded blob may be structurally valid yet carry a cut context this
+    // engine cannot apply (corruption, foreign writers, another engine
+    // family). Reject it here: once restored it would abort inside
+    // ObserveDetached instead of returning a Status.
+    if (!engine_->AcceptsCut(p.cut)) {
       return Status::FailedPrecondition(
-          "pending ticket " + std::to_string(p.ticket) +
-          " carries invalid cut kind " + std::to_string(p.cut.kind));
+          "pending ticket " + std::to_string(p.ticket) + " carries a cut (kind " +
+          std::to_string(p.cut.kind) + ") engine '" + engine_->name() +
+          "' cannot apply");
     }
     seen_slots.push_back((p.ticket >> kGenBits) & kSlotMask);
   }
@@ -295,35 +288,28 @@ Status PricingSession::Restore(const SessionSnapshot& snapshot) {
     return Status::FailedPrecondition(
         "two pending tickets collide on one ticket slot");
   }
-  if (snapshot.has_value_totals &&
-      snapshot.pending_prices.size() != snapshot.pending.size()) {
-    return Status::FailedPrecondition(
-        "value-accounting section does not match the pending table");
+  // The table must cover every pending slot, and its free stack must name
+  // distinct slots that no pending ticket occupies.
+  size_t table_size = snapshot.slot_generations.size();
+  if (table_size > kSlotMask + 1) {
+    return Status::FailedPrecondition("ticket table exceeds the slot space");
   }
-  if (snapshot.has_ticket_table) {
-    // The table must cover every pending slot, and its free stack must name
-    // distinct slots that no pending ticket occupies.
-    size_t table_size = snapshot.slot_generations.size();
-    if (table_size > kSlotMask + 1) {
-      return Status::FailedPrecondition("ticket table exceeds the slot space");
-    }
-    if (!seen_slots.empty() && seen_slots.back() >= table_size) {
+  if (!seen_slots.empty() && seen_slots.back() >= table_size) {
+    return Status::FailedPrecondition(
+        "pending ticket names a slot outside the snapshot's ticket table");
+  }
+  std::vector<uint64_t> occupied = seen_slots;
+  for (uint32_t index : snapshot.free_slots) {
+    if (index >= table_size) {
       return Status::FailedPrecondition(
-          "pending ticket names a slot outside the snapshot's ticket table");
+          "free-stack entry outside the snapshot's ticket table");
     }
-    std::vector<uint64_t> occupied = seen_slots;
-    for (uint32_t index : snapshot.free_slots) {
-      if (index >= table_size) {
-        return Status::FailedPrecondition(
-            "free-stack entry outside the snapshot's ticket table");
-      }
-      occupied.push_back(index);
-    }
-    std::sort(occupied.begin(), occupied.end());
-    if (std::adjacent_find(occupied.begin(), occupied.end()) != occupied.end()) {
-      return Status::FailedPrecondition(
-          "free-stack entry collides with a pending ticket or repeats");
-    }
+    occupied.push_back(index);
+  }
+  std::sort(occupied.begin(), occupied.end());
+  if (std::adjacent_find(occupied.begin(), occupied.end()) != occupied.end()) {
+    return Status::FailedPrecondition(
+        "free-stack entry collides with a pending ticket or repeats");
   }
   if (!engine_->LoadSnapshot(snapshot.engine)) {
     return Status::FailedPrecondition(
@@ -334,47 +320,32 @@ Status PricingSession::Restore(const SessionSnapshot& snapshot) {
   quotes_issued_ = snapshot.quotes_issued;
   feedback_received_ = snapshot.feedback_received;
   slots_.clear();
-  free_slots_.clear();
-  pending_count_ = 0;
-  slots_retired_ = 0;
-  // Value totals resume where the snapshot left them; pre-metrics blobs
-  // restart the accounting at zero (prices and tickets are unaffected).
-  posted_value_ = snapshot.has_value_totals ? snapshot.posted_value : 0.0;
-  accepted_value_ = snapshot.has_value_totals ? snapshot.accepted_value : 0.0;
+  slots_.resize(table_size);
+  pending_count_ = static_cast<int64_t>(snapshot.pending.size());
+  posted_value_ = snapshot.posted_value;
+  accepted_value_ = snapshot.accepted_value;
   // Pending tickets return to the slots their ids encode; issue-order
   // stamps restart at 0..n-1, which stay below every future stamp
   // (quotes_issued_ ≥ n).
   for (size_t i = 0; i < snapshot.pending.size(); ++i) {
     const PendingTicketState& p = snapshot.pending[i];
-    size_t index = static_cast<size_t>((p.ticket >> kGenBits) & kSlotMask);
-    if (slots_.size() <= index) slots_.resize(index + 1);
-    TicketSlot& slot = slots_[index];
+    TicketSlot& slot = slots_[(p.ticket >> kGenBits) & kSlotMask];
     slot.ticket = p.ticket;
     slot.generation = static_cast<uint32_t>(p.ticket & kGenMask);
     slot.issued_at = i;
-    slot.price = snapshot.has_value_totals ? snapshot.pending_prices[i] : 0.0;
+    slot.price = p.posted_price;
     slot.cut = p.cut;
-    ++pending_count_;
   }
-  if (snapshot.has_ticket_table) {
-    // Exact allocator state: free-slot generations, recycle-stack order, and
-    // the retired count all come back verbatim, so future ticket ids are
-    // bit-identical to the uninterrupted session. Slots holding a pending
-    // ticket already took their generation from the ticket itself (the id is
-    // authoritative — fast-forwarded snapshots rewrite only the ticket).
-    slots_.resize(snapshot.slot_generations.size());
-    for (size_t i = 0; i < slots_.size(); ++i) {
-      if (slots_[i].ticket == 0) slots_[i].generation = snapshot.slot_generations[i];
-    }
-    free_slots_.assign(snapshot.free_slots.begin(), snapshot.free_slots.end());
-    slots_retired_ = snapshot.slots_retired;
-    return Status::Ok();
-  }
-  // Legacy snapshot without the table: rebuild a minimal one. Prices resume
-  // bit-identically; future ticket ids may differ from the original session.
+  // Exact allocator state: free-slot generations, recycle-stack order, and
+  // the retired count all come back verbatim, so future ticket ids are
+  // bit-identical to the uninterrupted session. Slots holding a pending
+  // ticket already took their generation from the ticket itself (the id is
+  // authoritative — fast-forwarded snapshots rewrite only the ticket).
   for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i].ticket == 0) free_slots_.push_back(i);
+    if (slots_[i].ticket == 0) slots_[i].generation = snapshot.slot_generations[i];
   }
+  free_slots_.assign(snapshot.free_slots.begin(), snapshot.free_slots.end());
+  slots_retired_ = snapshot.slots_retired;
   return Status::Ok();
 }
 

@@ -171,13 +171,14 @@ class PricingSession {
   /// engine (same family and dimension — typically built from the same
   /// `ScenarioSpec`). Outstanding tickets are restored verbatim; their ids
   /// embed the snapshotting session's ticket base, so restore into a broker
-  /// slot with the same base (or drain feedback before snapshotting). When
-  /// the snapshot carries the ticket-table section (every Snapshot() output
-  /// does), the slot allocator is reproduced exactly and future ticket ids
-  /// are bit-identical to the uninterrupted session — the cold-tier
-  /// eviction contract (DESIGN.md §12).
+  /// slot with the same base (or drain feedback before snapshotting). The
+  /// slot allocator is reproduced exactly, so future ticket ids are
+  /// bit-identical to the uninterrupted session — the cold-tier eviction
+  /// contract (DESIGN.md §12). Everything is validated before anything is
+  /// mutated: a refused snapshot leaves the session as it was.
   /// Errors: FailedPrecondition (engine/snapshot mismatch, foreign ticket
-  /// base on a pending ticket).
+  /// base on a pending ticket, a pending cut the engine cannot apply —
+  /// PricingEngine::AcceptsCut — or an inconsistent ticket table).
   Status Restore(const SessionSnapshot& snapshot);
 
  private:

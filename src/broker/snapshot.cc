@@ -2,355 +2,206 @@
 
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "common/crc32.h"
 
 namespace pdm::broker {
 namespace {
 
-/// 8-byte magic + format version. The magic doubles as an endianness/format
-/// sentinel: the layout below is little-endian (the only platforms this repo
-/// targets), and a corrupted or foreign blob fails fast on the first bytes.
-constexpr char kMagic[8] = {'P', 'D', 'M', 'S', 'N', 'A', 'P', '1'};
-constexpr uint32_t kVersion = 1;
+/// Envelope (DESIGN.md §14): 8-byte magic, u32 version, u32 body size, the
+/// body, u32 CRC-32 of the body. The magic doubles as a format sentinel: a
+/// foreign blob fails fast on its first bytes.
+constexpr char kMagic[8] = {'P', 'D', 'M', 'S', 'N', 'A', 'P', '2'};
+constexpr uint32_t kVersion = 2;
 
-/// pdm.snap.v2 (DESIGN.md §14): a checksummed envelope around the complete
-/// v1 byte stream — magic, u32 version, u32 body size, body, u32 CRC-32 of
-/// the body. The envelope is what spill files on disk need (a torn or
-/// bit-flipped spill must fail loudly as DataLoss), while the v1 body layout
-/// and its decoder stay byte-for-byte unchanged.
-constexpr char kMagicV2[8] = {'P', 'D', 'M', 'S', 'N', 'A', 'P', '2'};
-constexpr uint32_t kVersionV2 = 2;
-constexpr size_t kEnvelopeHeaderBytes = sizeof kMagicV2 + 2 * sizeof(uint32_t);
-constexpr size_t kEnvelopeTrailerBytes = sizeof(uint32_t);
+/// The body opens with this tag and version (the magic of the format before
+/// the envelope existed), kept so spill bytes stay unchanged.
+constexpr char kBodyTag[8] = {'P', 'D', 'M', 'S', 'N', 'A', 'P', '1'};
+constexpr uint32_t kBodyTagVersion = 1;
 
-/// Validates a v2 envelope and exposes the inner v1 body. Envelope damage
-/// (truncation, padding, checksum mismatch) is DataLoss — the bytes were
-/// provably not what the encoder wrote — while a foreign version number is
-/// InvalidArgument like any other unsupported document.
-Status UnwrapV2Envelope(std::string_view bytes, std::string_view* body) {
-  if (bytes.size() < kEnvelopeHeaderBytes + kEnvelopeTrailerBytes) {
-    return Status::DataLoss("truncated pdm.snap.v2 envelope");
+/// Section markers between the pending table, the ticket table and the
+/// value totals.
+constexpr uint8_t kTicketTableSection = 1;
+constexpr uint8_t kValueTotalsSection = 2;
+
+/// Smallest encoded pending ticket (an empty support direction).
+constexpr size_t kMinPendingBytes = 8 + 4 + 8 + 8 + 1 + 4 * 8 + 4;
+
+/// The shape matrix travels as raw row-major doubles after its i32 rows and
+/// cols (no count prefix of its own).
+size_t ShapeBytes(const Matrix& m) {
+  return static_cast<size_t>(m.rows()) * static_cast<size_t>(m.cols()) * sizeof(double);
+}
+
+/// Parses the body inside a verified envelope. Any structural damage is
+/// InvalidArgument: the checksum held, so the writer produced these bytes.
+Status DecodeBody(std::string_view body, SessionSnapshot* snap) {
+  ByteReader r(body);
+  char tag[sizeof kBodyTag] = {};
+  uint32_t tag_version = 0;
+  if (!r.GetBytes(tag, sizeof tag) || std::memcmp(tag, kBodyTag, sizeof tag) != 0 ||
+      !r.GetU32(&tag_version) || tag_version != kBodyTagVersion) {
+    return Status::InvalidArgument("bad pdm.snap body header");
   }
-  uint32_t version;
-  std::memcpy(&version, bytes.data() + sizeof kMagicV2, sizeof version);
-  if (version != kVersionV2) {
-    return Status::InvalidArgument("unsupported pdm.snap version " +
-                                   std::to_string(version));
+  EngineSnapshot& e = snap->engine;
+  int32_t dim = 0, rows = 0, cols = 0, cuts = 0;
+  if (!r.GetString(&snap->product) || !r.GetString(&e.engine) || !r.GetI32(&dim) ||
+      !r.GetF64(&e.epsilon) || !r.GetF64(&e.delta) || !r.GetF64Array(&e.center) ||
+      !r.GetI32(&rows) || !r.GetI32(&cols)) {
+    return Status::InvalidArgument("truncated engine state");
   }
-  uint32_t body_size;
-  std::memcpy(&body_size, bytes.data() + sizeof kMagicV2 + sizeof version,
-              sizeof body_size);
-  if (bytes.size() !=
-      kEnvelopeHeaderBytes + static_cast<size_t>(body_size) +
-          kEnvelopeTrailerBytes) {
-    return Status::DataLoss(
-        "pdm.snap.v2 envelope size mismatch (truncated or padded spill)");
+  if (dim < 0 || rows < 0 || cols < 0 ||
+      static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) >
+          r.remaining() / sizeof(double)) {
+    return Status::InvalidArgument("implausible engine geometry");
   }
-  *body = bytes.substr(kEnvelopeHeaderBytes, body_size);
-  uint32_t expected;
-  std::memcpy(&expected, bytes.data() + kEnvelopeHeaderBytes + body_size,
-              sizeof expected);
-  if (Crc32(*body) != expected) {
-    return Status::DataLoss("pdm.snap.v2 checksum mismatch");
+  e.dim = dim;
+  e.shape = Matrix(rows, cols);
+  EngineCounters& c = e.counters;
+  if (!r.GetBytes(e.shape.data(), ShapeBytes(e.shape)) || !r.GetI32(&cuts) ||
+      !r.GetF64(&e.lo) || !r.GetF64(&e.hi) || !r.GetI64(&c.rounds) ||
+      !r.GetI64(&c.exploratory_rounds) || !r.GetI64(&c.conservative_rounds) ||
+      !r.GetI64(&c.skipped_rounds) || !r.GetI64(&c.cuts_applied) ||
+      !r.GetI64(&c.cuts_discarded)) {
+    return Status::InvalidArgument("truncated engine state");
   }
+  e.cuts_since_symmetrize = cuts;
+
+  uint32_t pending_count = 0;
+  if (!r.GetI64(&snap->quotes_issued) || !r.GetI64(&snap->feedback_received) ||
+      !r.GetU32(&pending_count)) {
+    return Status::InvalidArgument("truncated session state");
+  }
+  if (pending_count > r.remaining() / kMinPendingBytes) {
+    return Status::InvalidArgument("implausible pending-ticket count");
+  }
+  snap->pending.resize(pending_count);
+  for (PendingTicketState& p : snap->pending) {
+    uint8_t wrapped_skip = 0;
+    if (!r.GetU64(&p.ticket) || !r.GetI32(&p.cut.kind) || !r.GetF64(&p.cut.price) ||
+        !r.GetF64(&p.cut.x) || !r.GetU8(&wrapped_skip) ||
+        !r.GetF64(&p.cut.support.lower) || !r.GetF64(&p.cut.support.upper) ||
+        !r.GetF64(&p.cut.support.half_width) || !r.GetF64(&p.cut.support.midpoint) ||
+        !r.GetF64Array(&p.cut.support.direction)) {
+      return Status::InvalidArgument("truncated pending ticket");
+    }
+    p.cut.wrapped_skip = wrapped_skip != 0;
+  }
+
+  uint8_t section = 0;
+  if (!r.GetU8(&section) || section != kTicketTableSection ||
+      !r.GetU32Array(&snap->slot_generations) || !r.GetU32Array(&snap->free_slots) ||
+      !r.GetI64(&snap->slots_retired)) {
+    return Status::InvalidArgument("truncated ticket-table section");
+  }
+  uint32_t price_count = 0;
+  if (!r.GetU8(&section) || section != kValueTotalsSection ||
+      !r.GetF64(&snap->posted_value) || !r.GetF64(&snap->accepted_value) ||
+      !r.GetU32(&price_count)) {
+    return Status::InvalidArgument("truncated value-accounting section");
+  }
+  if (price_count != pending_count) {
+    return Status::InvalidArgument(
+        "value-accounting section does not match the pending table");
+  }
+  for (PendingTicketState& p : snap->pending) {
+    if (!r.GetF64(&p.posted_price)) {
+      return Status::InvalidArgument("truncated value-accounting section");
+    }
+  }
+  if (!r.AtEnd()) return Status::InvalidArgument("trailing bytes in snapshot body");
   return Status::Ok();
 }
-
-// ------------------------------------------------------------------- writer
-
-void PutBytes(std::string* out, const void* data, size_t size) {
-  out->append(static_cast<const char*>(data), size);
-}
-
-void PutU8(std::string* out, uint8_t v) { PutBytes(out, &v, sizeof v); }
-void PutU32(std::string* out, uint32_t v) { PutBytes(out, &v, sizeof v); }
-void PutU64(std::string* out, uint64_t v) { PutBytes(out, &v, sizeof v); }
-void PutI32(std::string* out, int32_t v) { PutBytes(out, &v, sizeof v); }
-void PutI64(std::string* out, int64_t v) { PutBytes(out, &v, sizeof v); }
-
-/// Doubles travel as raw IEEE-754 bit patterns: exact round trip, NaN-safe.
-void PutF64(std::string* out, double v) {
-  uint64_t bits;
-  std::memcpy(&bits, &v, sizeof bits);
-  PutU64(out, bits);
-}
-
-void PutString(std::string* out, const std::string& s) {
-  PutU32(out, static_cast<uint32_t>(s.size()));
-  PutBytes(out, s.data(), s.size());
-}
-
-void PutVector(std::string* out, const Vector& v) {
-  PutU32(out, static_cast<uint32_t>(v.size()));
-  for (double d : v) PutF64(out, d);
-}
-
-void PutCounters(std::string* out, const EngineCounters& c) {
-  PutI64(out, c.rounds);
-  PutI64(out, c.exploratory_rounds);
-  PutI64(out, c.conservative_rounds);
-  PutI64(out, c.skipped_rounds);
-  PutI64(out, c.cuts_applied);
-  PutI64(out, c.cuts_discarded);
-}
-
-// ------------------------------------------------------------------- reader
-
-/// Bounds-checked cursor over the encoded bytes. Every Get reports failure
-/// instead of reading past the end, so a truncated blob decodes to a clean
-/// InvalidArgument rather than UB.
-class Reader {
- public:
-  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool GetBytes(void* out, size_t size) {
-    if (bytes_.size() - pos_ < size) return false;
-    std::memcpy(out, bytes_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  bool GetU8(uint8_t* v) { return GetBytes(v, sizeof *v); }
-  bool GetU32(uint32_t* v) { return GetBytes(v, sizeof *v); }
-  bool GetU64(uint64_t* v) { return GetBytes(v, sizeof *v); }
-  bool GetI32(int32_t* v) { return GetBytes(v, sizeof *v); }
-  bool GetI64(int64_t* v) { return GetBytes(v, sizeof *v); }
-
-  bool GetF64(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-
-  bool GetString(std::string* s) {
-    uint32_t size;
-    if (!GetU32(&size)) return false;
-    if (bytes_.size() - pos_ < size) return false;
-    s->assign(bytes_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  bool GetVector(Vector* v) {
-    uint32_t size;
-    if (!GetU32(&size)) return false;
-    // Length sanity before resizing: the payload must actually be present.
-    if ((bytes_.size() - pos_) / sizeof(double) < size) return false;
-    v->resize(size);
-    for (double& d : *v) {
-      if (!GetF64(&d)) return false;
-    }
-    return true;
-  }
-
-  bool GetU32Array(std::vector<uint32_t>* v) {
-    uint32_t size;
-    if (!GetU32(&size)) return false;
-    if ((bytes_.size() - pos_) / sizeof(uint32_t) < size) return false;
-    v->resize(size);
-    for (uint32_t& x : *v) {
-      if (!GetU32(&x)) return false;
-    }
-    return true;
-  }
-
-  bool GetCounters(EngineCounters* c) {
-    return GetI64(&c->rounds) && GetI64(&c->exploratory_rounds) &&
-           GetI64(&c->conservative_rounds) && GetI64(&c->skipped_rounds) &&
-           GetI64(&c->cuts_applied) && GetI64(&c->cuts_discarded);
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-
- private:
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
 std::string EncodeSessionSnapshot(const SessionSnapshot& snapshot) {
   std::string out;
-  PutBytes(&out, kMagic, sizeof kMagic);
-  PutU32(&out, kVersion);
-  PutString(&out, snapshot.product);
+  ByteWriter w(&out);
+  w.PutBytes(kMagic, sizeof kMagic);
+  w.PutU32(kVersion);
+  const size_t body = w.BeginLength();
+  w.PutBytes(kBodyTag, sizeof kBodyTag);
+  w.PutU32(kBodyTagVersion);
+  w.PutString(snapshot.product);
   // Engine state.
   const EngineSnapshot& e = snapshot.engine;
-  PutString(&out, e.engine);
-  PutI32(&out, e.dim);
-  PutF64(&out, e.epsilon);
-  PutF64(&out, e.delta);
-  PutVector(&out, e.center);
-  PutI32(&out, e.shape.rows());
-  PutI32(&out, e.shape.cols());
-  for (int r = 0; r < e.shape.rows(); ++r) {
-    for (int c = 0; c < e.shape.cols(); ++c) PutF64(&out, e.shape(r, c));
-  }
-  PutI32(&out, e.cuts_since_symmetrize);
-  PutF64(&out, e.lo);
-  PutF64(&out, e.hi);
-  PutCounters(&out, e.counters);
+  w.PutString(e.engine);
+  w.PutI32(e.dim);
+  w.PutF64(e.epsilon);
+  w.PutF64(e.delta);
+  w.PutF64Array(e.center);
+  w.PutI32(e.shape.rows());
+  w.PutI32(e.shape.cols());
+  w.PutBytes(e.shape.data(), ShapeBytes(e.shape));
+  w.PutI32(e.cuts_since_symmetrize);
+  w.PutF64(e.lo);
+  w.PutF64(e.hi);
+  w.PutI64(e.counters.rounds);
+  w.PutI64(e.counters.exploratory_rounds);
+  w.PutI64(e.counters.conservative_rounds);
+  w.PutI64(e.counters.skipped_rounds);
+  w.PutI64(e.counters.cuts_applied);
+  w.PutI64(e.counters.cuts_discarded);
   // Session state.
-  PutI64(&out, snapshot.quotes_issued);
-  PutI64(&out, snapshot.feedback_received);
-  PutU32(&out, static_cast<uint32_t>(snapshot.pending.size()));
+  w.PutI64(snapshot.quotes_issued);
+  w.PutI64(snapshot.feedback_received);
+  w.PutU32(static_cast<uint32_t>(snapshot.pending.size()));
   for (const PendingTicketState& p : snapshot.pending) {
-    PutU64(&out, p.ticket);
-    PutI32(&out, p.cut.kind);
-    PutF64(&out, p.cut.price);
-    PutF64(&out, p.cut.x);
-    PutU8(&out, p.cut.wrapped_skip ? 1 : 0);
-    PutF64(&out, p.cut.support.lower);
-    PutF64(&out, p.cut.support.upper);
-    PutF64(&out, p.cut.support.half_width);
-    PutF64(&out, p.cut.support.midpoint);
-    PutVector(&out, p.cut.support.direction);
+    w.PutU64(p.ticket);
+    w.PutI32(p.cut.kind);
+    w.PutF64(p.cut.price);
+    w.PutF64(p.cut.x);
+    w.PutU8(p.cut.wrapped_skip ? 1 : 0);
+    w.PutF64(p.cut.support.lower);
+    w.PutF64(p.cut.support.upper);
+    w.PutF64(p.cut.support.half_width);
+    w.PutF64(p.cut.support.midpoint);
+    w.PutF64Array(p.cut.support.direction);
   }
-  // Optional trailing section (still pdm.snap.v1: old decoders never existed
-  // without it in the wild, and this decoder treats end-of-bytes as "absent").
-  if (snapshot.has_ticket_table) {
-    PutU8(&out, 1);  // section tag: ticket-slot allocator state
-    PutU32(&out, static_cast<uint32_t>(snapshot.slot_generations.size()));
-    for (uint32_t gen : snapshot.slot_generations) PutU32(&out, gen);
-    PutU32(&out, static_cast<uint32_t>(snapshot.free_slots.size()));
-    for (uint32_t index : snapshot.free_slots) PutU32(&out, index);
-    PutI64(&out, snapshot.slots_retired);
-  }
-  if (snapshot.has_value_totals) {
-    PutU8(&out, 2);  // section tag: value accounting (regret proxy)
-    PutF64(&out, snapshot.posted_value);
-    PutF64(&out, snapshot.accepted_value);
-    PutU32(&out, static_cast<uint32_t>(snapshot.pending_prices.size()));
-    for (double price : snapshot.pending_prices) PutF64(&out, price);
-  }
-  return out;
-}
-
-std::string EncodeSessionSnapshotV2(const SessionSnapshot& snapshot) {
-  std::string body = EncodeSessionSnapshot(snapshot);
-  std::string out;
-  out.reserve(kEnvelopeHeaderBytes + body.size() + kEnvelopeTrailerBytes);
-  PutBytes(&out, kMagicV2, sizeof kMagicV2);
-  PutU32(&out, kVersionV2);
-  PutU32(&out, static_cast<uint32_t>(body.size()));
-  out += body;
-  PutU32(&out, Crc32(body));
+  w.PutU8(kTicketTableSection);
+  w.PutU32Array(snapshot.slot_generations);
+  w.PutU32Array(snapshot.free_slots);
+  w.PutI64(snapshot.slots_retired);
+  w.PutU8(kValueTotalsSection);
+  w.PutF64(snapshot.posted_value);
+  w.PutF64(snapshot.accepted_value);
+  w.PutU32(static_cast<uint32_t>(snapshot.pending.size()));
+  for (const PendingTicketState& p : snapshot.pending) w.PutF64(p.posted_price);
+  w.PutU32(Crc32(w.EndLength(body)));
   return out;
 }
 
 Status DecodeSessionSnapshot(std::string_view bytes, SessionSnapshot* out) {
   if (out == nullptr) return Status::InvalidArgument("null snapshot output");
-  if (bytes.size() >= sizeof kMagicV2 &&
-      std::memcmp(bytes.data(), kMagicV2, sizeof kMagicV2) == 0) {
-    std::string_view body;
-    Status unwrapped = UnwrapV2Envelope(bytes, &body);
-    if (!unwrapped.ok()) return unwrapped;
-    // The checksummed body is a complete v1 document; recursion terminates
-    // because each envelope level strips at least its header and trailer.
-    return DecodeSessionSnapshot(body, out);
-  }
-  Reader reader(bytes);
-  char magic[8];
-  if (!reader.GetBytes(magic, sizeof magic) ||
+  ByteReader envelope(bytes);
+  char magic[sizeof kMagic] = {};
+  if (!envelope.GetBytes(magic, sizeof magic) ||
       std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     return Status::InvalidArgument("not a pdm.snap document (bad magic)");
   }
-  uint32_t version;
-  if (!reader.GetU32(&version)) return Status::InvalidArgument("truncated header");
+  // Envelope damage (truncation, padding, checksum mismatch) is DataLoss —
+  // the bytes are provably not what the encoder wrote — while a foreign
+  // version number is InvalidArgument like any other unsupported document.
+  uint32_t version = 0;
+  if (!envelope.GetU32(&version) || envelope.remaining() < 2 * sizeof(uint32_t)) {
+    return Status::DataLoss("truncated pdm.snap envelope");
+  }
   if (version != kVersion) {
     return Status::InvalidArgument("unsupported pdm.snap version " +
                                    std::to_string(version));
   }
-
+  // The size-prefixed body reads like a string; the CRC must end the bytes.
+  std::string_view body;
+  uint32_t crc = 0;
+  if (!envelope.GetString(&body) || !envelope.GetU32(&crc) || !envelope.AtEnd()) {
+    return Status::DataLoss(
+        "pdm.snap envelope size mismatch (truncated or padded spill)");
+  }
+  if (Crc32(body) != crc) return Status::DataLoss("pdm.snap checksum mismatch");
   SessionSnapshot snap;
-  EngineSnapshot& e = snap.engine;
-  int32_t dim, rows, cols, cuts;
-  if (!reader.GetString(&snap.product) || !reader.GetString(&e.engine) ||
-      !reader.GetI32(&dim) || !reader.GetF64(&e.epsilon) || !reader.GetF64(&e.delta) ||
-      !reader.GetVector(&e.center) || !reader.GetI32(&rows) || !reader.GetI32(&cols)) {
-    return Status::InvalidArgument("truncated engine state");
-  }
-  if (dim < 0 || rows < 0 || cols < 0 ||
-      static_cast<uint64_t>(rows) * static_cast<uint64_t>(cols) >
-          bytes.size() / sizeof(double)) {
-    return Status::InvalidArgument("implausible engine geometry");
-  }
-  e.dim = dim;
-  e.shape = Matrix(rows, cols);
-  for (int r = 0; r < rows; ++r) {
-    for (int c = 0; c < cols; ++c) {
-      double v;
-      if (!reader.GetF64(&v)) return Status::InvalidArgument("truncated shape matrix");
-      e.shape(r, c) = v;
-    }
-  }
-  if (!reader.GetI32(&cuts) || !reader.GetF64(&e.lo) || !reader.GetF64(&e.hi) ||
-      !reader.GetCounters(&e.counters)) {
-    return Status::InvalidArgument("truncated engine state");
-  }
-  e.cuts_since_symmetrize = cuts;
-
-  uint32_t pending_count;
-  if (!reader.GetI64(&snap.quotes_issued) || !reader.GetI64(&snap.feedback_received) ||
-      !reader.GetU32(&pending_count)) {
-    return Status::InvalidArgument("truncated session state");
-  }
-  // Each pending entry is ≥ 53 bytes; reject counts the payload can't hold.
-  if (pending_count > bytes.size() / 53) {
-    return Status::InvalidArgument("implausible pending-ticket count");
-  }
-  snap.pending.resize(pending_count);
-  for (PendingTicketState& p : snap.pending) {
-    uint8_t wrapped_skip;
-    if (!reader.GetU64(&p.ticket) || !reader.GetI32(&p.cut.kind) ||
-        !reader.GetF64(&p.cut.price) || !reader.GetF64(&p.cut.x) ||
-        !reader.GetU8(&wrapped_skip) || !reader.GetF64(&p.cut.support.lower) ||
-        !reader.GetF64(&p.cut.support.upper) ||
-        !reader.GetF64(&p.cut.support.half_width) ||
-        !reader.GetF64(&p.cut.support.midpoint) ||
-        !reader.GetVector(&p.cut.support.direction)) {
-      return Status::InvalidArgument("truncated pending ticket");
-    }
-    p.cut.wrapped_skip = wrapped_skip != 0;
-  }
-  // Optional tagged trailing sections, strictly increasing by tag:
-  // end-of-bytes means a legacy blob without them (Restore then rebuilds a
-  // minimal slot table and resumes value totals at zero).
-  uint8_t last_tag = 0;
-  while (!reader.AtEnd()) {
-    uint8_t tag;
-    if (!reader.GetU8(&tag) || tag <= last_tag || tag > 2) {
-      return Status::InvalidArgument("unknown trailing section in snapshot");
-    }
-    last_tag = tag;
-    if (tag == 1) {
-      if (!reader.GetU32Array(&snap.slot_generations) ||
-          !reader.GetU32Array(&snap.free_slots) ||
-          !reader.GetI64(&snap.slots_retired)) {
-        return Status::InvalidArgument("truncated ticket-table section");
-      }
-      snap.has_ticket_table = true;
-    } else {  // tag == 2: value accounting
-      uint32_t price_count;
-      if (!reader.GetF64(&snap.posted_value) ||
-          !reader.GetF64(&snap.accepted_value) ||
-          !reader.GetU32(&price_count)) {
-        return Status::InvalidArgument("truncated value-accounting section");
-      }
-      if (price_count != pending_count) {
-        return Status::InvalidArgument(
-            "value-accounting section does not match the pending table");
-      }
-      snap.pending_prices.resize(price_count);
-      for (double& price : snap.pending_prices) {
-        if (!reader.GetF64(&price)) {
-          return Status::InvalidArgument("truncated value-accounting section");
-        }
-      }
-      snap.has_value_totals = true;
-    }
-  }
+  Status decoded = DecodeBody(body, &snap);
+  if (!decoded.ok()) return decoded;
   *out = std::move(snap);
   return Status::Ok();
 }

@@ -10,24 +10,32 @@
 #include "pricing/engine_state.h"
 
 /// \file
-/// Serialized session state for checkpoint and migration (DESIGN.md §9).
+/// Serialized session state for checkpoint, migration and the cold tier
+/// (DESIGN.md §9, §12, §14).
 ///
 /// A `SessionSnapshot` is everything a `PricingSession` needs to resume
 /// exactly where it left off: the engine's knowledge set and counters
-/// (`EngineSnapshot`), the session-level counters, and every quote still
-/// awaiting feedback (ticket id plus its posting-time cut context).
-/// `EncodeSessionSnapshot`/`DecodeSessionSnapshot`
-/// give it a stable byte representation — format `pdm.snap.v1`, a
-/// little-endian binary layout with length-prefixed strings and doubles
-/// stored as raw IEEE-754 bit patterns, so a decode → encode round trip is
-/// byte-identical and a restored engine is *bit*-identical (no decimal
-/// round-tripping anywhere).
+/// (`EngineSnapshot`), the session-level counters, every quote still
+/// awaiting feedback (ticket id, posted price, posting-time cut context),
+/// the ticket-slot allocator, and the value totals.
+/// `EncodeSessionSnapshot`/`DecodeSessionSnapshot` give it one byte format,
+/// `pdm.snap`: a checksummed envelope (magic `PDMSNAP2`, u32 version, u32
+/// body size, body, u32 CRC-32 of the body) around a body written with the
+/// shared byte codec (common/byte_codec.h). Doubles travel as raw IEEE-754
+/// bit patterns, so a decode → encode round trip is byte-identical and a
+/// restored engine is *bit*-identical (no decimal round-tripping anywhere).
+/// The same bytes serve checkpoints and on-disk spills: a torn write or bit
+/// flip fails decode with DataLoss instead of restoring a silently wrong
+/// knowledge set.
 
 namespace pdm::broker {
 
 /// One quote awaiting feedback at snapshot time.
 struct PendingTicketState {
   uint64_t ticket = 0;
+  /// Value-space posted price, the regret-proxy input (DESIGN.md §13).
+  /// `cut.price` cannot stand in for it: wrapped engines store link space.
+  double posted_price = 0.0;
   PendingCut cut;
 };
 
@@ -44,48 +52,32 @@ struct SessionSnapshot {
   /// different base requires draining feedback first (see
   /// PricingSession::Restore).
   std::vector<PendingTicketState> pending;
-  /// Optional ticket-slot allocator state. When present (every snapshot a
-  /// `PricingSession` produces carries it), Restore reproduces the slot
-  /// table exactly — free-slot generations, recycle-stack order, retired
-  /// count — so a restored session issues *bit-identical* future tickets to
-  /// the uninterrupted original (the cold-tier eviction contract,
-  /// DESIGN.md §12). Absent in legacy `pdm.snap.v1` blobs without the
-  /// trailing section; Restore then rebuilds a minimal table (prices stay
-  /// bit-identical, ticket ids may differ). For slots holding a pending
-  /// ticket the ticket's own generation bits stay authoritative —
-  /// `slot_generations` matters for the free and retired slots the pending
-  /// list cannot describe.
-  bool has_ticket_table = false;
+  /// Ticket-slot allocator state. Restore reproduces the slot table exactly
+  /// — free-slot generations, recycle-stack order, retired count — so a
+  /// restored session issues *bit-identical* future tickets to the
+  /// uninterrupted original (the cold-tier eviction contract, DESIGN.md
+  /// §12). For slots holding a pending ticket the ticket's own generation
+  /// bits stay authoritative — `slot_generations` matters for the free and
+  /// retired slots the pending list cannot describe.
   /// Per-slot generation, index-aligned with the session's slot table.
   std::vector<uint32_t> slot_generations;
   /// The recycle stack (indices into the slot table), bottom first.
   std::vector<uint32_t> free_slots;
   /// Slots permanently retired at the generation bound.
   int64_t slots_retired = 0;
-  /// Optional value-accounting section (the regret-proxy inputs, DESIGN.md
-  /// §13): cumulative value-space posted/accepted totals plus each pending
-  /// ticket's posted price, index-aligned with `pending`. Absent in blobs
-  /// written before the metrics layer existed; Restore then resumes the
-  /// totals at zero (prices and tickets are unaffected).
-  bool has_value_totals = false;
+  /// Cumulative value-space posted/accepted totals (the regret-proxy
+  /// inputs, DESIGN.md §13).
   double posted_value = 0.0;
   double accepted_value = 0.0;
-  std::vector<double> pending_prices;
 };
 
-/// Serializes to the versioned `pdm.snap.v1` byte format.
+/// Serializes to the `pdm.snap` byte format.
 std::string EncodeSessionSnapshot(const SessionSnapshot& snapshot);
 
-/// Serializes to `pdm.snap.v2`: the v1 bytes wrapped in a checksummed
-/// envelope (magic, u32 version, u32 body size, body, u32 CRC-32 trailer).
-/// This is the on-disk spill format (DESIGN.md §14) — a torn write or bit
-/// flip fails decode with DataLoss instead of restoring a silently wrong
-/// knowledge set.
-std::string EncodeSessionSnapshotV2(const SessionSnapshot& snapshot);
-
-/// Parses bytes produced by either encoder (any supported version).
-/// Returns InvalidArgument on a malformed or truncated v1 document, and
-/// DataLoss when a v2 envelope is truncated, padded, or fails its checksum.
+/// Parses bytes produced by EncodeSessionSnapshot. Errors: InvalidArgument
+/// for a bad magic, an unsupported version, or a structurally bad body
+/// inside an intact envelope; DataLoss when the envelope is truncated,
+/// padded, or fails its checksum.
 Status DecodeSessionSnapshot(std::string_view bytes, SessionSnapshot* out);
 
 }  // namespace pdm::broker

@@ -7,7 +7,7 @@
 
 /// \file
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-/// behind the pdm.snap.v2 envelope (DESIGN.md §14). Table-driven, one byte
+/// behind the pdm.snap envelope (DESIGN.md §14). Table-driven, one byte
 /// per step; spill blobs are megabytes at most and written on the cold
 /// eviction path, so simplicity beats a slice-by-8 kernel here.
 

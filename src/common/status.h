@@ -49,7 +49,9 @@ enum class StatusCode {
 /// Human-readable code name ("ok", "not-found", ...).
 const char* StatusCodeName(StatusCode code);
 
-class Status {
+/// `[[nodiscard]]`: dropping a returned Status silently discards an error,
+/// and the build treats that as an error (-Werror=unused-result).
+class [[nodiscard]] Status {
  public:
   /// Default-constructed Status is OK; no allocation.
   Status() = default;

@@ -83,7 +83,7 @@ class Ellipsoid {
   /// The shape matrix as a dense copy in either mode. In packed mode the
   /// mirror is exact (both triangles are the same stored doubles), so
   /// packed → dense → packed round trips bit-identically — the property the
-  /// snapshot codec leans on (`pdm.snap.v1` stores shapes dense; a packed
+  /// snapshot codec leans on (`pdm.snap` stores shapes dense; a packed
   /// engine re-encodes byte-exactly, DESIGN.md §12).
   Matrix DenseShape() const;
   /// xᵀ·A·x without materializing A·x, in either storage mode

@@ -1,14 +1,15 @@
-// Prometheus text exposition rendering and the pdm.metrics.v1 binary dump
-// codec. The codec lives here (not in server/wire.h) because the metrics
-// layer sits below the server: the server frames the dump as an opaque
-// string, and `server::Client` hands the bytes back to DecodeMetricsDump.
+// Prometheus text exposition rendering and the pdm.metrics.v1 binary dump,
+// written and read with the shared byte codec (common/byte_codec.h). The
+// dump lives here (not in server/) because the metrics layer sits below the
+// server: the server frames the dump as an opaque string, and
+// `server::Client` hands the bytes back to DecodeMetricsDump.
 
-#include <bit>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 
+#include "common/byte_codec.h"
 #include "metrics/metrics.h"
 
 namespace pdm::metrics {
@@ -90,68 +91,6 @@ void AppendU64(uint64_t v, std::string* out) {
 
 constexpr char kDumpMagic[8] = {'P', 'D', 'M', 'M', 'E', 'T', 'R', '1'};
 constexpr uint32_t kDumpVersion = 1;
-
-void PutU8(uint8_t v, std::string* out) {
-  out->push_back(static_cast<char>(v));
-}
-
-void PutU32(uint32_t v, std::string* out) {
-  for (int i = 0; i < 4; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)), out);
-}
-
-void PutU64(uint64_t v, std::string* out) {
-  for (int i = 0; i < 8; ++i) PutU8(static_cast<uint8_t>(v >> (8 * i)), out);
-}
-
-void PutString(std::string_view s, std::string* out) {
-  PutU32(static_cast<uint32_t>(s.size()), out);
-  out->append(s);
-}
-
-class DumpReader {
- public:
-  explicit DumpReader(std::string_view bytes) : data_(bytes) {}
-
-  bool GetU8(uint8_t* v) {
-    if (pos_ + 1 > data_.size()) return false;
-    *v = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool GetU32(uint32_t* v) {
-    if (pos_ + 4 > data_.size()) return false;
-    uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<uint32_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-  bool GetU64(uint64_t* v) {
-    if (pos_ + 8 > data_.size()) return false;
-    uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<uint64_t>(static_cast<uint8_t>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-  bool GetString(std::string* s) {
-    uint32_t size = 0;
-    if (!GetU32(&size) || pos_ + size > data_.size()) return false;
-    s->assign(data_.substr(pos_, size));
-    pos_ += size;
-    return true;
-  }
-  bool AtEnd() const { return pos_ == data_.size(); }
-
- private:
-  std::string_view data_;
-  size_t pos_ = 0;
-};
 
 }  // namespace
 
@@ -257,29 +196,27 @@ std::string MetricRegistry::EncodeDump() const {
   std::lock_guard<std::mutex> lock(mu_);
   RunCollectorsLocked();
   std::string out;
-  out.append(kDumpMagic, sizeof(kDumpMagic));
-  PutU32(kDumpVersion, &out);
-  PutU32(static_cast<uint32_t>(families_.size()), &out);
+  ByteWriter w(&out);
+  w.PutBytes(kDumpMagic, sizeof(kDumpMagic));
+  w.PutU32(kDumpVersion);
+  w.PutU32(static_cast<uint32_t>(families_.size()));
   for (const Family& family : families_) {
-    PutString(family.name, &out);
-    PutString(family.help, &out);
-    PutU8(static_cast<uint8_t>(family.type), &out);
-    PutU32(static_cast<uint32_t>(family.instruments.size()), &out);
+    w.PutString(family.name);
+    w.PutString(family.help);
+    w.PutU8(static_cast<uint8_t>(family.type));
+    w.PutU32(static_cast<uint32_t>(family.instruments.size()));
     for (const Instrument& instrument : family.instruments) {
-      PutU32(static_cast<uint32_t>(instrument.labels.size()), &out);
+      w.PutU32(static_cast<uint32_t>(instrument.labels.size()));
       for (const Label& label : instrument.labels) {
-        PutString(label.name, &out);
-        PutString(label.value, &out);
+        w.PutString(label.name);
+        w.PutString(label.value);
       }
       switch (family.type) {
         case InstrumentType::kCounter:
-          PutU64(instrument.counter->value.load(std::memory_order_relaxed),
-                 &out);
+          w.PutU64(instrument.counter->value.load(std::memory_order_relaxed));
           break;
         case InstrumentType::kGauge:
-          PutU64(std::bit_cast<uint64_t>(instrument.gauge->value.load(
-                     std::memory_order_relaxed)),
-                 &out);
+          w.PutF64(instrument.gauge->value.load(std::memory_order_relaxed));
           break;
         case InstrumentType::kHistogram: {
           const HistogramCell* cell = instrument.histogram;
@@ -287,19 +224,20 @@ std::string MetricRegistry::EncodeDump() const {
           // count so count == sum of buckets in the decoded dump.
           uint64_t total = 0;
           std::string pairs;
+          ByteWriter pw(&pairs);
           uint32_t nonzero = 0;
           for (size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
             uint64_t b = cell->buckets[i].load(std::memory_order_relaxed);
             if (b == 0) continue;
-            PutU32(static_cast<uint32_t>(i), &pairs);
-            PutU64(b, &pairs);
+            pw.PutU32(static_cast<uint32_t>(i));
+            pw.PutU64(b);
             total += b;
             ++nonzero;
           }
-          PutU64(total, &out);
-          PutU64(cell->sum.load(std::memory_order_relaxed), &out);
-          PutU32(nonzero, &out);
-          out.append(pairs);
+          w.PutU64(total);
+          w.PutU64(cell->sum.load(std::memory_order_relaxed));
+          w.PutU32(nonzero);
+          w.PutBytes(pairs.data(), pairs.size());
           break;
         }
       }
@@ -310,13 +248,12 @@ std::string MetricRegistry::EncodeDump() const {
 
 Status DecodeMetricsDump(std::string_view bytes, MetricsDump* out) {
   out->instruments.clear();
-  DumpReader reader(bytes);
-  if (bytes.size() < sizeof(kDumpMagic) ||
-      std::memcmp(bytes.data(), kDumpMagic, sizeof(kDumpMagic)) != 0) {
+  ByteReader reader(bytes);
+  char magic[sizeof(kDumpMagic)] = {};
+  if (!reader.GetBytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kDumpMagic, sizeof(kDumpMagic)) != 0) {
     return Status::InvalidArgument("metrics dump: bad magic");
   }
-  uint8_t skip;
-  for (size_t i = 0; i < sizeof(kDumpMagic); ++i) reader.GetU8(&skip);
   uint32_t version = 0;
   if (!reader.GetU32(&version) || version != kDumpVersion) {
     return Status::InvalidArgument("metrics dump: unsupported version");
@@ -356,14 +293,11 @@ Status DecodeMetricsDump(std::string_view bytes, MetricsDump* out) {
             return Status::InvalidArgument("metrics dump: truncated counter");
           }
           break;
-        case InstrumentType::kGauge: {
-          uint64_t bits = 0;
-          if (!reader.GetU64(&bits)) {
+        case InstrumentType::kGauge:
+          if (!reader.GetF64(&instrument.gauge)) {
             return Status::InvalidArgument("metrics dump: truncated gauge");
           }
-          instrument.gauge = std::bit_cast<double>(bits);
           break;
-        }
         case InstrumentType::kHistogram: {
           uint64_t count = 0;
           uint32_t n_buckets = 0;

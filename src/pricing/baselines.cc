@@ -28,6 +28,10 @@ void ReservePriceBaseline::ObserveDetached(const PendingCut& cut, bool accepted)
   (void)accepted;  // the baseline never learns
 }
 
+bool ReservePriceBaseline::AcceptsCut(const PendingCut& cut) const {
+  return cut.kind == 1 && !cut.wrapped_skip;
+}
+
 ValueInterval ReservePriceBaseline::EstimateValueInterval(const Vector& features) const {
   (void)features;
   return ValueInterval{-std::numeric_limits<double>::infinity(),

@@ -28,6 +28,8 @@ class ReservePriceBaseline : public PricingEngine {
   void PostPriceBatch(const double* panel, int k, const double* reserves,
                       PostedPrice* posted, PendingCut* const* cuts) override;
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
+  /// Kind 1 only, never `wrapped_skip`.
+  bool AcceptsCut(const PendingCut& cut) const override;
   bool SaveSnapshot(EngineSnapshot* out) const override;
   bool LoadSnapshot(const EngineSnapshot& snapshot) override;
 

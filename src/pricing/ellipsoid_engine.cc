@@ -144,6 +144,14 @@ void EllipsoidPricingEngine::ObserveDetached(const PendingCut& cut, bool accepte
   }
 }
 
+bool EllipsoidPricingEngine::AcceptsCut(const PendingCut& cut) const {
+  const bool issued_kind = cut.kind >= static_cast<int>(PendingKind::kExploratory) &&
+                           cut.kind <= static_cast<int>(PendingKind::kSkip);
+  return issued_kind && !cut.wrapped_skip &&
+         (!(cut.support.half_width > 0.0) ||
+          static_cast<int>(cut.support.direction.size()) == config_.dim);
+}
+
 bool EllipsoidPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
   out->engine = "ellipsoid";

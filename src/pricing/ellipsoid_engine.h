@@ -79,6 +79,9 @@ class EllipsoidPricingEngine : public PricingEngine {
                       PostedPrice* posted, PendingCut* const* cuts) override;
   /// Cuts the knowledge set with the round's posting-time support and price.
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
+  /// Kinds 1–3, never `wrapped_skip`, and a support direction of length
+  /// dim() whenever the probe was not degenerate (half_width > 0).
+  bool AcceptsCut(const PendingCut& cut) const override;
 
   /// Snapshots carry the full ellipsoid state (center, shape,
   /// symmetrization phase) plus counters.

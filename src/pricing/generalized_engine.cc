@@ -103,6 +103,10 @@ void GeneralizedPricingEngine::ObserveDetached(const PendingCut& cut, bool accep
   base_->ObserveDetached(cut, accepted);
 }
 
+bool GeneralizedPricingEngine::AcceptsCut(const PendingCut& cut) const {
+  return cut.wrapped_skip ? cut.kind == 0 : base_->AcceptsCut(cut);
+}
+
 bool GeneralizedPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
   if (!base_->SaveSnapshot(out)) return false;

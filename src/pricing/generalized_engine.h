@@ -49,6 +49,9 @@ class GeneralizedPricingEngine : public PricingEngine {
   void PostPriceBatch(const double* panel, int k, const double* reserves,
                       PostedPrice* posted, PendingCut* const* cuts) override;
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
+  /// A link-range skip (`wrapped_skip`, kind 0) is the wrapper's own cut;
+  /// anything else must suit the base engine.
+  bool AcceptsCut(const PendingCut& cut) const override;
 
   /// The base engine's snapshot, re-tagged "generalized(<base>)" — the
   /// wrapper itself holds no persistent state.

@@ -108,6 +108,11 @@ void IntervalPricingEngine::ObserveDetached(const PendingCut& cut, bool accepted
   }
 }
 
+bool IntervalPricingEngine::AcceptsCut(const PendingCut& cut) const {
+  return cut.kind >= static_cast<int>(PendingKind::kExploratory) &&
+         cut.kind <= static_cast<int>(PendingKind::kSkip) && !cut.wrapped_skip;
+}
+
 bool IntervalPricingEngine::SaveSnapshot(EngineSnapshot* out) const {
   PDM_CHECK(out != nullptr);
   out->engine = "interval";

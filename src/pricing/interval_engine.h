@@ -49,6 +49,8 @@ class IntervalPricingEngine : public PricingEngine {
   void PostPriceBatch(const double* panel, int k, const double* reserves,
                       PostedPrice* posted, PendingCut* const* cuts) override;
   void ObserveDetached(const PendingCut& cut, bool accepted) override;
+  /// Kinds 1–3, never `wrapped_skip`.
+  bool AcceptsCut(const PendingCut& cut) const override;
   bool SaveSnapshot(EngineSnapshot* out) const override;
   bool LoadSnapshot(const EngineSnapshot& snapshot) override;
 

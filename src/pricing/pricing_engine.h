@@ -99,6 +99,13 @@ class PricingEngine {
   /// support (see DESIGN.md §9 for the semantics under delayed feedback).
   virtual void ObserveDetached(const PendingCut& cut, bool accepted) = 0;
 
+  /// True when ObserveDetached can apply `cut`: a kind this engine issues,
+  /// shaped for its dimension. Cut contexts from PostPriceBatch always
+  /// qualify; this vets the ones that arrive from elsewhere (a restored
+  /// snapshot), so a corrupt or foreign context is refused with a Status
+  /// instead of aborting inside ObserveDetached.
+  virtual bool AcceptsCut(const PendingCut& cut) const = 0;
+
   /// True when PostPriceBatch prices the whole panel in one kernel pass
   /// (rather than query by query), i.e. when batching pays.
   virtual bool SupportsBatchedQuotes() const { return false; }

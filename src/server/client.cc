@@ -18,11 +18,6 @@ using pdm::broker::HandleRequest;
 using pdm::broker::ProductHandle;
 using pdm::broker::Quote;
 
-void PutFeatures(WireWriter* w, std::span<const double> features) {
-  w->PutU32(static_cast<uint32_t>(features.size()));
-  for (double v : features) w->PutF64(v);
-}
-
 /// splitmix64 step: the backoff jitter stream.
 uint64_t NextRandom(uint64_t* state) {
   uint64_t z = (*state += 0x9e3779b97f4a7c15ULL);
@@ -81,34 +76,34 @@ void Client::BackoffSleep() {
 uint64_t Client::QueuePostPrice(ProductHandle handle, std::span<const double> features,
                                 double reserve) {
   uint64_t id = NextId();
-  WireWriter w(&queued_);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(Opcode::kPostPrice, id);
+  ByteWriter w(&queued_);
+  size_t frame = w.BeginLength();
+  PutRequestHeader(&w, Opcode::kPostPrice, id);
   w.PutU32(handle.index);
   w.PutU32(handle.generation);
   w.PutF64(reserve);
-  PutFeatures(&w, features);
-  w.EndFrame(frame);
+  w.PutF64Array(features);
+  w.EndLength(frame);
   return id;
 }
 
 uint64_t Client::QueueObserve(uint64_t ticket, bool accepted) {
   uint64_t id = NextId();
-  WireWriter w(&queued_);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(Opcode::kObserve, id);
+  ByteWriter w(&queued_);
+  size_t frame = w.BeginLength();
+  PutRequestHeader(&w, Opcode::kObserve, id);
   w.PutU64(ticket);
   w.PutU8(accepted ? 1 : 0);
-  w.EndFrame(frame);
+  w.EndLength(frame);
   return id;
 }
 
 uint64_t Client::QueuePing() {
   uint64_t id = NextId();
-  WireWriter w(&queued_);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(Opcode::kPing, id);
-  w.EndFrame(frame);
+  ByteWriter w(&queued_);
+  size_t frame = w.BeginLength();
+  PutRequestHeader(&w, Opcode::kPing, id);
+  w.EndLength(frame);
   return id;
 }
 
@@ -195,7 +190,7 @@ Status Client::ReadResponse(Response* out) {
   Status s = ReadFrame(&payload);
   if (!s.ok()) return s;
 
-  WireReader r(payload);
+  ByteReader r(payload);
   uint8_t op_byte, code_byte;
   if (!r.GetU8(&op_byte) || !r.GetU64(&out->id) || !r.GetU8(&code_byte)) {
     return Status::FailedPrecondition("truncated response header");
@@ -335,10 +330,10 @@ Status Client::Transact(bool idempotent, std::string_view frame, Response* resp)
 Status Client::Ping() {
   std::string frame;
   {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kPing, NextId());
-    w.EndFrame(f);
+    ByteWriter w(&frame);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kPing, NextId());
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
@@ -349,11 +344,11 @@ Status Client::Ping() {
 Status Client::Resolve(std::string_view product, ProductHandle* handle) {
   std::string frame;
   {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kResolve, NextId());
+    ByteWriter w(&frame);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kResolve, NextId());
     w.PutString(product);
-    w.EndFrame(f);
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
@@ -366,14 +361,14 @@ Status Client::PostPrice(ProductHandle handle, std::span<const double> features,
                          double reserve, Quote* quote) {
   std::string frame;
   {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kPostPrice, NextId());
+    ByteWriter w(&frame);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kPostPrice, NextId());
     w.PutU32(handle.index);
     w.PutU32(handle.generation);
     w.PutF64(reserve);
-    PutFeatures(&w, features);
-    w.EndFrame(f);
+    w.PutF64Array(features);
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/false, frame, &resp);
@@ -391,12 +386,12 @@ Status Client::PostPrice(ProductHandle handle, std::span<const double> features,
 Status Client::Observe(uint64_t ticket, bool accepted) {
   std::string frame;
   {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kObserve, NextId());
+    ByteWriter w(&frame);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kObserve, NextId());
     w.PutU64(ticket);
     w.PutU8(accepted ? 1 : 0);
-    w.EndFrame(f);
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/false, frame, &resp);
@@ -407,10 +402,10 @@ Status Client::Observe(uint64_t ticket, bool accepted) {
 Status Client::GetMetrics(metrics::MetricsDump* out) {
   std::string frame;
   {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kGetMetrics, NextId());
-    w.EndFrame(f);
+    ByteWriter w(&frame);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kGetMetrics, NextId());
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
@@ -423,13 +418,13 @@ Status Client::EstimateValue(ProductHandle handle, std::span<const double> featu
                              ValueInterval* out) {
   std::string frame;
   {
-    WireWriter w(&frame);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kEstimateValue, NextId());
+    ByteWriter w(&frame);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kEstimateValue, NextId());
     w.PutU32(handle.index);
     w.PutU32(handle.generation);
-    PutFeatures(&w, features);
-    w.EndFrame(f);
+    w.PutF64Array(features);
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/true, frame, &resp);
@@ -445,17 +440,17 @@ Status Client::PostPrices(std::span<const HandleRequest> requests,
   }
   std::string frame_bytes;
   {
-    WireWriter w(&frame_bytes);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kPostPrices, NextId());
+    ByteWriter w(&frame_bytes);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kPostPrices, NextId());
     w.PutU32(static_cast<uint32_t>(requests.size()));
     for (const HandleRequest& req : requests) {
       w.PutU32(req.handle.index);
       w.PutU32(req.handle.generation);
       w.PutF64(req.reserve);
-      PutFeatures(&w, req.features);
+      w.PutF64Array(req.features);
     }
-    w.EndFrame(f);
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/false, frame_bytes, &resp);
@@ -473,15 +468,15 @@ Status Client::Observes(std::span<const FeedbackRequest> feedback,
   }
   std::string frame_bytes;
   {
-    WireWriter w(&frame_bytes);
-    size_t f = w.BeginFrame();
-    w.PutRequestHeader(Opcode::kObserves, NextId());
+    ByteWriter w(&frame_bytes);
+    size_t f = w.BeginLength();
+    PutRequestHeader(&w, Opcode::kObserves, NextId());
     w.PutU32(static_cast<uint32_t>(feedback.size()));
     for (const FeedbackRequest& fb : feedback) {
       w.PutU64(fb.ticket);
       w.PutU8(fb.accepted ? 1 : 0);
     }
-    w.EndFrame(f);
+    w.EndLength(f);
   }
   Response resp;
   Status s = Transact(/*idempotent=*/false, frame_bytes, &resp);

@@ -37,22 +37,22 @@ uint8_t QuoteFlags(const Quote& q) {
 /// Single-op error response: header + message string.
 void WriteError(std::string* out, Opcode op, uint64_t id, StatusCode code,
                 std::string_view message) {
-  WireWriter w(out);
-  size_t frame = w.BeginFrame();
-  w.PutResponseHeader(op, id, code);
+  ByteWriter w(out);
+  size_t frame = w.BeginLength();
+  PutResponseHeader(&w, op, id, code);
   w.PutString(message);
-  w.EndFrame(frame);
+  w.EndLength(frame);
 }
 
 /// Single kPostPrice OK response.
 void WriteQuote(std::string* out, uint64_t id, const Quote& q) {
-  WireWriter w(out);
-  size_t frame = w.BeginFrame();
-  w.PutResponseHeader(Opcode::kPostPrice, id, StatusCode::kOk);
+  ByteWriter w(out);
+  size_t frame = w.BeginLength();
+  PutResponseHeader(&w, Opcode::kPostPrice, id, StatusCode::kOk);
   w.PutU64(q.ticket);
   w.PutF64(q.price);
   w.PutU8(QuoteFlags(q));
-  w.EndFrame(frame);
+  w.EndLength(frame);
 }
 
 /// Decoded single price request (the coalescable op). `features` indexes
@@ -67,7 +67,7 @@ struct PriceFrame {
 
 /// Decodes the body of one kPostPrice request, appending features to
 /// `*scratch`. False on a malformed body.
-bool DecodePriceBody(WireReader* r, std::vector<double>* scratch, PriceFrame* out) {
+bool DecodePriceBody(ByteReader* r, std::vector<double>* scratch, PriceFrame* out) {
   uint32_t n;
   if (!r->GetU32(&out->handle.index)) return false;
   if (!r->GetU32(&out->handle.generation)) return false;
@@ -97,7 +97,7 @@ struct ObserveFrame {
   FeedbackRequest feedback;
 };
 
-bool DecodeObserveBody(WireReader* r, ObserveFrame* out) {
+bool DecodeObserveBody(ByteReader* r, ObserveFrame* out) {
   uint8_t accepted;
   if (!r->GetU64(&out->feedback.ticket)) return false;
   if (!r->GetU8(&accepted)) return false;
@@ -512,7 +512,7 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
     const bool over_inflight =
         config_.max_inflight_frames != 0 && at >= config_.max_inflight_frames;
     if (over_backlog || over_inflight) {
-      WireReader r(frames[at]);
+      ByteReader r(frames[at]);
       uint8_t op = 0;
       uint64_t id = 0;
       r.GetU8(&op);
@@ -560,7 +560,7 @@ size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>
     size_t taken = at;
     while (taken < frames.size() && frames[taken].size() >= kHeaderBytes &&
            static_cast<uint8_t>(frames[taken][0]) == op) {
-      WireReader r(frames[taken]);
+      ByteReader r(frames[taken]);
       uint8_t opcode;
       PriceFrame pf;
       r.GetU8(&opcode);
@@ -596,7 +596,7 @@ size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>
     size_t taken = at;
     while (taken < frames.size() && frames[taken].size() >= kHeaderBytes &&
            static_cast<uint8_t>(frames[taken][0]) == op) {
-      WireReader r(frames[taken]);
+      ByteReader r(frames[taken]);
       uint8_t opcode;
       ObserveFrame of;
       r.GetU8(&opcode);
@@ -613,10 +613,10 @@ size_t TcpServer::ServeRun(Connection* conn, const std::vector<std::string_view>
       const Status status = broker_->Observes(b.feedback, b.codes);
       for (size_t i = 0; i < n; ++i) {
         if (b.codes[i] == StatusCode::kOk) {
-          WireWriter w(&conn->out);
-          size_t frame = w.BeginFrame();
-          w.PutResponseHeader(Opcode::kObserve, b.observes[i].id, StatusCode::kOk);
-          w.EndFrame(frame);
+          ByteWriter w(&conn->out);
+          size_t frame = w.BeginLength();
+          PutResponseHeader(&w, Opcode::kObserve, b.observes[i].id, StatusCode::kOk);
+          w.EndLength(frame);
         } else {
           WriteError(&conn->out, Opcode::kObserve, b.observes[i].id, b.codes[i],
                      RunErrorMessage(n, status, b.codes[i]));
@@ -641,7 +641,7 @@ void TcpServer::CountRun(uint8_t op, size_t frames) {
 }
 
 void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
-  WireReader r(payload);
+  ByteReader r(payload);
   uint8_t op_byte = 0;
   uint64_t id = 0;
   r.GetU8(&op_byte);
@@ -663,20 +663,20 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
 
   switch (op) {
     case Opcode::kPing: {
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
-      w.EndFrame(frame);
+      ByteWriter w(out);
+      size_t frame = w.BeginLength();
+      PutResponseHeader(&w, op, id, StatusCode::kOk);
+      w.EndLength(frame);
       return;
     }
 
     case Opcode::kGetMetrics: {
       if (!r.AtEnd()) return malformed();
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
+      ByteWriter w(out);
+      size_t frame = w.BeginLength();
+      PutResponseHeader(&w, op, id, StatusCode::kOk);
       w.PutString(registry_->EncodeDump());
-      w.EndFrame(frame);
+      w.EndLength(frame);
       return;
     }
 
@@ -686,33 +686,31 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
       ProductHandle handle;
       Status s = broker_->Resolve(product, &handle);
       if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
+      ByteWriter w(out);
+      size_t frame = w.BeginLength();
+      PutResponseHeader(&w, op, id, StatusCode::kOk);
       w.PutU32(handle.index);
       w.PutU32(handle.generation);
-      w.EndFrame(frame);
+      w.EndLength(frame);
       return;
     }
 
     case Opcode::kEstimateValue: {
       ProductHandle handle;
-      uint32_t n;
+      std::vector<double> features;
       if (!r.GetU32(&handle.index) || !r.GetU32(&handle.generation) ||
-          !r.GetU32(&n) || r.remaining() != size_t{n} * 8) {
+          !r.GetF64Array(&features) || !r.AtEnd()) {
         return malformed();
       }
-      std::vector<double> features(n);
-      for (uint32_t i = 0; i < n; ++i) r.GetF64(&features[i]);
       ValueInterval interval;
       Status s = broker_->EstimateValue(handle, features, &interval);
       if (!s.ok()) return WriteError(out, op, id, s.code(), s.message());
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
-      w.PutResponseHeader(op, id, StatusCode::kOk);
+      ByteWriter w(out);
+      size_t frame = w.BeginLength();
+      PutResponseHeader(&w, op, id, StatusCode::kOk);
       w.PutF64(interval.lower);
       w.PutF64(interval.upper);
-      w.EndFrame(frame);
+      w.EndLength(frame);
       return;
     }
 
@@ -746,13 +744,13 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
         }
         if (ok && !r.AtEnd()) ok = false;
       }
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
+      ByteWriter w(out);
+      size_t frame = w.BeginLength();
       if (!ok) {
-        w.PutResponseHeader(op, id, StatusCode::kInvalidArgument);
+        PutResponseHeader(&w, op, id, StatusCode::kInvalidArgument);
         w.PutString("malformed batch body");
         w.PutU32(0);
-        w.EndFrame(frame);
+        w.EndLength(frame);
         return;
       }
       std::vector<HandleRequest> requests(items.size());
@@ -764,7 +762,7 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
             scratch.data() + items[i].features_at, items[i].features_len);
       }
       Status s = broker_->PostPrices(requests, quotes);
-      w.PutResponseHeader(op, id, s.code());
+      PutResponseHeader(&w, op, id, s.code());
       w.PutString(s.message());
       w.PutU32(static_cast<uint32_t>(quotes.size()));
       for (const Quote& q : quotes) {
@@ -773,7 +771,7 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
         w.PutU8(QuoteFlags(q));
         w.PutU8(StatusCodeToWire(q.status));
       }
-      w.EndFrame(frame);
+      w.EndLength(frame);
       return;
     }
 
@@ -791,22 +789,22 @@ void TcpServer::ServeFrame(Connection* conn, std::string_view payload) {
           feedback[i].accepted = accepted != 0;
         }
       }
-      WireWriter w(out);
-      size_t frame = w.BeginFrame();
+      ByteWriter w(out);
+      size_t frame = w.BeginLength();
       if (!ok) {
-        w.PutResponseHeader(op, id, StatusCode::kInvalidArgument);
+        PutResponseHeader(&w, op, id, StatusCode::kInvalidArgument);
         w.PutString("malformed batch body");
         w.PutU32(0);
-        w.EndFrame(frame);
+        w.EndLength(frame);
         return;
       }
       std::vector<StatusCode> codes(feedback.size());
       Status s = broker_->Observes(feedback, codes);
-      w.PutResponseHeader(op, id, s.code());
+      PutResponseHeader(&w, op, id, s.code());
       w.PutString(s.message());
       w.PutU32(static_cast<uint32_t>(codes.size()));
       for (StatusCode code : codes) w.PutU8(StatusCodeToWire(code));
-      w.EndFrame(frame);
+      w.EndLength(frame);
       return;
     }
 

@@ -18,11 +18,11 @@ StatusCode StatusCodeFromWire(uint8_t wire) {
 
 FrameResult NextFrame(std::string_view buffer, size_t offset,
                       std::string_view* payload, size_t* next_offset) {
-  if (buffer.size() - offset < kFrameHeaderBytes) return FrameResult::kNeedMore;
+  ByteReader r(buffer.substr(offset));
   uint32_t size;
-  std::memcpy(&size, buffer.data() + offset, sizeof size);
+  if (!r.GetU32(&size)) return FrameResult::kNeedMore;
   if (size > kMaxFramePayloadBytes) return FrameResult::kMalformed;
-  if (buffer.size() - offset - kFrameHeaderBytes < size) return FrameResult::kNeedMore;
+  if (r.remaining() < size) return FrameResult::kNeedMore;
   *payload = buffer.substr(offset + kFrameHeaderBytes, size);
   *next_offset = offset + kFrameHeaderBytes + size;
   return FrameResult::kFrame;

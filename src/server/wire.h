@@ -2,10 +2,9 @@
 #define PDM_SERVER_WIRE_H_
 
 #include <cstdint>
-#include <cstring>
-#include <string>
 #include <string_view>
 
+#include "common/byte_codec.h"
 #include "common/status.h"
 
 /// \file
@@ -20,15 +19,15 @@
 /// pipeline arbitrarily and match responses out of a single read stream.
 /// The server answers frames of one connection strictly in arrival order.
 ///
-/// Like `pdm.snap.v1`, the layout is little-endian with doubles as raw
-/// IEEE-754 bit patterns — a quote decoded from the wire is *bit*-identical
-/// to the quote the broker produced, which is what makes the loopback replay
-/// test's bit-identity pin possible (tests/server_test.cc).
-///
-/// This header holds the shared low-level codec (bounds-checked reader,
-/// appending writer, frame splitting); the server and client assemble the
-/// actual op payloads from these primitives so there is exactly one encoding
-/// of each primitive on both sides.
+/// Payloads are written and read with the shared byte codec
+/// (common/byte_codec.h): little-endian integers, doubles as raw IEEE-754
+/// bit patterns — a quote decoded from the wire is *bit*-identical to the
+/// quote the broker produced, which is what makes the loopback replay test's
+/// bit-identity pin possible (tests/server_test.cc). A frame is the codec's
+/// u32 length prefix (`ByteWriter::BeginLength`/`EndLength`) around one
+/// payload. This header adds the opcodes, the header helpers and frame
+/// splitting; the server and client assemble op payloads from the codec's
+/// primitives, so both sides share one encoding of each.
 
 namespace pdm::server {
 
@@ -68,103 +67,17 @@ bool ValidOpcode(uint8_t code);
 uint8_t StatusCodeToWire(StatusCode code);
 StatusCode StatusCodeFromWire(uint8_t wire);
 
-// --------------------------------------------------------------- writer
+/// Request header: u8 opcode, u64 request id.
+inline void PutRequestHeader(ByteWriter* w, Opcode op, uint64_t id) {
+  w->PutU8(static_cast<uint8_t>(op));
+  w->PutU64(id);
+}
 
-/// Appends wire primitives to a caller-owned byte buffer. `BeginFrame`
-/// reserves the length prefix and `EndFrame` patches it, so whole frames are
-/// assembled in place with no intermediate copies.
-class WireWriter {
- public:
-  explicit WireWriter(std::string* out) : out_(out) {}
-
-  /// Starts a frame and returns the patch cookie for EndFrame.
-  size_t BeginFrame() {
-    size_t at = out_->size();
-    PutU32(0);
-    return at;
-  }
-
-  /// Patches the length prefix written by the matching BeginFrame.
-  void EndFrame(size_t cookie) {
-    uint32_t payload = static_cast<uint32_t>(out_->size() - cookie - kFrameHeaderBytes);
-    std::memcpy(out_->data() + cookie, &payload, sizeof payload);
-  }
-
-  void PutU8(uint8_t v) { out_->append(reinterpret_cast<const char*>(&v), sizeof v); }
-  void PutU32(uint32_t v) { out_->append(reinterpret_cast<const char*>(&v), sizeof v); }
-  void PutU64(uint64_t v) { out_->append(reinterpret_cast<const char*>(&v), sizeof v); }
-
-  /// Raw IEEE-754 bit pattern — exact round trip, NaN-safe.
-  void PutF64(double v) {
-    uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    PutU64(bits);
-  }
-
-  void PutString(std::string_view s) {
-    PutU32(static_cast<uint32_t>(s.size()));
-    out_->append(s.data(), s.size());
-  }
-
-  /// Request/response headers.
-  void PutRequestHeader(Opcode op, uint64_t id) {
-    PutU8(static_cast<uint8_t>(op));
-    PutU64(id);
-  }
-  void PutResponseHeader(Opcode op, uint64_t id, StatusCode code) {
-    PutU8(static_cast<uint8_t>(op));
-    PutU64(id);
-    PutU8(StatusCodeToWire(code));
-  }
-
- private:
-  std::string* out_;
-};
-
-// --------------------------------------------------------------- reader
-
-/// Bounds-checked cursor over one frame payload. Every Get reports failure
-/// instead of reading past the end, so a truncated or hostile payload
-/// decodes to a clean error, never UB.
-class WireReader {
- public:
-  explicit WireReader(std::string_view bytes) : bytes_(bytes) {}
-
-  bool GetU8(uint8_t* v) { return GetBytes(v, sizeof *v); }
-  bool GetU32(uint32_t* v) { return GetBytes(v, sizeof *v); }
-  bool GetU64(uint64_t* v) { return GetBytes(v, sizeof *v); }
-
-  bool GetF64(double* v) {
-    uint64_t bits;
-    if (!GetU64(&bits)) return false;
-    std::memcpy(v, &bits, sizeof *v);
-    return true;
-  }
-
-  /// Length-prefixed string; the view aliases the payload buffer.
-  bool GetString(std::string_view* s) {
-    uint32_t size;
-    if (!GetU32(&size)) return false;
-    if (bytes_.size() - pos_ < size) return false;
-    *s = bytes_.substr(pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  bool AtEnd() const { return pos_ == bytes_.size(); }
-  size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  bool GetBytes(void* out, size_t size) {
-    if (bytes_.size() - pos_ < size) return false;
-    std::memcpy(out, bytes_.data() + pos_, size);
-    pos_ += size;
-    return true;
-  }
-
-  std::string_view bytes_;
-  size_t pos_ = 0;
-};
+/// Response header: the request header plus the u8 status code.
+inline void PutResponseHeader(ByteWriter* w, Opcode op, uint64_t id, StatusCode code) {
+  PutRequestHeader(w, op, id);
+  w->PutU8(StatusCodeToWire(code));
+}
 
 // ------------------------------------------------------------ frame split
 

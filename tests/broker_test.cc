@@ -25,9 +25,11 @@
 #include "market/round.h"
 #include "metrics/metrics.h"
 #include "market/simulator.h"
+#include "pricing/baselines.h"
 #include "pricing/ellipsoid_engine.h"
 #include "pricing/feature_maps.h"
 #include "pricing/generalized_engine.h"
+#include "pricing/interval_engine.h"
 #include "pricing/link_functions.h"
 #include "rng/rng.h"
 #include "scenario/mechanism_registry.h"
@@ -589,13 +591,15 @@ TEST(BrokerSnapshot, CodecRoundTripsByteExactly) {
   EXPECT_EQ(decoded.pending[0].ticket, open_a.ticket);
   EXPECT_EQ(decoded.pending[1].ticket, open_b.ticket);
 
-  // Corruption and truncation decode to InvalidArgument, never UB/abort.
+  // Corruption and truncation decode to a Status, never UB/abort: a cut
+  // inside the 8-byte magic is not a pdm.snap document (InvalidArgument), a
+  // cut after it is a damaged envelope (DataLoss).
   for (size_t cut : {size_t{0}, size_t{4}, size_t{11}, bytes.size() / 2,
                      bytes.size() - 1}) {
     SessionSnapshot scratch;
     EXPECT_EQ(DecodeSessionSnapshot(std::string_view(bytes).substr(0, cut), &scratch)
                   .code(),
-              StatusCode::kInvalidArgument)
+              cut < 8 ? StatusCode::kInvalidArgument : StatusCode::kDataLoss)
         << cut;
   }
   std::string corrupt = bytes;
@@ -603,6 +607,84 @@ TEST(BrokerSnapshot, CodecRoundTripsByteExactly) {
   SessionSnapshot scratch;
   EXPECT_EQ(DecodeSessionSnapshot(corrupt, &scratch).code(),
             StatusCode::kInvalidArgument);
+}
+
+/// Lowercase hex of a byte string, so a golden mismatch prints readably.
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+/// A snapshot built from fixed dyadic values rather than an engine run, so
+/// its bytes do not depend on the FP kernels or the ISA: a dim-2 ellipsoid,
+/// two pending tickets, a ticket table with a free stack and a retired
+/// count, and value totals.
+SessionSnapshot GoldenSnapshot() {
+  SessionSnapshot snap;
+  snap.product = "golden/p";
+  EngineSnapshot& e = snap.engine;
+  e.engine = "ellipsoid";
+  e.dim = 2;
+  e.epsilon = 0.125;
+  e.delta = 0.5;
+  e.center = {0.25, -1.5};
+  e.shape = Matrix(2, 2);
+  e.shape(0, 0) = 2.0;
+  e.shape(0, 1) = 0.5;
+  e.shape(1, 0) = 0.5;
+  e.shape(1, 1) = 1.0;
+  e.cuts_since_symmetrize = 3;
+  e.counters = {7, 4, 2, 1, 3, 1};
+  snap.quotes_issued = 9;
+  snap.feedback_received = 7;
+  const uint64_t base = PricingSession::kDefaultTicketBase;
+  PendingTicketState first;
+  first.ticket = base | (uint64_t{1} << PricingSession::kGenBits) | 5;
+  first.posted_price = 0.75;
+  first.cut.kind = 1;
+  first.cut.price = 0.75;
+  first.cut.support = {-0.5, 2.0, 1.25, 0.75, {1.0, -0.25}};
+  PendingTicketState second;
+  second.ticket = base | 6;
+  second.posted_price = 0.5;
+  second.cut.kind = 2;
+  second.cut.price = 0.5;
+  second.cut.support = {0.25, 1.25, 0.5, 0.75, {0.5, 0.125}};
+  snap.pending = {first, second};
+  snap.posted_value = 6.5;
+  snap.accepted_value = 3.25;
+  snap.slot_generations = {6, 5, 2};
+  snap.free_slots = {2};
+  snap.slots_retired = 1;
+  return snap;
+}
+
+TEST(BrokerSnapshot, EncodesGoldenBytes) {
+  const std::string bytes = EncodeSessionSnapshot(GoldenSnapshot());
+  EXPECT_EQ(Hex(bytes),
+            "50444d534e41503202000000b501000050444d534e4150310100000008000000"
+            "676f6c64656e2f7009000000656c6c6970736f696402000000000000000000c0"
+            "3f000000000000e03f02000000000000000000d03f000000000000f8bf020000"
+            "00020000000000000000000040000000000000e03f000000000000e03f000000"
+            "000000f03f030000000000000000000000000000000000000007000000000000"
+            "0004000000000000000200000000000000010000000000000003000000000000"
+            "0001000000000000000900000000000000070000000000000002000000050010"
+            "000001000001000000000000000000e83f000000000000000000000000000000"
+            "e0bf0000000000000040000000000000f43f000000000000e83f020000000000"
+            "00000000f03f000000000000d0bf060000000001000002000000000000000000"
+            "e03f000000000000000000000000000000d03f000000000000f43f0000000000"
+            "00e03f000000000000e83f02000000000000000000e03f000000000000c03f01"
+            "0300000006000000050000000200000001000000020000000100000000000000"
+            "020000000000001a400000000000000a4002000000000000000000e83f000000"
+            "000000e03f516c3af7");
+  SessionSnapshot decoded;
+  ASSERT_TRUE(DecodeSessionSnapshot(bytes, &decoded).ok());
+  EXPECT_EQ(EncodeSessionSnapshot(decoded), bytes);
 }
 
 TEST(BrokerSnapshot, RestoreResumesMidSimulationWithIdenticalPrices) {
@@ -683,6 +765,125 @@ TEST(BrokerSnapshot, RestoreRejectsMismatchedEngine) {
   ASSERT_TRUE(broker.Snapshot(spec8.name, &snap).ok());
   // Same family, wrong dimension → refused, state untouched.
   EXPECT_EQ(broker.Restore(spec12.name, snap).code(), StatusCode::kFailedPrecondition);
+}
+
+TEST(BrokerSnapshot, RestoreRefusesCutsTheEngineCannotApply) {
+  // A CRC-valid snapshot may still carry a pending cut this engine cannot
+  // apply. Restoring it must fail with a Status — not succeed and abort the
+  // process on the ticket's feedback.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("snap/bad-cut", 6, 500, "pure", 81);
+  Broker broker;
+  ASSERT_TRUE(broker.OpenSession(spec.name, spec, factory.Prepare(spec)).ok());
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  stream->Next(&rng, &round);
+  Quote quote;
+  ASSERT_TRUE(broker.PostPrice({spec.name, round.features, round.reserve}, &quote).ok());
+  ASSERT_TRUE(quote.exploratory);
+  SessionSnapshot snap;
+  ASSERT_TRUE(broker.Snapshot(spec.name, &snap).ok());
+  ASSERT_EQ(snap.pending.size(), 1u);
+  ASSERT_GT(snap.pending[0].cut.support.half_width, 0.0);
+
+  // Each damaged cut travels through the real encoder and decoder, so it
+  // reaches Restore inside an intact envelope.
+  auto round_trip_with = [&snap](void (*damage)(PendingCut*)) {
+    SessionSnapshot damaged = snap;
+    damage(&damaged.pending[0].cut);
+    SessionSnapshot decoded;
+    PDM_CHECK(DecodeSessionSnapshot(EncodeSessionSnapshot(damaged), &decoded).ok());
+    return decoded;
+  };
+  // (a) A support direction too short for the dim-6 knowledge set.
+  EXPECT_EQ(broker
+                .Restore(spec.name, round_trip_with([](PendingCut* cut) {
+                           cut->support.direction.resize(2);
+                         }))
+                .code(),
+            StatusCode::kFailedPrecondition);
+  // (b) A link-range skip, which only the generalized wrapper issues.
+  EXPECT_EQ(broker
+                .Restore(spec.name, round_trip_with([](PendingCut* cut) {
+                           cut->kind = 0;
+                           cut->wrapped_skip = true;
+                         }))
+                .code(),
+            StatusCode::kFailedPrecondition);
+
+  // Both refusals left the session as it was: it resolves its own ticket.
+  EXPECT_TRUE(broker.Observe(quote.ticket, false).ok());
+  SessionInfo info;
+  ASSERT_TRUE(broker.GetSessionInfo(spec.name, &info).ok());
+  EXPECT_EQ(info.pending, 0);
+  EXPECT_EQ(info.feedback_received, 1);
+}
+
+TEST(BrokerSnapshot, EachEngineAcceptsExactlyTheCutsItIssues) {
+  const double x[4] = {0.3, -0.2, 0.4, 0.1};
+  const double reserve = 0.0;
+  const double unsellable = 1.5;  // ≥ sup of the logistic link
+  PostedPrice posted;
+  auto issue = [&](PricingEngine* engine, const double* reserves) {
+    PendingCut cut;
+    PendingCut* cuts[1] = {&cut};
+    engine->PostPriceBatch(x, 1, reserves, &posted, cuts);
+    return cut;
+  };
+
+  EllipsoidEngineConfig config;
+  config.dim = 4;
+  config.horizon = 1000;
+  config.initial_radius = 2.0;
+  EllipsoidPricingEngine ellipsoid(config);
+  const PendingCut cut = issue(&ellipsoid, &reserve);
+  ASSERT_GT(cut.support.half_width, 0.0);
+  EXPECT_TRUE(ellipsoid.AcceptsCut(cut));
+  PendingCut bad = cut;
+  bad.support.direction.resize(2);
+  EXPECT_FALSE(ellipsoid.AcceptsCut(bad));
+  bad = cut;
+  bad.support.half_width = 0.0;  // a degenerate probe needs no direction
+  bad.support.direction.clear();
+  EXPECT_TRUE(ellipsoid.AcceptsCut(bad));
+  for (int kind : {0, 4, -1}) {
+    bad = cut;
+    bad.kind = kind;
+    EXPECT_FALSE(ellipsoid.AcceptsCut(bad)) << kind;
+  }
+  bad = cut;
+  bad.wrapped_skip = true;
+  EXPECT_FALSE(ellipsoid.AcceptsCut(bad));
+
+  GeneralizedPricingEngine wrapped(std::make_unique<EllipsoidPricingEngine>(config),
+                                   std::make_shared<LogisticLink>(0.0),
+                                   std::make_shared<IdentityFeatureMap>());
+  const PendingCut skip = issue(&wrapped, &unsellable);
+  ASSERT_TRUE(skip.wrapped_skip);
+  EXPECT_TRUE(wrapped.AcceptsCut(skip));
+  EXPECT_FALSE(ellipsoid.AcceptsCut(skip));
+  bad = skip;
+  bad.kind = 1;
+  EXPECT_FALSE(wrapped.AcceptsCut(bad));
+  EXPECT_TRUE(wrapped.AcceptsCut(issue(&wrapped, &reserve)));
+
+  IntervalPricingEngine interval(IntervalEngineConfig{});
+  const PendingCut scalar = issue(&interval, &reserve);
+  EXPECT_TRUE(interval.AcceptsCut(scalar));
+  bad = scalar;
+  bad.kind = 4;
+  EXPECT_FALSE(interval.AcceptsCut(bad));
+  bad = scalar;
+  bad.wrapped_skip = true;
+  EXPECT_FALSE(interval.AcceptsCut(bad));
+
+  ReservePriceBaseline baseline(4);
+  const PendingCut marker = issue(&baseline, &reserve);
+  EXPECT_TRUE(baseline.AcceptsCut(marker));
+  bad = marker;
+  bad.kind = 2;
+  EXPECT_FALSE(baseline.AcceptsCut(bad));
 }
 
 // ------------------------------------------------------- handle fast path

@@ -1,5 +1,5 @@
 // Fault-tolerance suite (DESIGN.md §14): the deterministic fault injector,
-// the checksummed pdm.snap.v2 spill envelope, crash-consistent spill
+// the checksummed pdm.snap spill envelope, crash-consistent spill
 // durability (quarantine, startup recovery, orphan sweeps), server overload
 // shedding and idle reaping, and client deadline/retry semantics. The
 // process-kill drill itself lives in CI (tools/check_recovery.py); this file
@@ -24,6 +24,8 @@
 #include "broker/broker.h"
 #include "broker/session.h"
 #include "broker/snapshot.h"
+#include "common/byte_codec.h"
+#include "common/crc32.h"
 #include "common/fault.h"
 #include "common/status.h"
 #include "metrics/metrics.h"
@@ -169,7 +171,7 @@ TEST(FaultInjectorTest, ConfigureParsesSpecAndRejectsMalformed) {
   EXPECT_TRUE(fault::ShouldFail("chaos.nth"));  // third hit
 }
 
-// ------------------------------------------------- pdm.snap.v2 envelope
+// ---------------------------------------------------- pdm.snap envelope
 
 class SnapV2Test : public testing::Test {
  protected:
@@ -196,24 +198,27 @@ class SnapV2Test : public testing::Test {
   }
 };
 
-TEST_F(SnapV2Test, RoundTripsAndStillDecodesLegacyV1) {
+TEST_F(SnapV2Test, RoundTripsAndRejectsABareBody) {
   SessionSnapshot snap = MakeSnapshot();
-  const std::string v1 = EncodeSessionSnapshot(snap);
-  const std::string v2 = EncodeSessionSnapshotV2(snap);
-  ASSERT_EQ(v2.substr(0, 8), "PDMSNAP2");
-  EXPECT_EQ(v2.size(), v1.size() + 20);  // magic+version+size header, CRC trailer
+  const std::string bytes = EncodeSessionSnapshot(snap);
+  ASSERT_EQ(bytes.substr(0, 8), "PDMSNAP2");
 
-  SessionSnapshot from_v2, from_v1;
-  ASSERT_TRUE(DecodeSessionSnapshot(v2, &from_v2).ok());
-  ASSERT_TRUE(DecodeSessionSnapshot(v1, &from_v1).ok());
-  // Decode → re-encode is byte-identical through both paths.
-  EXPECT_EQ(EncodeSessionSnapshot(from_v2), v1);
-  EXPECT_EQ(EncodeSessionSnapshot(from_v1), v1);
-  EXPECT_EQ(from_v2.pending.size(), snap.pending.size());
+  SessionSnapshot decoded;
+  ASSERT_TRUE(DecodeSessionSnapshot(bytes, &decoded).ok());
+  // Decode → re-encode is byte-identical.
+  EXPECT_EQ(EncodeSessionSnapshot(decoded), bytes);
+  EXPECT_EQ(decoded.pending.size(), snap.pending.size());
+
+  // The body without its envelope (magic+version+size header, CRC trailer)
+  // is the pre-envelope PDMSNAP1 layout, which is no longer a document.
+  const std::string body = bytes.substr(16, bytes.size() - 20);
+  ASSERT_EQ(body.substr(0, 8), "PDMSNAP1");
+  SessionSnapshot out;
+  EXPECT_EQ(DecodeSessionSnapshot(body, &out).code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(SnapV2Test, EveryTruncationPointRejectsWithoutCrashing) {
-  const std::string v2 = EncodeSessionSnapshotV2(MakeSnapshot());
+  const std::string v2 = EncodeSessionSnapshot(MakeSnapshot());
   for (size_t cut = 0; cut < v2.size(); ++cut) {
     SessionSnapshot out;
     Status s = DecodeSessionSnapshot(std::string_view(v2).substr(0, cut), &out);
@@ -226,7 +231,7 @@ TEST_F(SnapV2Test, EveryTruncationPointRejectsWithoutCrashing) {
 }
 
 TEST_F(SnapV2Test, EveryFlippedByteRejects) {
-  const std::string v2 = EncodeSessionSnapshotV2(MakeSnapshot());
+  const std::string v2 = EncodeSessionSnapshot(MakeSnapshot());
   for (size_t at = 0; at < v2.size(); ++at) {
     std::string damaged = v2;
     damaged[at] = static_cast<char>(damaged[at] ^ 0x40);
@@ -234,11 +239,37 @@ TEST_F(SnapV2Test, EveryFlippedByteRejects) {
     Status s = DecodeSessionSnapshot(damaged, &out);
     ASSERT_FALSE(s.ok()) << "decoded with byte " << at << " flipped";
     if (at >= 12) {
-      // Size, body, or CRC damage → DataLoss (bytes 0..7 fall back to the
-      // v1 parser's InvalidArgument; 8..11 is an unsupported version).
+      // Size, body, or CRC damage → DataLoss (bytes 0..7 are a bad magic and
+      // 8..11 an unsupported version, both InvalidArgument).
       EXPECT_EQ(s.code(), StatusCode::kDataLoss) << "flip at " << at;
     }
   }
+}
+
+TEST_F(SnapV2Test, DamagedBodyInsideAnIntactEnvelopeIsInvalidArgument) {
+  // Re-seal a damaged body in a fresh envelope (right size, right CRC): the
+  // envelope checks pass, so the body parser alone must reject it.
+  const std::string bytes = EncodeSessionSnapshot(MakeSnapshot());
+  const std::string body = bytes.substr(16, bytes.size() - 20);
+  auto seal = [&bytes](std::string_view damaged) {
+    std::string out = bytes.substr(0, 12);  // magic + version
+    ByteWriter w(&out);
+    const size_t size = w.BeginLength();
+    w.PutBytes(damaged.data(), damaged.size());
+    w.PutU32(Crc32(w.EndLength(size)));
+    return out;
+  };
+  ASSERT_EQ(seal(body), bytes);
+  for (size_t cut = 0; cut < body.size(); ++cut) {
+    SessionSnapshot out;
+    EXPECT_EQ(DecodeSessionSnapshot(seal(std::string_view(body).substr(0, cut)), &out)
+                  .code(),
+              StatusCode::kInvalidArgument)
+        << "body cut at " << cut;
+  }
+  SessionSnapshot out;
+  EXPECT_EQ(DecodeSessionSnapshot(seal(body + "x"), &out).code(),
+            StatusCode::kInvalidArgument);  // trailing byte
 }
 
 // --------------------------------------------- spill durability + recovery
@@ -295,6 +326,40 @@ TEST(BrokerChaosTest, EvictionSpillsV2AndCorruptionQuarantinesWithDataLoss) {
   // The sibling session is unharmed and faults back in.
   EXPECT_TRUE(
       broker.PostPrice({"chaos/p1", round.features, round.reserve}, &quote).ok());
+}
+
+TEST(BrokerChaosTest, IntactSpillWithACutTheEngineCannotApplyIsQuarantined) {
+  // The envelope checks out, but the pending cut's support direction is too
+  // short for the dim-6 knowledge set. Fault-in must refuse it as DataLoss
+  // rather than restore it and abort on the ticket's feedback.
+  FaultGuard guard;
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/badcut", 6, 2000, "pure", 27);
+  BrokerConfig config;
+  config.spill_dir = ChaosDir("badcut");
+  Broker broker(config);
+  ASSERT_TRUE(broker.OpenSession("chaos/badcut", spec, factory.Prepare(spec)).ok());
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  stream->Next(&rng, &round);
+  Quote quote;
+  ASSERT_TRUE(
+      broker.PostPrice({"chaos/badcut", round.features, round.reserve}, &quote).ok());
+  ASSERT_EQ(broker.EvictIdleSessions(0), 1u);
+
+  const std::string spill = config.spill_dir + "/slot-0.snap";
+  SessionSnapshot snap;
+  ASSERT_TRUE(DecodeSessionSnapshot(ReadFileBytes(spill), &snap).ok());
+  ASSERT_EQ(snap.pending.size(), 1u);
+  ASSERT_GT(snap.pending[0].cut.support.half_width, 0.0);
+  snap.pending[0].cut.support.direction.resize(2);
+  WriteFileBytes(spill, EncodeSessionSnapshot(snap));
+
+  EXPECT_EQ(broker.Observe(quote.ticket, false).code(), StatusCode::kDataLoss);
+  EXPECT_TRUE(std::filesystem::exists(spill + ".quarantined"));
+  EXPECT_EQ(broker.Stats().quarantined_sessions, 1u);
+  EXPECT_TRUE(broker.CloseSession("chaos/badcut").ok());
 }
 
 TEST(BrokerChaosTest, MissingSpillSurfacesDataLoss) {
@@ -356,7 +421,7 @@ TEST(BrokerChaosTest, StartupSweepAdoptsByNameQuarantinesCorruptReclaimsOrphans)
   // Build the pre-crash state with a donor broker: price some rounds, leave
   // tickets pending, and capture the exact spill bytes eviction wrote.
   std::string spill_bytes;
-  std::string expected_v1;
+  std::string expected;
   {
     BrokerConfig donor_config;
     donor_config.spill_dir = ChaosDir("recover_donor");
@@ -365,7 +430,7 @@ TEST(BrokerChaosTest, StartupSweepAdoptsByNameQuarantinesCorruptReclaimsOrphans)
     DriveRounds(&donor, &factory, spec, "chaos/adopted", 25);
     SessionSnapshot snap;
     ASSERT_TRUE(donor.Snapshot("chaos/adopted", &snap).ok());
-    expected_v1 = EncodeSessionSnapshot(snap);
+    expected = EncodeSessionSnapshot(snap);
     ASSERT_EQ(donor.EvictIdleSessions(0), 1u);
     spill_bytes = ReadFileBytes(donor_config.spill_dir + "/slot-0.snap");
     ASSERT_FALSE(spill_bytes.empty());
@@ -397,7 +462,7 @@ TEST(BrokerChaosTest, StartupSweepAdoptsByNameQuarantinesCorruptReclaimsOrphans)
   EXPECT_EQ(broker.Stats().evicted_sessions, 1u);
   SessionSnapshot recovered;
   ASSERT_TRUE(broker.Snapshot("chaos/adopted", &recovered).ok());
-  EXPECT_EQ(EncodeSessionSnapshot(recovered), expected_v1);
+  EXPECT_EQ(EncodeSessionSnapshot(recovered), expected);
 
   // Nothing else claims spills in this test, so the sweep finds none left;
   // an unclaimed spill added later is reclaimed (the leak fix).
@@ -582,11 +647,11 @@ TEST(ServerChaosTest, ViolatedConnectionThatNeverReadsIsReaped) {
   // violation discards all unparsed input, so interleaving would leave no
   // backlog to pin the error frame behind.)
   std::string burst;
-  server::WireWriter w(&burst);
+  ByteWriter w(&burst);
   for (uint64_t i = 1; i <= 4000; ++i) {
-    size_t frame = w.BeginFrame();
-    w.PutRequestHeader(server::Opcode::kPing, i);
-    w.EndFrame(frame);
+    size_t frame = w.BeginLength();
+    server::PutRequestHeader(&w, server::Opcode::kPing, i);
+    w.EndLength(frame);
   }
   ASSERT_EQ(::send(fd.get(), burst.data(), burst.size(), MSG_NOSIGNAL),
             static_cast<ssize_t>(burst.size()));
@@ -600,7 +665,7 @@ TEST(ServerChaosTest, ViolatedConnectionThatNeverReadsIsReaped) {
   // unread response backlog.
   std::string garbage;
   {
-    server::WireWriter g(&garbage);
+    ByteWriter g(&garbage);
     g.PutU32(static_cast<uint32_t>(server::kMaxFramePayloadBytes + 1));
   }
   ASSERT_EQ(::send(fd.get(), garbage.data(), garbage.size(), MSG_NOSIGNAL),

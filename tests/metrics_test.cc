@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <limits>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -278,6 +279,36 @@ TEST(Exposition, HistogramWithLabelsKeepsLeLast) {
 }
 
 // --------------------------------------------------------------- dump codec
+
+/// Lowercase hex of a byte string, so a golden mismatch prints readably.
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
+TEST(DumpCodec, EncodesGoldenBytes) {
+  // One labelled counter, one gauge, one sparse histogram (two occupied
+  // buckets): the exact pdm.metrics.v1 bytes, not just a round trip.
+  MetricRegistry registry;
+  registry.GetCounter("c_total", "Count.", {{"op", "ping"}}).Add(5);
+  registry.GetGauge("g", "Gauge.").Set(-2.25);
+  Histogram h = registry.GetHistogram("h_ns", "Hist.");
+  h.Record(5);
+  h.Record(5);
+  h.Record(1000000);
+  EXPECT_EQ(Hex(registry.EncodeDump()),
+            "50444d4d45545231010000000300000007000000635f746f74616c0600000043"
+            "6f756e742e000100000001000000020000006f700400000070696e6705000000"
+            "0000000001000000670600000047617567652e01010000000000000000000000"
+            "000002c004000000685f6e7305000000486973742e0201000000000000000300"
+            "0000000000004a420f000000000002000000050000000200000000000000ba03"
+            "00000100000000000000");
+}
 
 TEST(DumpCodec, RoundTripAllInstrumentTypes) {
   MetricRegistry registry;

@@ -15,6 +15,7 @@
 #include <limits>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -74,24 +75,40 @@ std::string SnapshotBytes(const Broker& broker, const std::string& product) {
 
 // ------------------------------------------------------------ wire codec
 
+/// Lowercase hex of a byte string, so a golden mismatch prints readably.
+std::string Hex(std::string_view bytes) {
+  static constexpr char kDigits[] = "0123456789abcdef";
+  std::string out;
+  for (unsigned char b : bytes) {
+    out.push_back(kDigits[b >> 4]);
+    out.push_back(kDigits[b & 0xF]);
+  }
+  return out;
+}
+
 TEST(Wire, PrimitivesRoundTripBitExactly) {
   std::string bytes;
-  WireWriter w(&bytes);
-  size_t frame = w.BeginFrame();
+  ByteWriter w(&bytes);
+  size_t frame = w.BeginLength();
   w.PutU8(0x7F);
   w.PutU32(0xDEADBEEFu);
   w.PutU64(0x0123456789ABCDEFull);
   w.PutF64(-0.1);  // not exactly representable: the bits must survive
   w.PutF64(std::numeric_limits<double>::quiet_NaN());
   w.PutString("pdm/\xE2\x82\xAC");  // embedded UTF-8 stays raw bytes
-  w.EndFrame(frame);
+  w.EndLength(frame);
+  // The exact pdm.wire.v1 bytes: little-endian length prefix and integers,
+  // raw IEEE-754 doubles, u32-length-prefixed string.
+  EXPECT_EQ(Hex(bytes),
+            "280000007fefbeaddeefcdab89674523019a9999999999b9bf000000000000f8"
+            "7f0700000070646d2fe282ac");
 
   std::string_view payload;
   size_t next = 0;
   ASSERT_EQ(NextFrame(bytes, 0, &payload, &next), FrameResult::kFrame);
   EXPECT_EQ(next, bytes.size());
 
-  WireReader r(payload);
+  ByteReader r(payload);
   uint8_t u8;
   uint32_t u32;
   uint64_t u64;
@@ -112,17 +129,17 @@ TEST(Wire, PrimitivesRoundTripBitExactly) {
   EXPECT_EQ(s, "pdm/\xE2\x82\xAC");
 
   // Truncated reads report failure instead of reading past the end.
-  WireReader truncated(payload.substr(0, 3));
+  ByteReader truncated(payload.substr(0, 3));
   ASSERT_TRUE(truncated.GetU8(&u8));
   EXPECT_FALSE(truncated.GetU32(&u32));
 }
 
 TEST(Wire, FrameSplitHandlesPartialAndMalformed) {
   std::string bytes;
-  WireWriter w(&bytes);
-  size_t frame = w.BeginFrame();
+  ByteWriter w(&bytes);
+  size_t frame = w.BeginLength();
   w.PutU64(42);
-  w.EndFrame(frame);
+  w.EndLength(frame);
 
   std::string_view payload;
   size_t next = 0;
@@ -136,7 +153,7 @@ TEST(Wire, FrameSplitHandlesPartialAndMalformed) {
 
   // A length prefix beyond the cap is a framing violation.
   std::string huge;
-  WireWriter hw(&huge);
+  ByteWriter hw(&huge);
   hw.PutU32(static_cast<uint32_t>(kMaxFramePayloadBytes + 1));
   EXPECT_EQ(NextFrame(huge, 0, &payload, &next), FrameResult::kMalformed);
 }
@@ -432,10 +449,10 @@ TEST(TcpServer, UnknownOpcodeGetsErrorResponseAndConnectionSurvives) {
   UniqueFd fd;
   ASSERT_TRUE(ConnectTcp("127.0.0.1", server.port(), &fd).ok());
   std::string bytes;
-  WireWriter w(&bytes);
-  size_t frame = w.BeginFrame();
-  w.PutRequestHeader(static_cast<Opcode>(200), 7);
-  w.EndFrame(frame);
+  ByteWriter w(&bytes);
+  size_t frame = w.BeginLength();
+  PutRequestHeader(&w, static_cast<Opcode>(200), 7);
+  w.EndLength(frame);
   ASSERT_EQ(::send(fd.get(), bytes.data(), bytes.size(), 0),
             static_cast<ssize_t>(bytes.size()));
 
@@ -450,7 +467,7 @@ TEST(TcpServer, UnknownOpcodeGetsErrorResponseAndConnectionSurvives) {
     ASSERT_GT(n, 0);
     in.append(chunk, static_cast<size_t>(n));
   }
-  WireReader r(payload);
+  ByteReader r(payload);
   uint8_t op, code;
   uint64_t id;
   ASSERT_TRUE(r.GetU8(&op) && r.GetU64(&id) && r.GetU8(&code));
@@ -473,15 +490,15 @@ TEST(TcpServer, FramingViolationsDropTheConnection) {
   };
   std::string oversized;
   {
-    WireWriter w(&oversized);
+    ByteWriter w(&oversized);
     w.PutU32(static_cast<uint32_t>(kMaxFramePayloadBytes + 1));
   }
   std::string short_header;
   {
-    WireWriter w(&short_header);
-    size_t frame = w.BeginFrame();
+    ByteWriter w(&short_header);
+    size_t frame = w.BeginLength();
     w.PutU8(1);  // 1-byte payload: too short for opcode+id
-    w.EndFrame(frame);
+    w.EndLength(frame);
   }
   const Violation kViolations[] = {{"oversized length prefix", oversized},
                                    {"payload shorter than header", short_header}};
@@ -504,7 +521,7 @@ TEST(TcpServer, FramingViolationsDropTheConnection) {
       ASSERT_GT(n, 0);
       in.append(chunk, static_cast<size_t>(n));
     }
-    WireReader r(payload);
+    ByteReader r(payload);
     uint8_t op, code;
     uint64_t id;
     ASSERT_TRUE(r.GetU8(&op) && r.GetU64(&id) && r.GetU8(&code));
