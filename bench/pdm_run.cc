@@ -41,7 +41,8 @@ int main(int argc, char** argv) {
   flags.AddInt64("max_rounds", &max_rounds,
                  "cap every scenario's horizon (0 = the registered scale)");
   flags.AddInt64("threads", &threads,
-                 "worker threads (0 = hardware default, 1 = serial)");
+                 "scenario worker threads (0 = hardware default, 1 = serial); "
+                 "workload synthesis uses every core regardless");
   flags.AddBool("list", &list, "list the registered scenarios and exit");
   flags.AddBool("series", &series, "include regret series in the JSON");
   flags.AddBool("table", &table, "print the comparison table");
@@ -89,6 +90,11 @@ int main(int argc, char** argv) {
           : pdm::scenario::ExperimentDriver(options).Run(selected);
 
   if (table) pdm::scenario::PrintOutcomeTable(outcomes, std::cout);
+  double prepare_seconds = 0.0;
+  for (const pdm::scenario::ScenarioOutcome& outcome : outcomes) {
+    prepare_seconds += outcome.prepare_seconds;
+  }
+  std::printf("\nworkload prepare: %.3f s total\n", prepare_seconds);
 
   if (!out_path.empty()) {
     std::ofstream out(out_path);

@@ -1,16 +1,14 @@
 #include "broker/driver.h"
 
-#include <algorithm>
-#include <atomic>
 #include <memory>
 #include <string>
-#include <thread>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/check.h"
 #include "common/memory.h"
+#include "common/parallel.h"
 #include "common/timer.h"
 #include "market/regret_tracker.h"
 #include "market/round.h"
@@ -116,7 +114,9 @@ std::vector<scenario::ScenarioOutcome> RunScenariosThroughBroker(
   std::unordered_set<std::string> used_names;
   for (size_t i = 0; i < specs.size(); ++i) {
     outcomes[i].spec = scenario::CapRounds(specs[i], options.max_rounds);
+    WallTimer prepare_timer;
     infos[i] = factory.Prepare(outcomes[i].spec);
+    outcomes[i].prepare_seconds = prepare_timer.ElapsedSeconds();
     session_names[i] = outcomes[i].spec.name;
     for (int suffix = 2; !used_names.insert(session_names[i]).second; ++suffix) {
       session_names[i] = outcomes[i].spec.name + "#" + std::to_string(suffix);
@@ -127,33 +127,13 @@ std::vector<scenario::ScenarioOutcome> RunScenariosThroughBroker(
   // (OpenSession is the control plane, serialized internally), then prices
   // through the contention-free handle path. Each outcome is a pure
   // function of its spec, so worker count and scheduling cannot change it.
-  int num_threads = options.num_threads;
-  if (num_threads <= 0) {
-    num_threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (num_threads <= 0) num_threads = 1;
-  }
-  num_threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(num_threads), specs.size()));
-  if (num_threads < 1) num_threads = 1;
-
   Broker broker;
-  std::atomic<size_t> next{0};
-  auto worker = [&] {
-    for (size_t i = next.fetch_add(1); i < specs.size(); i = next.fetch_add(1)) {
-      BrokerRunOutcome run = RunSpecOnBroker(outcomes[i].spec, infos[i],
-                                             session_names[i], &factory, &broker);
-      outcomes[i].engine_name = std::move(run.engine_name);
-      outcomes[i].result = std::move(run.result);
-    }
-  };
-  if (num_threads == 1) {
-    worker();
-  } else {
-    std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(num_threads));
-    for (int i = 0; i < num_threads; ++i) workers.emplace_back(worker);
-    for (std::thread& thread : workers) thread.join();
-  }
+  ParallelFor(specs.size(), options.num_threads, [&](size_t i) {
+    BrokerRunOutcome run = RunSpecOnBroker(outcomes[i].spec, infos[i], session_names[i],
+                                           &factory, &broker);
+    outcomes[i].engine_name = std::move(run.engine_name);
+    outcomes[i].result = std::move(run.result);
+  });
 
   // Single-sample VmRSS semantics, as in ExperimentDriver (DESIGN.md §8).
   int64_t rss = CurrentRssBytes();

@@ -1,6 +1,9 @@
 #ifndef PDM_FEATURES_AGGREGATION_H_
 #define PDM_FEATURES_AGGREGATION_H_
 
+#include <cstdint>
+#include <vector>
+
 #include "linalg/vector_ops.h"
 
 /// \file
@@ -15,18 +18,20 @@
 namespace pdm {
 
 /// Returns the n-dimensional aggregated feature vector. Requires
-/// 1 ≤ n ≤ compensations.size(). The input is copied and sorted ascending;
-/// partition i receives indices [⌊i·m/n⌋, ⌊(i+1)·m/n⌋) so sizes differ by at
-/// most one. The output preserves total mass: Sum(result) = Sum(input).
+/// 1 ≤ n ≤ compensations.size() and no NaN. The values are ordered
+/// ascending; partition i receives indices [⌊i·m/n⌋, ⌊(i+1)·m/n⌋) so sizes
+/// differ by at most one, and each partition sums in ascending order. The
+/// output preserves total mass: Sum(result) = Sum(input).
 Vector SortedPartitionFeatures(const Vector& compensations, int n);
 
-/// Fill-in variant for the per-round hot path. `sort_scratch` receives the
-/// sorted copy of `compensations` and `out` the n aggregated features; both
-/// buffers are reused across calls, so steady-state calls perform no heap
-/// allocation. Neither may alias `compensations`. Identical output to the
-/// by-value overload.
+/// Fill-in variant for the per-round hot path, bit-identical to the
+/// by-value overload. The ordering is an exact radix sort, not a comparison
+/// sort: `key_scratch` is resized to twice the input length and holds the
+/// sort's order-preserving integer keys. Reusing both `key_scratch` and
+/// `out` across calls makes steady-state calls allocation-free. `out` may
+/// not alias `compensations`.
 void SortedPartitionFeaturesInto(const Vector& compensations, int n,
-                                 Vector* sort_scratch, Vector* out);
+                                 std::vector<uint64_t>* key_scratch, Vector* out);
 
 }  // namespace pdm
 

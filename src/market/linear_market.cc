@@ -54,20 +54,27 @@ NoisyLinearQueryStream::NoisyLinearQueryStream(const NoisyLinearMarketConfig& co
 }
 
 void NoisyLinearQueryStream::Next(Rng* rng, MarketRound* round) {
-  // Whole pipeline runs in reused buffers: query weights, compensations, the
-  // aggregation's sort scratch, and the caller's feature vector.
-  query_generator_.Next(rng, &ws_.query);
-  ledger_.CompensationsInto(ws_.query, &ws_.compensations);
-  SortedPartitionFeaturesInto(ws_.compensations, config_.feature_dim,
-                              &ws_.sort_scratch, &round->features);
+  DrawQuery(rng, &ws_.query);
+  FillRound(ws_.query, &ws_, round);
+  if (config_.value_noise_sigma > 0.0) {
+    round->value += rng->NextGaussian(0.0, config_.value_noise_sigma);
+  }
+}
+
+void NoisyLinearQueryStream::DrawQuery(Rng* rng, NoisyLinearQuery* query) const {
+  query_generator_.Next(rng, query);
+}
+
+void NoisyLinearQueryStream::FillRound(const NoisyLinearQuery& query, Workspace* ws,
+                                       MarketRound* round) const {
+  ledger_.CompensationsInto(query, &ws->compensations);
+  SortedPartitionFeaturesInto(ws->compensations, config_.feature_dim, &ws->sort_keys,
+                              &round->features);
   L2NormalizeInPlace(&round->features);  // ‖x_t‖ = 1 ⇒ S = 1
 
   // q_t = Σᵢ x_{t,i} (total compensation, rescaled)
   round->reserve = Sum(round->features);
-  double noise = config_.value_noise_sigma > 0.0
-                     ? rng->NextGaussian(0.0, config_.value_noise_sigma)
-                     : 0.0;
-  round->value = Dot(round->features, theta_) + noise;
+  round->value = Dot(round->features, theta_);
 }
 
 double NoisyLinearQueryStream::RecommendedRadius() const {

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "market/round.h"
 #include "privacy/compensation.h"
@@ -53,12 +54,33 @@ struct NoisyLinearMarketConfig {
 
 class NoisyLinearQueryStream : public QueryStream {
  public:
+  /// Per-round scratch: the query's owner-weight vector, the per-owner
+  /// compensations, and the partition aggregation's sort keys. Once warm, a
+  /// round allocates nothing.
+  struct Workspace {
+    NoisyLinearQuery query;
+    Vector compensations;
+    std::vector<uint64_t> sort_keys;
+  };
+
   /// Draws contracts and θ* from `rng`; subsequent queries use the rng passed
   /// to Next().
   NoisyLinearQueryStream(const NoisyLinearMarketConfig& config, Rng* rng);
 
   using QueryStream::Next;
+  /// DrawQuery, then FillRound, then (σ > 0 only) the market-value noise
+  /// draw δ_t.
   void Next(Rng* rng, MarketRound* round) override;
+
+  /// Draws the next query's owner weights and noise variance: a round's
+  /// only `Rng` draws when value_noise_sigma == 0.
+  void DrawQuery(Rng* rng, NoisyLinearQuery* query) const;
+
+  /// The rest of a round, a pure function of the drawn query: compensations,
+  /// sorted-partition features, L2 normalization, the reserve, and the clean
+  /// market value x_tᵀθ*. Reads only immutable stream state, so any thread
+  /// may fill any round given its query. `query` may be `ws->query`.
+  void FillRound(const NoisyLinearQuery& query, Workspace* ws, MarketRound* round) const;
 
   const Vector& theta() const { return theta_; }
   const NoisyLinearMarketConfig& config() const { return config_; }
@@ -67,15 +89,6 @@ class NoisyLinearQueryStream : public QueryStream {
   double RecommendedRadius() const;
 
  private:
-  /// Per-round scratch reused across Next() calls: the query's owner-weight
-  /// vector, the per-owner compensations, and the sort buffer of the
-  /// partition aggregation. Once warm, a round allocates nothing.
-  struct Workspace {
-    NoisyLinearQuery query;
-    Vector compensations;
-    Vector sort_scratch;
-  };
-
   NoisyLinearMarketConfig config_;
   CompensationLedger ledger_;
   NoisyLinearQueryGenerator query_generator_;

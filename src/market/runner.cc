@@ -1,24 +1,14 @@
 #include "market/runner.h"
 
-#include <algorithm>
-#include <atomic>
-#include <exception>
-#include <thread>
-
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
 
 namespace pdm {
 
-SimulationRunner::SimulationRunner(const RunnerOptions& options) {
-  int threads = options.num_threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  num_threads_ = threads;
-}
+SimulationRunner::SimulationRunner(const RunnerOptions& options)
+    : num_threads_(ResolveThreadCount(options.num_threads)) {}
 
 JobResult SimulationRunner::RunJob(const SimulationJob& spec) {
   SimulationScratch scratch;
@@ -50,50 +40,15 @@ JobResult SimulationRunner::RunJob(const SimulationJob& spec,
 
 std::vector<JobResult> SimulationRunner::RunAll(
     const std::vector<SimulationJob>& jobs) const {
+  // Results land in their own slots, so the output order matches the input
+  // order exactly. Each worker holds one SimulationScratch, so the round
+  // buffers are allocated once per worker and reused across its jobs. A
+  // throwing job is rethrown after the join, as on the serial path.
   std::vector<JobResult> results(jobs.size());
-  if (jobs.empty()) return results;
-
-  const int workers =
-      static_cast<int>(std::min<size_t>(jobs.size(),
-                                        static_cast<size_t>(num_threads_)));
-  if (workers <= 1) {
-    SimulationScratch scratch;
-    for (size_t i = 0; i < jobs.size(); ++i) {
-      results[i] = RunJob(jobs[i], &scratch);
-    }
-    return results;
-  }
-
-  // Work-stealing by atomic ticket: each worker claims the next unclaimed
-  // job index. Results land in their own slots, so no locking is needed
-  // and the output order matches the input order exactly. Exceptions are
-  // parked per-slot and rethrown after the join so a throwing job
-  // behaves the same as on the serial path instead of std::terminate-ing
-  // the process.
-  std::vector<std::exception_ptr> errors(jobs.size());
-  std::atomic<size_t> next{0};
-  auto worker = [&]() {
-    // Per-thread scratch: the round buffers are allocated once per worker
-    // and reused across every job the worker claims.
-    SimulationScratch scratch;
-    for (;;) {
-      const size_t i = next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= jobs.size()) return;
-      try {
-        results[i] = RunJob(jobs[i], &scratch);
-      } catch (...) {
-        errors[i] = std::current_exception();
-      }
-    }
-  };
-
-  std::vector<std::thread> pool;
-  pool.reserve(static_cast<size_t>(workers));
-  for (int w = 0; w < workers; ++w) pool.emplace_back(worker);
-  for (std::thread& t : pool) t.join();
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  ParallelFor<SimulationScratch>(jobs.size(), num_threads_,
+                                 [&](size_t i, SimulationScratch* scratch) {
+                                   results[i] = RunJob(jobs[i], scratch);
+                                 });
   return results;
 }
 

@@ -6,6 +6,7 @@
 
 #include "common/json_writer.h"
 #include "common/memory.h"
+#include "common/timer.h"
 #include "scenario/mechanism_registry.h"
 
 namespace pdm::scenario {
@@ -22,9 +23,12 @@ std::vector<ScenarioOutcome> ExperimentDriver::Run(
   std::vector<SimulationJob> jobs(specs.size());
   for (size_t i = 0; i < specs.size(); ++i) {
     ScenarioSpec spec = Capped(specs[i]);
-    // Serial phase: shared workloads (linear replays, offline fits) are
-    // built once per distinct key before any worker starts.
+    // Prepare phase: shared workloads (linear replays, offline fits) are
+    // built once per distinct key, one key at a time, before any scenario
+    // worker starts, so synthesis can use every core without nesting pools.
+    WallTimer prepare_timer;
     WorkloadInfo info = factory_.Prepare(spec);
+    outcomes[i].prepare_seconds = prepare_timer.ElapsedSeconds();
     outcomes[i].spec = spec;
 
     SimulationJob& job = jobs[i];
@@ -98,6 +102,7 @@ void WriteRunJson(std::ostream& os, const RunMetadata& meta,
     json.Field("rounds_per_sec", wall > 0.0 ? rounds / wall : 0.0);
     json.Field("ns_per_round", wall * 1e9 / rounds);
     json.Field("rss_bytes", outcome.rss_bytes);
+    json.Field("prepare_seconds", outcome.prepare_seconds);
     // Spec coordinates.
     json.Field("family", spec.family);
     json.Field("stream", StreamKindName(spec.stream));

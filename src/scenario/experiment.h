@@ -22,8 +22,10 @@
 namespace pdm::scenario {
 
 struct RunOptions {
-  /// Worker threads; 0 picks the hardware default, 1 forces serial execution
-  /// (what timing-sensitive benches use so scenarios don't contend).
+  /// Scenario worker threads; 0 picks the hardware default, 1 runs the
+  /// scenarios serially (what timing-sensitive benches use so scenarios
+  /// don't contend). Workload synthesis in `Prepare` uses every core either
+  /// way.
   int num_threads = 0;
   /// > 0 caps every spec's horizon (and, for streams whose dataset size
   /// tracks the horizon, the dataset) — the CI smoke-grid knob.
@@ -36,6 +38,10 @@ struct ScenarioOutcome {
   /// Name reported by the constructed engine ("ellipsoid[reserve]"-style).
   std::string engine_name;
   SimulationResult result;
+  /// Wall time of this row's `StreamFactory::Prepare` call: the workload
+  /// synthesis or offline fit it triggered, ≈ 0 when an earlier row already
+  /// prepared the same workload key.
+  double prepare_seconds = 0.0;
   /// Process VmRSS after the batch completed (process-level, not
   /// per-scenario: concurrent scenarios share the address space).
   int64_t rss_bytes = 0;
@@ -47,8 +53,9 @@ class ExperimentDriver {
 
   /// Runs every spec (after applying the `max_rounds` cap) and returns
   /// outcomes index-aligned with `specs`. Shared workloads are prepared
-  /// serially once per distinct (workload, seed) key, then scenarios execute
-  /// concurrently. Invalid specs abort with a diagnostic.
+  /// once per distinct (workload, seed) key, one key at a time, before any
+  /// scenario worker starts; then scenarios execute concurrently. Invalid
+  /// specs abort with a diagnostic.
   std::vector<ScenarioOutcome> Run(const std::vector<ScenarioSpec>& specs);
 
   /// The factory holding the prepared workloads of every Run so far —
@@ -80,7 +87,7 @@ struct RunMetadata {
 /// Writes the batch as one `pdm.run.v1` JSON document. The per-result rows
 /// are a superset of `pdm.bench_throughput.v1`'s (scenario/variant/dim/
 /// rounds/wall_seconds/rounds_per_sec/ns_per_round/rss_bytes), adding the
-/// spec coordinates (stream, mechanism, link, seeds, δ), the regret
+/// row's `prepare_seconds`, the spec coordinates (stream, mechanism, link, seeds, δ), the regret
 /// accounting (cumulative regret/value, ratios, sales, Table-I stats), and
 /// the engine counters. Schema documented in DESIGN.md §8.
 void WriteRunJson(std::ostream& os, const RunMetadata& meta,

@@ -25,7 +25,17 @@ struct LinearWorkload {
   double recommended_radius = 0.0;
 };
 
-/// Draws contracts, θ*, and `rounds` queries from `Rng(seed)`.
+/// Rounds per unit of parallel work in MakeLinearWorkload.
+inline constexpr int64_t kWorkloadChunkRounds = 64;
+
+/// Draws contracts, θ*, and `rounds` queries from `Rng(seed)`: round t is
+/// exactly the t-th `NoisyLinearQueryStream::Next` of a stream built from
+/// that generator with σ = 0. Synthesis runs on every core: one serial pass
+/// records the generator at each `kWorkloadChunkRounds` boundary, then
+/// hardware_concurrency() workers claim chunks, re-draw their queries and
+/// fill the rounds (`FillRound`, a pure function of the drawn query), so
+/// the workload is bit-identical at any thread count. Callers invoke it
+/// serially (`StreamFactory::Prepare`), never from inside another pool.
 LinearWorkload MakeLinearWorkload(int dim, int64_t rounds, int num_owners,
                                   uint64_t seed);
 

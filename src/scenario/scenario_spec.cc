@@ -48,7 +48,9 @@ std::string Validate(const ScenarioSpec& spec) {
       if (spec.link != LinkKind::kIdentity) {
         return "linear stream requires the identity link";
       }
-      if (spec.linear.num_owners < 1) return "linear stream needs >= 1 owner";
+      if (spec.linear.num_owners < spec.n) {
+        return "linear stream needs num_owners >= n (one owner per sorted partition)";
+      }
       if (spec.linear.workload_rounds < 0) {
         return "workload_rounds must be >= 0 (0 = one query per round)";
       }

@@ -47,7 +47,7 @@ const char* LinkKindName(LinkKind kind);
 
 /// Parameters of `StreamKind::kLinear`.
 struct LinearStreamParams {
-  /// Data owners behind the broker.
+  /// Data owners behind the broker; at least n, one per sorted partition.
   int num_owners = 2000;
   /// Distinct precomputed queries; the replay wraps around. 0 = one per
   /// round (the figure benches' setup; the throughput bench uses 2048).

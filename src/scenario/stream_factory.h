@@ -21,9 +21,12 @@
 ///
 /// Two-phase protocol, mirroring the runner's job lifecycle:
 ///
-///   1. `Prepare(spec)` — serial, before dispatch. Builds (or reuses) the
-///      shared immutable workload and returns the engine-facing geometry
-///      (`WorkloadInfo`) that `MechanismRegistry::Build` consumes.
+///   1. `Prepare(spec)` — called serially, one spec at a time, before any
+///      scenario worker starts. Builds (or reuses) the shared immutable
+///      workload and returns the engine-facing geometry (`WorkloadInfo`)
+///      that `MechanismRegistry::Build` consumes. A linear workload's
+///      synthesis uses every core internally (`MakeLinearWorkload`), which
+///      is why callers must not run Prepare from inside their own pools.
 ///   2. `CreateStream(spec, rng)` — on the worker thread, with the
 ///      scenario's own `Rng(sim_seed)`. Only reads the caches, so concurrent
 ///      calls for different scenarios are safe.
@@ -42,8 +45,9 @@ class StreamFactory {
   StreamFactory(const StreamFactory&) = delete;
   StreamFactory& operator=(const StreamFactory&) = delete;
 
-  /// Serial phase (not thread-safe): ensures the spec's shared workload
-  /// exists and reports the engine geometry. PDM_CHECKs Validate(spec).
+  /// Prepare phase (not thread-safe; may itself run on every core):
+  /// ensures the spec's shared workload exists and reports the engine
+  /// geometry. PDM_CHECKs Validate(spec).
   WorkloadInfo Prepare(const ScenarioSpec& spec);
 
   /// Worker phase (thread-safe w.r.t. other CreateStream calls): builds the

@@ -1,13 +1,19 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/histogram.h"
 #include "common/memory.h"
+#include "common/parallel.h"
 #include "common/stats.h"
 #include "common/string_util.h"
 #include "common/table_printer.h"
@@ -396,6 +402,59 @@ TEST(LatencyHistogram, MergeMatchesRecordingEverythingInOne) {
   EXPECT_EQ(a.mean(), whole.mean());
   for (double q : {0.1, 0.5, 0.9, 0.99, 0.999, 1.0}) {
     EXPECT_EQ(a.Quantile(q), whole.Quantile(q)) << "q=" << q;
+  }
+}
+
+// ---------------------------------------------------------------- parallel
+
+TEST(ParallelFor, RunsEveryIndexOnceOnEveryThreadCount) {
+  for (int threads : {1, 2, 3, 8}) {
+    for (size_t count : {size_t{0}, size_t{1}, size_t{5}, size_t{100}}) {
+      std::vector<std::atomic<int>> hits(count);
+      ParallelFor(count, threads, [&](size_t i) { hits[i].fetch_add(1); });
+      for (size_t i = 0; i < count; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "threads=" << threads << " i=" << i;
+      }
+    }
+  }
+}
+
+TEST(ParallelFor, EachWorkerOwnsOneState) {
+  // Every index records the state object it ran with: at most `threads`
+  // distinct states, and a state is never shared by two workers at once.
+  struct State {
+    std::atomic<int> busy{0};
+  };
+  const size_t count = 64;
+  std::vector<const State*> used(count, nullptr);
+  std::atomic<bool> overlapped{false};
+  ParallelFor<State>(count, 3, [&](size_t i, State* state) {
+    if (state->busy.fetch_add(1) != 0) overlapped = true;
+    used[i] = state;
+    state->busy.fetch_sub(1);
+  });
+  EXPECT_FALSE(overlapped.load());
+  std::sort(used.begin(), used.end());
+  EXPECT_NE(used.front(), nullptr);
+  EXPECT_LE(std::unique(used.begin(), used.end()) - used.begin(), 3);
+}
+
+TEST(ParallelFor, RethrowsTheLowestFailingIndexAfterTheRest) {
+  for (int threads : {1, 4}) {
+    std::vector<std::atomic<int>> hits(40);
+    try {
+      ParallelFor(hits.size(), threads, [&](size_t i) {
+        hits[i].fetch_add(1);
+        if (i == 7 || i == 31) throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception, threads=" << threads;
+    } catch (const std::runtime_error& error) {
+      EXPECT_STREQ(error.what(), "index 7") << "threads=" << threads;
+    }
+    // With several workers the indices after the failure still ran.
+    if (threads > 1) {
+      for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
+    }
   }
 }
 

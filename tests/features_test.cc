@@ -1,6 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "data/airbnb_like.h"
 #include "features/aggregation.h"
@@ -47,6 +52,70 @@ TEST(SortedPartition, PartitionsNondecreasingForEqualSizes) {
   Vector features = SortedPartitionFeatures(comps, 10);
   for (size_t i = 1; i < features.size(); ++i) {
     EXPECT_GE(features[i], features[i - 1]);
+  }
+}
+
+/// The comparison-sort aggregation the features must reproduce bit for bit:
+/// sort ascending with std::sort, then sum each partition in index order.
+Vector ComparisonSortPartitionFeatures(Vector values, int n) {
+  std::sort(values.begin(), values.end());
+  const int64_t m = static_cast<int64_t>(values.size());
+  Vector out(static_cast<size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    double acc = 0.0;
+    for (int64_t k = m * i / n; k < m * (i + 1) / n; ++k) {
+      acc += values[static_cast<size_t>(k)];
+    }
+    out[static_cast<size_t>(i)] = acc;
+  }
+  return out;
+}
+
+TEST(SortedPartition, MatchesTheComparisonSortByteForByte) {
+  Rng rng(17);
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  std::vector<std::pair<const char*, Vector>> inputs;
+  inputs.emplace_back("all-equal", Vector(64, 0.75));
+  Vector tied(301);
+  for (double& v : tied) v = 0.25 * static_cast<double>(rng.NextUint64(4));
+  inputs.emplace_back("heavily-tied", tied);
+  Vector zeros;
+  for (int k = 0; k < 90; ++k) {
+    zeros.push_back(k % 3 == 0 ? 0.0 : k % 3 == 1 ? -0.0 : rng.NextUniform(-1.0, 1.0));
+  }
+  inputs.emplace_back("signed-zeros", zeros);
+  inputs.emplace_back("only-signed-zeros", Vector{-0.0, 0.0, -0.0, 0.0, 0.0, -0.0, -0.0});
+  Vector subnormal;
+  for (int k = 0; k < 120; ++k) {
+    double v = denorm * static_cast<double>(rng.NextUint64(1u << 20));
+    if (k % 4 == 0) v = -v;
+    if (k % 10 == 0) v = std::numeric_limits<double>::min();
+    subnormal.push_back(v);
+  }
+  inputs.emplace_back("subnormals", subnormal);
+  Vector binades;
+  for (int k = 0; k < 257; ++k) {
+    int exponent = static_cast<int>(rng.NextUint64(1201)) - 600;
+    double v = std::ldexp(rng.NextUniform(1.0, 2.0), exponent);
+    binades.push_back(rng.NextBernoulli(0.5) ? -v : v);
+  }
+  inputs.emplace_back("many-binades", binades);
+  inputs.emplace_back("negative", rng.UniformVector(199, -5.0, -1e-3));
+  // The production shape: 2000 owners' compensations in [0, 1.5).
+  inputs.emplace_back("compensations", rng.UniformVector(2000, 0.0, 1.5));
+
+  for (const auto& [label, values] : inputs) {
+    const int m = static_cast<int>(values.size());
+    for (int n : {1, 2, 3, 7, 20, 100, m - 1, m}) {
+      if (n < 1 || n > m) continue;
+      Vector actual = SortedPartitionFeatures(values, n);
+      Vector expected = ComparisonSortPartitionFeatures(values, n);
+      ASSERT_EQ(actual.size(), expected.size()) << label << " n=" << n;
+      EXPECT_EQ(std::memcmp(actual.data(), expected.data(),
+                            actual.size() * sizeof(double)),
+                0)
+          << label << " n=" << n;
+    }
   }
 }
 

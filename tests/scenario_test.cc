@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -320,6 +321,85 @@ TEST(StreamFactory, RejectsInvalidSpecs) {
   EXPECT_DEATH(factory.Prepare(mismatched), "");
 }
 
+// ------------------------------------------------------- linear workload
+
+/// Bitwise equality of two doubles (EXPECT_EQ would equate +0.0 and -0.0).
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+TEST(LinearWorkload, MatchesTheSerialStreamRoundForRound) {
+  struct Case {
+    int dim;
+    int owners;
+    int64_t rounds;
+  };
+  // Round counts straddle the chunk size; the longer runs span several
+  // chunks, so worker threads start.
+  const int64_t chunk = kWorkloadChunkRounds;
+  const Case cases[] = {
+      {4, 50, 1},
+      {4, 50, chunk - 1},
+      {4, 50, chunk},
+      {4, 50, chunk + 1},
+      {6, 80, 3 * chunk + 5},
+      {12, 12, 3 * chunk + 5},  // dim == owners: one owner per partition
+      {1, 40, 3 * chunk + 5},   // dim == 1: the total compensation
+  };
+  for (const Case& c : cases) {
+    const uint64_t seed = 7 + static_cast<uint64_t>(c.rounds);
+    SCOPED_TRACE("dim=" + std::to_string(c.dim) + " owners=" + std::to_string(c.owners) +
+                 " rounds=" + std::to_string(c.rounds));
+    LinearWorkload workload = MakeLinearWorkload(c.dim, c.rounds, c.owners, seed);
+
+    NoisyLinearMarketConfig config;
+    config.feature_dim = c.dim;
+    config.num_owners = c.owners;
+    config.value_noise_sigma = 0.0;
+    Rng rng(seed);
+    NoisyLinearQueryStream stream(config, &rng);
+    ASSERT_EQ(workload.theta, stream.theta());
+    ASSERT_TRUE(SameBits(workload.recommended_radius, stream.RecommendedRadius()));
+    ASSERT_EQ(static_cast<int64_t>(workload.rounds.size()), c.rounds);
+    MarketRound expected;
+    for (int64_t t = 0; t < c.rounds; ++t) {
+      stream.Next(&rng, &expected);
+      const MarketRound& actual = workload.rounds[static_cast<size_t>(t)];
+      ASSERT_EQ(actual.features.size(), expected.features.size()) << "round " << t;
+      ASSERT_EQ(std::memcmp(actual.features.data(), expected.features.data(),
+                            actual.features.size() * sizeof(double)),
+                0)
+          << "round " << t;
+      ASSERT_TRUE(SameBits(actual.reserve, expected.reserve)) << "round " << t;
+      ASSERT_TRUE(SameBits(actual.value, expected.value)) << "round " << t;
+    }
+  }
+}
+
+/// FNV-1a over the bytes of every double a workload holds.
+uint64_t WorkloadHash(const LinearWorkload& workload) {
+  uint64_t hash = 0xcbf29ce484222325ull;
+  auto mix = [&hash](double v) {
+    unsigned char bytes[sizeof(double)];
+    std::memcpy(bytes, &v, sizeof(double));
+    for (unsigned char b : bytes) hash = (hash ^ b) * 0x100000001b3ull;
+  };
+  for (double v : workload.theta) mix(v);
+  mix(workload.recommended_radius);
+  for (const MarketRound& round : workload.rounds) {
+    for (double v : round.features) mix(v);
+    mix(round.reserve);
+    mix(round.value);
+  }
+  return hash;
+}
+
+TEST(LinearWorkload, SmallWorkloadMatchesItsGolden) {
+  // Captured from the serial std::sort synthesis; any change to the draws,
+  // the aggregation order or the normalization moves it. So can a libm that
+  // rounds tanh/log differently: MatchesTheSerialStreamRoundForRound then
+  // still tells whether synthesis itself is intact.
+  EXPECT_EQ(WorkloadHash(MakeLinearWorkload(5, 200, 40, 3)), 0x7f7509488f6bc478ull);
+}
+
 TEST(Validate, ReportsTheFirstProblem) {
   ScenarioSpec spec;
   EXPECT_EQ(Validate(spec), "");
@@ -329,6 +409,13 @@ TEST(Validate, ReportsTheFirstProblem) {
   spec.stream = StreamKind::kAdversarial;
   spec.n = 1;
   EXPECT_NE(Validate(spec), "");
+  // Every sorted partition needs at least one owner.
+  spec.stream = StreamKind::kLinear;
+  spec.n = 20;
+  spec.linear.num_owners = 10;
+  EXPECT_NE(Validate(spec), "");
+  spec.linear.num_owners = 20;
+  EXPECT_EQ(Validate(spec), "");
 }
 
 // ------------------------------------------------------- legacy equivalence
@@ -589,6 +676,10 @@ TEST(ExperimentDriver, RunJsonDocumentCarriesTheBatch) {
                           "\"rounds_per_sec\"", "\"ns_per_round\"", "\"rss_bytes\""}) {
     EXPECT_NE(doc.find(key), std::string::npos) << key;
   }
+  // The row's Prepare wall time follows the compatibility block.
+  ASSERT_NE(doc.find("\"prepare_seconds\""), std::string::npos);
+  EXPECT_GT(doc.find("\"prepare_seconds\""), doc.find("\"rss_bytes\""));
+  EXPECT_GE(outcomes[0].prepare_seconds, 0.0);
   EXPECT_NE(doc.find("\"series\""), std::string::npos);
   // Balanced braces/brackets (the writer enforces this structurally; this
   // guards the call-site pairing in WriteRunJson).
