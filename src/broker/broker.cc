@@ -12,6 +12,7 @@
 
 #include "common/check.h"
 #include "common/fault.h"
+#include "common/parallel.h"
 
 namespace pdm::broker {
 namespace {
@@ -63,28 +64,62 @@ size_t ThreadStripe(size_t stripes) {
   return number % stripes;
 }
 
-/// Crash-consistent spill write (DESIGN.md §14): the bytes land in
-/// `path + ".tmp"`, are fsync'd, and only then atomically renamed over
+/// Eviction waves (DESIGN.md §12): a residency cap gets one wave victim per
+/// kResidentsPerWaveVictim resident sessions, between 1 and kMaxWave.
+constexpr size_t kMaxWave = 8;
+constexpr size_t kResidentsPerWaveVictim = 256;
+
+size_t WaveSizeForCap(size_t cap) {
+  return std::min(kMaxWave, std::max<size_t>(1, cap / kResidentsPerWaveVictim));
+}
+
+/// One spill write's injected faults, drawn before the write runs so that a
+/// wave draws its victims' decisions serially, in victim order, while the
+/// writes themselves run concurrently (DESIGN.md §14).
+struct SpillFaults {
+  bool open = false;
+  bool short_write = false;
+  bool write = false;
+  bool fsync = false;
+  bool rename = false;
+};
+
+/// Draws the spill.{open,short_write,write,fsync,rename} sites in syscall
+/// order, stopping at the first that fires — the sites a failed write would
+/// never reach are not consulted.
+SpillFaults DrawSpillFaults() {
+  SpillFaults faults;
+  if ((faults.open = fault::ShouldFail("spill.open"))) return faults;
+  if ((faults.short_write = fault::ShouldFail("spill.short_write"))) return faults;
+  if ((faults.write = fault::ShouldFail("spill.write"))) return faults;
+  if ((faults.fsync = fault::ShouldFail("spill.fsync"))) return faults;
+  faults.rename = fault::ShouldFail("spill.rename");
+  return faults;
+}
+
+/// Crash-consistent spill write (DESIGN.md §14): the bytes land in `tmp`
+/// (`path + ".tmp"`), are fsync'd, and only then atomically renamed over
 /// `path` — a crash at any instant leaves either the old spill, the new
 /// spill, or a sweepable `.tmp` orphan, never a torn file under the real
-/// name. Fault-injection sites mirror the syscalls: spill.open, spill.write
-/// (EIO before any byte), spill.short_write (ENOSPC after a partial write),
-/// spill.fsync, spill.rename.
-bool WriteSpillAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
+/// name. `faults` injects failures at the syscalls they name: spill.open,
+/// spill.write (EIO before any byte), spill.short_write (ENOSPC after a
+/// partial write), spill.fsync, spill.rename. Makes syscalls only — no
+/// heap allocation — so eviction-wave workers can run it.
+bool WriteSpillAtomic(const std::string& path, const std::string& tmp,
+                      std::string_view bytes, const SpillFaults& faults) {
   int fd = -1;
-  if (!fault::ShouldFail("spill.open")) {
+  if (!faults.open) {
     fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   }
   if (fd < 0) return false;
   bool ok = true;
-  if (fault::ShouldFail("spill.short_write")) {
+  if (faults.short_write) {
     // Simulated ENOSPC: a prefix lands in the tmp file, then the device
     // fills. The torn bytes never reach `path` — that is the whole point.
     ssize_t ignored = ::write(fd, bytes.data(), bytes.size() / 2);
     (void)ignored;
     ok = false;
-  } else if (fault::ShouldFail("spill.write")) {
+  } else if (faults.write) {
     ok = false;  // simulated EIO before any byte lands
   }
   size_t written = 0;
@@ -97,9 +132,9 @@ bool WriteSpillAtomic(const std::string& path, std::string_view bytes) {
     }
     written += static_cast<size_t>(n);
   }
-  if (ok && (fault::ShouldFail("spill.fsync") || ::fsync(fd) != 0)) ok = false;
+  if (ok && (faults.fsync || ::fsync(fd) != 0)) ok = false;
   ::close(fd);
-  if (ok && fault::ShouldFail("spill.rename")) ok = false;
+  if (ok && faults.rename) ok = false;
   if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
   if (!ok) ::unlink(tmp.c_str());
   return ok;
@@ -139,6 +174,20 @@ SpillRead ReadSpillFile(const std::string& path, std::string* bytes) {
 uint64_t TicketBaseForIndex(size_t session_index) {
   return (static_cast<uint64_t>(session_index) + 1) << 40;
 }
+
+struct Broker::WaveVictim {
+  SessionSlot* slot = nullptr;
+  size_t index = 0;
+  /// Held from snapshot to commit.
+  std::unique_lock<std::mutex> lock;
+  /// The encoded pdm.snap envelope.
+  std::string bytes;
+  std::string path;
+  std::string tmp_path;
+  SpillFaults faults;
+  /// Set by the wave worker that wrote the spill.
+  bool written = false;
+};
 
 void Broker::PoolDeleter::operator()(PricingSession* session) const {
   std::lock_guard lock(broker->arena_mu_);
@@ -232,7 +281,8 @@ Broker::~Broker() {
   // Slots live in the arena, so ~Broker runs their destructors explicitly
   // (sessions return to the pool through PoolDeleter — both the pool and
   // the arena outlive this loop because the member destructors have not run
-  // yet). Evicted slots leave no trace: their spill files are removed.
+  // yet). Evicted slots leave no trace: their spill files are removed, and
+  // so are the spills fault-ins consumed since the last sweep.
   for (size_t i = 0; i < slots_.size(); ++i) {
     if (slots_[i]->evicted) {
       std::error_code ec;
@@ -240,6 +290,7 @@ Broker::~Broker() {
     }
     slots_[i]->~SessionSlot();
   }
+  for (const std::string& consumed : consumed_spills_) ::unlink(consumed.c_str());
 }
 
 Broker::SessionSlot* Broker::NewSlot() {
@@ -661,8 +712,20 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   }
   slot->session = std::move(session);
   slot->evicted = false;
-  std::error_code ec;
-  std::filesystem::remove(path, ec);
+  // The spill is consumed. Renaming it out of the live namespace is all the
+  // touch pays; the next eviction wave unlinks it alongside its spill
+  // writes (DESIGN.md §12). A crash before then leaves a `.tmp` orphan the
+  // startup sweep deletes — never a live-named spill behind a session that
+  // has moved on. A failed rename falls back to the inline unlink. The name
+  // differs from WriteSpillAtomic's `slot-N.snap.tmp`, so one wave can
+  // unlink it while re-spilling the same slot.
+  std::string consumed = path + ".consumed.tmp";
+  if (::rename(path.c_str(), consumed.c_str()) == 0) {
+    std::lock_guard consumed_lock(consumed_mu_);
+    consumed_spills_.push_back(std::move(consumed));
+  } else {
+    ::unlink(path.c_str());
+  }
   spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
   slot->spill_size = 0;
   resident_sessions_.fetch_add(1, std::memory_order_relaxed);
@@ -742,85 +805,155 @@ void Broker::EnforceResidencyLimit() {
   // than convoying — the cap is a soft target.
   std::unique_lock control(control_mu_, std::try_to_lock);
   if (!control.owns_lock()) return;
-  EvictLocked(limit);
+  // Sweep W − 1 below the cap: the wave spills W victims at once, and the
+  // next W − 1 fault-ins find headroom and pay no sweep (DESIGN.md §12).
+  const size_t wave = WaveSizeForCap(limit);
+  EvictLocked(limit - (wave - 1), wave);
 }
 
 size_t Broker::EvictIdleSessions(size_t max_resident) {
   if (config_.spill_dir.empty()) return 0;
   std::lock_guard control(control_mu_);
-  return EvictLocked(max_resident);
+  return EvictLocked(max_resident, kMaxWave);
 }
 
-size_t Broker::EvictLocked(size_t max_resident) {
-  if (resident_sessions_.load(std::memory_order_relaxed) <= max_resident) return 0;
-  // Advance the sweep epoch first: sessions touched after this point stamp
-  // the new epoch and read as recently-used in this sweep — a CLOCK-style
-  // LRU approximation that costs the hot path nothing.
-  uint64_t sweep = sweep_epoch_.fetch_add(1, std::memory_order_relaxed);
-  const Directory* dir = directory_.Load();
-  const size_t n = dir->slots.size();
-  if (n == 0) return 0;
+size_t Broker::EvictLocked(size_t max_resident, size_t wave_size) {
+  std::vector<WaveVictim> wave;
   size_t evicted = 0;
-  // Incremental CLOCK hand: resume scanning where the previous sweep stopped
-  // instead of rebuilding and sorting an O(N) candidate vector per over-cap
-  // fault (the PR8 bottleneck — at 100k products the sort dominated fault-in
-  // latency). Pass 0 takes only slots untouched since before the previous
-  // sweep (touched < sweep); if the cap is still exceeded after a full
-  // revolution, pass 1 relaxes to everything touched at or before this
-  // sweep's start (touched == sweep) — the same candidate set the old sorted
-  // sweep considered, minus the exact-staleness ordering, which no caller
-  // depends on.
-  for (int pass = 0; pass < 2; ++pass) {
-    const uint64_t threshold = sweep - 1 + static_cast<uint64_t>(pass);
-    for (size_t scanned = 0; scanned < n; ++scanned) {
-      if (resident_sessions_.load(std::memory_order_relaxed) <= max_resident) {
-        return evicted;
+  bool drained = false;
+  if (resident_sessions_.load(std::memory_order_relaxed) > max_resident) {
+    // Advance the sweep epoch first: sessions touched after this point stamp
+    // the new epoch and read as recently-used in this sweep — a CLOCK-style
+    // LRU approximation that costs the hot path nothing.
+    const uint64_t sweep = sweep_epoch_.fetch_add(1, std::memory_order_relaxed);
+    const Directory* dir = directory_.Load();
+    const size_t n = dir->slots.size();
+    wave.reserve(wave_size);
+    // Incremental CLOCK hand: resume scanning where the previous sweep
+    // stopped instead of rebuilding and sorting an O(N) candidate vector per
+    // over-cap fault (at 100k products that sort dominated fault-in
+    // latency). Pass 0 takes only slots untouched since before the previous
+    // sweep (touched < sweep); if the cap is still exceeded after a full
+    // revolution, pass 1 relaxes to everything touched at or before this
+    // sweep's start (touched == sweep) — the same candidate set the old
+    // sorted sweep considered, minus the exact-staleness ordering, which no
+    // caller depends on. Waves share the walk, so one sweep still visits
+    // each slot at most once per pass.
+    int pass = 0;
+    size_t scanned = 0;
+    auto threshold = [&] { return sweep - 1 + static_cast<uint64_t>(pass); };
+    // The next slot under the hand that may be a victim, or nullptr once
+    // both passes are done. Touches racing with this sweep stamp the
+    // post-bump epoch (sweep + 1) and are skipped; the per-victim re-check
+    // happens under the slot lock.
+    auto next_candidate = [&](size_t* index) -> SessionSlot* {
+      for (; pass < 2; ++pass, scanned = 0) {
+        while (scanned < n) {
+          ++scanned;
+          const size_t i = clock_hand_ % n;  // directory can grow between sweeps
+          clock_hand_ = (clock_hand_ + 1) % n;
+          SessionSlot* slot = dir->slots[i];
+          if ((slot->state.load(std::memory_order_acquire) & 1) == 0) continue;
+          if (slot->recipe == nullptr) continue;  // caller-built: not evictable
+          if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold()) {
+            continue;
+          }
+          *index = i;
+          return slot;
+        }
       }
-      const size_t index = clock_hand_ % n;  // directory can grow between sweeps
-      clock_hand_ = (clock_hand_ + 1) % n;
-      SessionSlot* slot = dir->slots[index];
-      if ((slot->state.load(std::memory_order_acquire) & 1) == 0) continue;
-      if (slot->recipe == nullptr) continue;  // caller-built: not evictable
-      // Touches racing with this sweep stamp the post-bump epoch (sweep + 1)
-      // and are skipped; the per-victim re-check happens under the slot lock.
-      if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold) {
-        continue;
+      return nullptr;
+    };
+    for (;;) {
+      // Gather one wave in CLOCK order: each victim is locked, re-checked,
+      // snapshotted and encoded, and stays locked until SpillWave commits it.
+      // A wave takes its slot locks in ascending slot order, so it ends
+      // where the hand wraps: no two waves lock slots in opposite orders,
+      // and no wave comes round to a slot it already holds.
+      while (wave.size() < wave_size &&
+             resident_sessions_.load(std::memory_order_relaxed) > max_resident + wave.size()) {
+        size_t index = 0;
+        SessionSlot* slot = next_candidate(&index);
+        if (slot == nullptr) break;
+        if (!wave.empty() && index <= wave.back().index) {
+          evicted += SpillWave(&wave);
+          drained = true;
+          if (resident_sessions_.load(std::memory_order_relaxed) <= max_resident) break;
+        }
+        std::unique_lock slot_lock(slot->mu);
+        if ((slot->state.load(std::memory_order_relaxed) & 1) == 0) continue;
+        if (slot->evicted || slot->session == nullptr) continue;
+        if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold()) continue;
+        SessionSnapshot snapshot;
+        // Engines without snapshot support are skipped — they simply stay
+        // resident.
+        if (!slot->session->Snapshot(&snapshot).ok()) continue;
+        WaveVictim& victim = wave.emplace_back();
+        victim.slot = slot;
+        victim.index = index;
+        victim.lock = std::move(slot_lock);
+        victim.bytes = EncodeSessionSnapshot(snapshot);
+        victim.path = SpillPath(index);
+        victim.tmp_path = victim.path + ".tmp";
       }
-      std::lock_guard slot_lock(slot->mu);
-      if ((slot->state.load(std::memory_order_relaxed) & 1) == 0) continue;
-      if (slot->evicted || slot->session == nullptr) continue;
-      if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold) {
-        continue;
-      }
-      if (EvictSlotLocked(slot, index)) ++evicted;
+      if (wave.empty()) break;
+      evicted += SpillWave(&wave);
+      drained = true;
     }
   }
+  // Even a sweep that evicts nothing unlinks the consumed spills queued
+  // before it.
+  if (!drained) SpillWave(&wave);
   return evicted;
 }
 
-bool Broker::EvictSlotLocked(SessionSlot* slot, size_t index) {
-  SessionSnapshot snapshot;
-  // Engines without snapshot support are skipped — they simply stay
-  // resident.
-  if (!slot->session->Snapshot(&snapshot).ok()) return false;
-  // Spills carry the checksummed pdm.snap envelope and land through
-  // tmp + fsync + atomic rename (DESIGN.md §14): at no instant does the
-  // spill name reference torn bytes, and once the rename returns the spill
-  // survives kill -9. A failed write keeps the session resident — losing
-  // residency headroom beats losing state.
-  std::string bytes = EncodeSessionSnapshot(snapshot);
-  std::string path = SpillPath(index);
-  if (!WriteSpillAtomic(path, bytes)) {
-    metrics_.spill_write_errors.Increment();
-    return false;
+size_t Broker::SpillWave(std::vector<WaveVictim>* wave) {
+  std::vector<std::string> consumed;
+  {
+    std::lock_guard consumed_lock(consumed_mu_);
+    consumed.swap(consumed_spills_);
   }
-  slot->session.reset();
-  slot->evicted = true;
-  slot->spill_size = bytes.size();
-  spill_bytes_.fetch_add(bytes.size(), std::memory_order_relaxed);
-  resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  // Fault decisions are drawn here, serially and in victim order, so a
+  // seeded schedule fails the same victims however the writes interleave
+  // (DESIGN.md §14).
+  for (WaveVictim& victim : *wave) victim.faults = DrawSpillFaults();
+  // The wave's file-system work, on one worker per victim. Every path and
+  // byte a worker touches was built above, so workers only make syscalls
+  // and never allocate. Spill writes hold the low indices and start first.
+  const size_t victims = wave->size();
+  ParallelFor(victims + consumed.size(), static_cast<int>(std::max<size_t>(victims, 1)),
+              [&](size_t i) {
+                if (i < victims) {
+                  WaveVictim& victim = (*wave)[i];
+                  victim.written = WriteSpillAtomic(victim.path, victim.tmp_path,
+                                                    victim.bytes, victim.faults);
+                } else {
+                  ::unlink(consumed[i - victims].c_str());
+                }
+              });
+  // Commit in CLOCK order. Spills carry the checksummed pdm.snap envelope
+  // and land through tmp + fsync + atomic rename (DESIGN.md §14): at no
+  // instant does the spill name reference torn bytes, and once the rename
+  // returns the spill survives kill -9. A failed write keeps the session
+  // resident — losing residency headroom beats losing state.
+  size_t evicted = 0;
+  for (WaveVictim& victim : *wave) {
+    SessionSlot* slot = victim.slot;
+    if (victim.written) {
+      slot->session.reset();
+      slot->evicted = true;
+      slot->spill_size = victim.bytes.size();
+      spill_bytes_.fetch_add(victim.bytes.size(), std::memory_order_relaxed);
+      resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      ++evicted;
+    } else {
+      metrics_.spill_write_errors.Increment();
+    }
+    victim.lock.unlock();
+  }
+  wave->clear();
+  return evicted;
 }
 
 void Broker::SumTotals(BrokerStats* stats) const {

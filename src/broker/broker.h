@@ -55,8 +55,9 @@
 /// cold tier bounds resident engine state: when more than
 /// `max_resident_sessions` sessions hold live engines, the least-recently
 /// touched evictable sessions are spilled to `spill_dir` as checksummed
-/// `pdm.snap` blobs (crash-atomic writes, DESIGN.md §14) and their
-/// in-memory state is dropped; the next request
+/// `pdm.snap` blobs (crash-atomic writes, DESIGN.md §14), in waves whose
+/// file-system work runs concurrently, and their in-memory state is
+/// dropped; the next request
 /// that touches an evicted product faults it back in transparently, and the
 /// snapshot round trip makes the resumed session *bit-identical* to one that
 /// was never evicted. Handles and outstanding tickets remain valid across
@@ -71,10 +72,14 @@ struct BrokerConfig {
   std::string spill_dir;
   /// Soft cap on sessions holding live in-memory engines. 0 = unlimited.
   /// When the resident count exceeds the cap, request-path entry points
-  /// trigger an eviction sweep (least-recently-touched first) down to the
-  /// cap. Only registry-opened sessions (those with a rebuild recipe) are
-  /// evictable; sessions opened with caller-built engines always stay
-  /// resident, as does any session whose snapshot is not currently capturable.
+  /// trigger an eviction sweep (least-recently-touched first) down to
+  /// cap − (W − 1), where W = min(8, max(1, cap / 256)) is the cap's
+  /// eviction-wave size (DESIGN.md §12): W victims spill concurrently, and
+  /// the next W − 1 fault-ins then pay no sweep. Caps below 512 keep a
+  /// single-victim sweep down to the cap itself. Only registry-opened
+  /// sessions (those with a rebuild recipe) are evictable; sessions opened
+  /// with caller-built engines always stay resident, as does any session
+  /// whose snapshot is not currently capturable.
   size_t max_resident_sessions = 0;
   /// Telemetry gateway (DESIGN.md §13). The broker resolves its instruments
   /// and registers its scrape-time collector in the constructor. The request
@@ -290,9 +295,12 @@ class Broker : private metrics::MetricCollector {
   // ----------------------------------------------------- cold tier
 
   /// Evicts least-recently-touched evictable sessions until at most
-  /// `max_resident` remain resident (or no candidates are left). Returns
-  /// the number evicted. A no-op (returns 0) when the broker has no
-  /// spill_dir. Also the manual monitoring hook — the request path calls
+  /// `max_resident` remain resident (or no candidates are left) — down to
+  /// `max_resident` itself, without the request path's W − 1 headroom — in
+  /// waves of up to 8 victims whose spill writes run concurrently. Returns the
+  /// number evicted. Also unlinks the spills that fault-ins consumed since
+  /// the previous sweep. A no-op (returns 0) when the broker has no
+  /// spill_dir. Also the manual monitoring hook — the request path runs
   /// the same sweep automatically when `max_resident_sessions` is exceeded.
   size_t EvictIdleSessions(size_t max_resident);
 
@@ -464,7 +472,9 @@ class Broker : private metrics::MetricCollector {
   /// goes through Acquire*. Acquire* also services the cold tier: touching
   /// an evicted slot faults the session back in (still under only the slot
   /// lock — fault-in never takes control_mu_, so it cannot deadlock with an
-  /// eviction sweep holding control_mu_ and waiting on slot locks).
+  /// eviction sweep holding control_mu_ and waiting on slot locks). A
+  /// LockedSlot is the only slot lock its thread holds: no request path
+  /// holds two slot locks, which is what lets an eviction wave hold several.
   struct LockedSlot {
     SessionSlot* slot = nullptr;
     std::unique_lock<std::mutex> lock;
@@ -491,7 +501,10 @@ class Broker : private metrics::MetricCollector {
   /// and the status says why: Unavailable for a transient read error (the
   /// bytes are still on disk — a retry may succeed), DataLoss when the spill
   /// failed checksum/decode/restore and was quarantined (every later touch
-  /// short-circuits to DataLoss).
+  /// short-circuits to DataLoss). On success the consumed spill is renamed
+  /// to `slot-N.snap.consumed.tmp` and queued for the next sweep to unlink
+  /// (a crash first leaves a `.tmp` the startup sweep deletes); if that
+  /// rename fails it is unlinked inline.
   Status FaultInLocked(SessionSlot* slot, size_t index);
 
   /// Marks the slot's spill corrupt: renames the file to `*.quarantined`,
@@ -513,18 +526,34 @@ class Broker : private metrics::MetricCollector {
   std::string SpillPath(size_t index) const;
 
   /// Request-path residency enforcement: when the resident count exceeds
-  /// the configured cap, runs one eviction sweep. Called with NO locks held
-  /// (takes control_mu_ with try-lock so concurrent requests never convoy
-  /// behind one sweep).
+  /// the configured cap, runs one eviction sweep down to cap − (W − 1) in
+  /// waves of W (see BrokerConfig::max_resident_sessions). Called with NO
+  /// locks held (takes control_mu_ with try-lock so concurrent requests
+  /// never convoy behind one sweep).
   void EnforceResidencyLimit();
 
-  /// The sweep core; control_mu_ must be held.
-  size_t EvictLocked(size_t max_resident);
+  /// The sweep core; control_mu_ must be held. Walks the CLOCK hand,
+  /// gathering waves of up to `wave_size` victims until at most
+  /// `max_resident` sessions stay resident or no candidate is left, and
+  /// runs each through SpillWave. Every call runs at least one (possibly
+  /// victimless) wave, so it also unlinks every consumed spill queued
+  /// before it.
+  size_t EvictLocked(size_t max_resident, size_t wave_size);
 
-  /// Serializes a resident session to its spill file and drops the
-  /// in-memory state. Requires control_mu_ AND slot->mu held. Returns false
-  /// when the session is not evictable right now.
-  bool EvictSlotLocked(SessionSlot* slot, size_t index);
+  /// One eviction-wave victim (defined in broker.cc): its slot lock, held
+  /// from snapshot to commit, and everything the wave's workers touch —
+  /// spill bytes, paths, pre-drawn fault decisions — built beforehand.
+  struct WaveVictim;
+
+  /// Runs one eviction wave; control_mu_ must be held and every victim's
+  /// slot lock is held by its WaveVictim. Draws each victim's spill fault
+  /// decisions serially in victim order, then runs the spill writes and
+  /// the unlinks of every queued consumed spill concurrently on one worker
+  /// per victim (ParallelFor: a wave of one runs on the calling thread),
+  /// then commits the victims in order and releases their locks. A victim
+  /// whose write failed stays resident. Returns the number evicted and
+  /// leaves `wave` empty.
+  size_t SpillWave(std::vector<WaveVictim>* wave);
 
   /// Push instruments, resolved once from `config.metrics` at construction
   /// (DESIGN.md §13): only events that fire at most once per fault-in,
@@ -597,7 +626,14 @@ class Broker : private metrics::MetricCollector {
 
   /// Serializes directory mutations (open/close) and eviction sweeps; never
   /// taken on the request path (fault-in included). Session-state mutations
-  /// (Restore, feedback) need only the slot lock.
+  /// (Restore, feedback) need only the slot lock. Lock order: control_mu_ →
+  /// slot locks → the leaf locks (`arena_mu_`, `consumed_mu_`). An eviction
+  /// wave holds up to 8 slot locks at once; that cannot deadlock, because
+  /// no request path holds two slot locks, and Stats() — the only other
+  /// caller that visits several slots — locks one at a time and only after
+  /// taking control_mu_, which the wave holds. A wave also takes its slot
+  /// locks in ascending slot order (it ends where the CLOCK hand wraps), so
+  /// no two waves lock the same pair of slots in opposite orders.
   mutable std::mutex control_mu_;
   /// Backing store for slot and session objects (DESIGN.md §12): slots are
   /// bump-allocated and live until ~Broker; session objects recycle through
@@ -632,6 +668,13 @@ class Broker : private metrics::MetricCollector {
   /// instead of rescanning (and re-sorting) the whole slot table from zero.
   /// Guarded by control_mu_.
   size_t clock_hand_ = 0;
+  /// Spills consumed by fault-ins (renamed to `*.consumed.tmp`) and not
+  /// yet unlinked: the next eviction wave unlinks them alongside its spill
+  /// writes, ~Broker unlinks what is left. At most one file per slot.
+  /// Appended under a slot lock by fault-in, drained by SpillWave; guarded
+  /// by `consumed_mu_`, a leaf lock.
+  std::mutex consumed_mu_;
+  std::vector<std::string> consumed_spills_;
   /// Spill files inventoried by the startup sweep and not yet adopted:
   /// decoded product name → on-disk path + size. Guarded by control_mu_.
   struct RecoveredSpill {

@@ -5,27 +5,52 @@
 namespace pdm {
 namespace {
 
-constexpr std::array<uint32_t, 256> BuildTable() {
-  std::array<uint32_t, 256> table{};
+using Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+/// kTables[0] is the classic byte table; kTables[k][b] is the CRC of byte b
+/// followed by k zero bytes, so eight lookups advance the CRC by eight bytes.
+constexpr Tables BuildTables() {
+  Tables tables{};
   for (uint32_t i = 0; i < 256; ++i) {
     uint32_t c = i;
     for (int k = 0; k < 8; ++k) {
       c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
     }
-    table[i] = c;
+    tables[0][i] = c;
   }
-  return table;
+  for (size_t k = 1; k < tables.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      const uint32_t prev = tables[k - 1][i];
+      tables[k][i] = tables[0][prev & 0xFFu] ^ (prev >> 8);
+    }
+  }
+  return tables;
 }
 
-constexpr std::array<uint32_t, 256> kTable = BuildTable();
+constexpr Tables kTables = BuildTables();
+
+/// Little-endian load regardless of host byte order and alignment; compilers
+/// fold it into one load on little-endian targets.
+inline uint32_t LoadLe32(const unsigned char* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
 
 }  // namespace
 
 uint32_t Crc32(uint32_t crc, const void* data, size_t size) {
   const unsigned char* p = static_cast<const unsigned char*>(data);
   uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  for (; size >= 8; p += 8, size -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ c;
+    const uint32_t hi = LoadLe32(p + 4);
+    c = kTables[7][lo & 0xFFu] ^ kTables[6][(lo >> 8) & 0xFFu] ^
+        kTables[5][(lo >> 16) & 0xFFu] ^ kTables[4][lo >> 24] ^
+        kTables[3][hi & 0xFFu] ^ kTables[2][(hi >> 8) & 0xFFu] ^
+        kTables[1][(hi >> 16) & 0xFFu] ^ kTables[0][hi >> 24];
+  }
+  for (; size > 0; ++p, --size) {
+    c = kTables[0][(c ^ *p) & 0xFFu] ^ (c >> 8);
   }
   return c ^ 0xFFFFFFFFu;
 }

@@ -7,9 +7,11 @@
 
 /// \file
 /// CRC-32 (IEEE 802.3, reflected, polynomial 0xEDB88320) — the checksum
-/// behind the pdm.snap envelope (DESIGN.md §14). Table-driven, one byte
-/// per step; spill blobs are megabytes at most and written on the cold
-/// eviction path, so simplicity beats a slice-by-8 kernel here.
+/// behind the pdm.snap envelope (DESIGN.md §14). Slice-by-8: eight table
+/// lookups per 8-byte step, with a byte-at-a-time tail. Every eviction
+/// encodes and every fault-in decodes a spill, so the checksum sits on the
+/// cold tier's request path: a dim-32 spill (≈ 8.6 KB) checksums in about a
+/// fifth of the byte-at-a-time time, to the same value.
 
 namespace pdm {
 

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <string>
@@ -1520,6 +1521,178 @@ TEST(BrokerColdTier, RandomizedEvictFaultInMatchesNeverEvictedTwinBitwise) {
     EXPECT_EQ(cold_info.quotes_issued, hot_info.quotes_issued);
     EXPECT_EQ(cold_info.feedback_received, hot_info.feedback_received);
   }
+}
+
+/// Files in `dir` whose names end in ".tmp".
+size_t CountTmpFiles(const std::string& dir) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().ends_with(".tmp")) ++count;
+  }
+  return count;
+}
+
+TEST(BrokerColdTier, ResidencyCapWavesMatchNeverEvictedTwinBitwise) {
+  // The request-path sweep at a cap that gets multi-victim waves: cap 2048
+  // gives W = min(8, 2048 / 256) = 8, so each sweep spills eight victims
+  // concurrently down to cap − 7. The cold broker evicts and faults in on
+  // its own, and every quote and snapshot must still match a twin that
+  // never evicts. Three touches in four walk the catalog in order, which
+  // keeps running into the products the last wave spilled.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("wave/base", 4, 4000, "reserve+uncertainty", 23);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kCap = 2048;
+  constexpr size_t kWave = 8;
+  constexpr size_t kProducts = kCap + 40;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) names.push_back("wave/p" + std::to_string(i));
+
+  BrokerConfig cold_config;
+  cold_config.spill_dir = ColdDir("wave_twin");
+  cold_config.max_resident_sessions = kCap;
+  Broker cold(cold_config);
+  Broker hot;
+  ASSERT_TRUE(cold.OpenSessions(names, spec, info).ok());
+  ASSERT_TRUE(hot.OpenSessions(names, spec, info).ok());
+
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  Rng control(20261017);
+  std::vector<std::pair<uint64_t, uint64_t>> held;  // (cold ticket, hot ticket)
+  size_t cursor = 0;
+  uint64_t evictions_seen = 0;
+  size_t sweeps = 0;
+  for (int step = 0; step < 1200; ++step) {
+    const size_t p = control.NextUint64(4) != 0 ? cursor++ % kProducts
+                                                : control.NextUint64(kProducts);
+    stream->Next(&rng, &round);
+    Quote cold_quote;
+    Quote hot_quote;
+    ASSERT_TRUE(
+        cold.PostPrice({names[p], round.features, round.reserve}, &cold_quote).ok());
+    ASSERT_TRUE(hot.PostPrice({names[p], round.features, round.reserve}, &hot_quote).ok());
+    ASSERT_EQ(cold_quote.ticket, hot_quote.ticket) << "step " << step;
+    ASSERT_EQ(cold_quote.price, hot_quote.price) << "step " << step;
+    ASSERT_EQ(cold_quote.certain_no_sale, hot_quote.certain_no_sale);
+    const bool accepted = control.NextUint64(3) != 0;
+    if (control.NextUint64(4) == 0 && held.size() < 32) {
+      held.emplace_back(cold_quote.ticket, hot_quote.ticket);
+    } else {
+      ASSERT_EQ(cold.Observe(cold_quote.ticket, accepted).code(),
+                hot.Observe(hot_quote.ticket, accepted).code());
+    }
+    if (control.NextUint64(8) == 0 && !held.empty()) {
+      const size_t h = control.NextUint64(held.size());
+      const bool late_accept = control.NextUint64(2) == 0;
+      ASSERT_EQ(cold.Observe(held[h].first, late_accept).code(),
+                hot.Observe(held[h].second, late_accept).code());
+      held.erase(held.begin() + static_cast<ptrdiff_t>(h));
+    }
+    // The first sweep takes the fresh catalog down to cap − (W − 1). Every
+    // later one starts at cap + 1, one fault-in over the cap, and spills
+    // exactly one wave of W.
+    const uint64_t evictions = cold.eviction_count();
+    if (evictions != evictions_seen) {
+      const size_t expected = sweeps == 0 ? kProducts - (kCap - (kWave - 1)) : kWave;
+      ASSERT_EQ(evictions - evictions_seen, expected) << "step " << step;
+      evictions_seen = evictions;
+      ++sweeps;
+    }
+  }
+  EXPECT_GT(sweeps, 20u);
+  EXPECT_GT(cold.fault_in_count(), 100u);
+  for (const auto& [cold_ticket, hot_ticket] : held) {
+    ASSERT_EQ(cold.Observe(cold_ticket, true).code(), hot.Observe(hot_ticket, true).code());
+  }
+  for (const std::string& name : names) {
+    SessionSnapshot cold_snap;
+    SessionSnapshot hot_snap;
+    ASSERT_TRUE(cold.Snapshot(name, &cold_snap).ok());
+    ASSERT_TRUE(hot.Snapshot(name, &hot_snap).ok());
+    ASSERT_EQ(EncodeSessionSnapshot(cold_snap), EncodeSessionSnapshot(hot_snap)) << name;
+  }
+}
+
+TEST(BrokerColdTier, ConcurrentFaultInsAndWavesKeepEveryProductExact) {
+  // Four client threads walk their own quarter of a catalog larger than
+  // the cap, so their touches keep faulting products in while the sweeps
+  // they trigger spill waves of eight (cap 2048 → W = 8); a fifth thread
+  // sweeps through EvictIdleSessions. Victims a client is waiting on sit
+  // locked in a wave, and fault-ins queue consumed spills while a wave is
+  // unlinking the earlier ones. The TSan job runs this suite.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("stress/base", 4, 4000, "reserve", 29);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kCap = 2048;
+  constexpr size_t kThreads = 4;
+  constexpr size_t kPerThread = 528;
+  constexpr size_t kProducts = kThreads * kPerThread;
+  constexpr int kTouches = 600;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) names.push_back("stress/p" + std::to_string(i));
+  BrokerConfig config;
+  config.spill_dir = ColdDir("wave_stress");
+  config.max_resident_sessions = kCap;
+  std::vector<int64_t> quotes(kProducts, 0);
+  std::vector<int64_t> feedback(kProducts, 0);
+  {
+    Broker broker(config);
+    ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    std::atomic<int> failures{0};
+    std::atomic<bool> done{false};
+    std::vector<std::thread> clients;
+    for (size_t t = 0; t < kThreads; ++t) {
+      clients.emplace_back([&, t] {
+        Rng rng(spec.sim_seed + t);
+        std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+        MarketRound round;
+        for (int i = 0; i < kTouches; ++i) {
+          const size_t p = t * kPerThread + static_cast<size_t>(i) % kPerThread;
+          stream->Next(&rng, &round);
+          Quote quote;
+          if (!broker.PostPrice({names[p], round.features, round.reserve}, &quote).ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          ++quotes[p];
+          if (!broker.Observe(quote.ticket, quote.price <= round.value).ok()) {
+            failures.fetch_add(1);
+            continue;
+          }
+          ++feedback[p];
+        }
+      });
+    }
+    std::thread sweeper([&] {
+      while (!done.load()) {
+        broker.EvictIdleSessions(kCap - 16);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    });
+    for (std::thread& client : clients) client.join();
+    done.store(true);
+    sweeper.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    const BrokerStats stats = broker.Stats();
+    EXPECT_GT(stats.evictions, 100u);
+    EXPECT_GT(stats.fault_ins, 100u);
+    EXPECT_EQ(stats.quarantined_sessions, 0u);
+    EXPECT_EQ(stats.resident_sessions + stats.evicted_sessions, kProducts);
+    EXPECT_EQ(stats.quotes, uint64_t{kThreads} * kTouches);
+    EXPECT_EQ(stats.accepts + stats.rejects, stats.quotes);
+    for (size_t p = 0; p < kProducts; ++p) {
+      SessionInfo session;
+      ASSERT_TRUE(broker.GetSessionInfo(names[p], &session).ok());
+      EXPECT_EQ(session.quotes_issued, quotes[p]) << names[p];
+      EXPECT_EQ(session.feedback_received, feedback[p]) << names[p];
+      EXPECT_EQ(session.pending, 0) << names[p];
+    }
+  }
+  // ~Broker removed every evicted slot's spill and every consumed one.
+  EXPECT_TRUE(std::filesystem::is_empty(config.spill_dir));
 }
 
 TEST(BrokerColdTier, ResidencyLimitEvictsAutomaticallyAndStatsTrackIt) {

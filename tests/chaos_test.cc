@@ -554,6 +554,125 @@ TEST(BrokerChaosTest, UnclaimedSpillsAreSweptNotLeaked) {
   EXPECT_EQ(broker.recovery_report().orphans_reclaimed, 1u);
 }
 
+/// Files in `dir` whose names end in ".tmp".
+size_t CountTmpFiles(const std::string& dir) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().ends_with(".tmp")) ++count;
+  }
+  return count;
+}
+
+// An eviction wave draws every victim's spill fault decisions serially, in
+// victim order, before its writes run concurrently: a scripted fault fails
+// the same victim however the writes interleave.
+TEST(BrokerChaosTest, WaveFaultScheduleIsTheSameEveryRun) {
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/wave", 6, 2000, "reserve", 33);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kProducts = 5;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/wave" + std::to_string(i));
+  std::string first_resident;
+  for (int rep = 0; rep < 20; ++rep) {
+    FaultGuard guard;
+    metrics::MetricRegistry registry;
+    BrokerConfig config;
+    config.spill_dir = ChaosDir("wave");
+    config.metrics = &registry;
+    Broker broker(config);
+    ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    for (const std::string& name : names) DriveRounds(&broker, &factory, spec, name, 5);
+
+    // One wave of five victims; the second one's fsync fails.
+    FaultInjector::Global().TriggerOnHit("spill.fsync", 2);
+    FaultInjector::Global().Arm(3);
+    EXPECT_EQ(broker.EvictIdleSessions(0), kProducts - 1) << "rep " << rep;
+    FaultInjector::Global().Disarm();
+    EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), kProducts);
+    EXPECT_EQ(broker.Stats().resident_sessions, 1u);
+    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(), 1u);
+
+    // Every other victim's spill decodes, to its own product.
+    std::string resident;
+    for (size_t i = 0; i < kProducts; ++i) {
+      const std::string path = config.spill_dir + "/slot-" + std::to_string(i) + ".snap";
+      if (!std::filesystem::exists(path)) {
+        EXPECT_TRUE(resident.empty()) << "two products stayed resident";
+        resident = names[i];
+        continue;
+      }
+      SessionSnapshot snap;
+      ASSERT_TRUE(DecodeSessionSnapshot(ReadFileBytes(path), &snap).ok()) << path;
+      EXPECT_EQ(snap.product, names[i]);
+    }
+    EXPECT_EQ(CountTmpFiles(config.spill_dir), 0u);  // the failed write's tmp too
+    if (rep == 0) first_resident = resident;
+    ASSERT_EQ(resident, first_resident) << "rep " << rep;
+  }
+  // The CLOCK hand starts at slot 0, so the second victim is slot 1.
+  EXPECT_EQ(first_resident, names[1]);
+}
+
+// Fault-in renames the spill it consumed to a `.tmp` name and leaves the
+// unlink to the next wave. A kill -9 in between must look to the restarted
+// broker like a torn write: the consumed file is reclaimed, never adopted,
+// so it cannot shadow the state its session moved on to.
+TEST(BrokerChaosTest, ConsumedSpillNeverShadowsLiveStateAfterACrash) {
+  FaultGuard guard;
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/consumed", 6, 2000, "reserve", 35);
+  WorkloadInfo info = factory.Prepare(spec);
+  const std::string dir = ChaosDir("consumed");
+  const std::string crashed = ChaosDir("consumed_crash");
+  const std::vector<std::string> names{"chaos/c0", "chaos/c1", "chaos/c2"};
+  std::vector<std::string> expected(names.size());
+  {
+    BrokerConfig config;
+    config.spill_dir = dir;
+    Broker broker(config);
+    ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    for (size_t i = 0; i < names.size(); ++i) {
+      DriveRounds(&broker, &factory, spec, names[i], 10 + 5 * static_cast<int>(i));
+      SessionSnapshot snap;
+      ASSERT_TRUE(broker.Snapshot(names[i], &snap).ok());
+      expected[i] = EncodeSessionSnapshot(snap);
+    }
+    ASSERT_EQ(broker.EvictIdleSessions(0), 3u);
+    // c0 faults back in and moves on; no sweep runs after it.
+    DriveRounds(&broker, &factory, spec, names[0], 5);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/slot-0.snap"));
+    EXPECT_EQ(CountTmpFiles(dir), 1u);
+    // The simulated kill -9: the directory as the crash would leave it.
+    std::filesystem::copy(dir, crashed, std::filesystem::copy_options::recursive);
+  }
+  // ~Broker unlinked the consumed spill along with the evicted slots'.
+  EXPECT_EQ(CountTmpFiles(dir), 0u);
+
+  BrokerConfig config;
+  config.spill_dir = crashed;
+  {
+    Broker restarted(config);
+    const RecoveryReport report = restarted.recovery_report();
+    EXPECT_EQ(report.tmp_reclaimed, 1u);  // the consumed spill
+    EXPECT_EQ(report.spills_found, 2u);   // c1 and c2, nothing for c0
+    ASSERT_TRUE(restarted.OpenSessions(names, spec, info).ok());
+    EXPECT_EQ(restarted.recovery_report().adopted, 2u);
+    EXPECT_EQ(restarted.Stats().evicted_sessions, 2u);
+    // c0 opened fresh rather than from the bytes it had consumed.
+    SessionInfo fresh;
+    ASSERT_TRUE(restarted.GetSessionInfo(names[0], &fresh).ok());
+    EXPECT_EQ(fresh.quotes_issued, 0);
+    for (size_t i = 1; i < names.size(); ++i) {
+      SessionSnapshot snap;
+      ASSERT_TRUE(restarted.Snapshot(names[i], &snap).ok());
+      EXPECT_EQ(EncodeSessionSnapshot(snap), expected[i]) << names[i];
+    }
+    EXPECT_EQ(restarted.SweepUnclaimedSpills(), 0u);
+  }
+  EXPECT_EQ(CountTmpFiles(crashed), 0u);
+}
+
 // ------------------------------------------------------- server chaos
 
 TEST(ServerChaosTest, OverloadShedsFramesWithResourceExhausted) {

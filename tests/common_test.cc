@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/csv.h"
 #include "common/flags.h"
 #include "common/histogram.h"
@@ -18,6 +19,7 @@
 #include "common/string_util.h"
 #include "common/table_printer.h"
 #include "pdm.h"  // umbrella header must stay self-contained
+#include "rng/rng.h"
 
 namespace pdm {
 namespace {
@@ -455,6 +457,64 @@ TEST(ParallelFor, RethrowsTheLowestFailingIndexAfterTheRest) {
     if (threads > 1) {
       for (const std::atomic<int>& hit : hits) EXPECT_EQ(hit.load(), 1);
     }
+  }
+}
+
+// ---------------------------------------------------------------- crc32
+
+/// The textbook bitwise CRC-32 (reflected 0xEDB88320), independent of the
+/// library's tables.
+uint32_t BitwiseCrc32(const unsigned char* p, size_t size) {
+  uint32_t c = 0xFFFFFFFFu;
+  for (size_t i = 0; i < size; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : (c >> 1);
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+std::vector<unsigned char> RandomBytes(size_t size, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<unsigned char> bytes(size);
+  for (unsigned char& b : bytes) b = static_cast<unsigned char>(rng.NextUint64(256));
+  return bytes;
+}
+
+TEST(Crc32, MatchesTheStandardCheckValue) {
+  EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
+  EXPECT_EQ(Crc32(""), 0u);
+}
+
+TEST(Crc32, MatchesABitwiseReferenceAtEveryLengthAndAlignment) {
+  // 8671 bytes is a dim-32 cold-tier spill; the start offsets put the
+  // 8-byte steps on every alignment and the lengths cover every tail.
+  const std::vector<unsigned char> bytes = RandomBytes(8671 + 8, 5);
+  std::vector<size_t> lengths(65);
+  for (size_t len = 0; len < lengths.size(); ++len) lengths[len] = len;
+  lengths.push_back(8671);
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len : lengths) {
+      const unsigned char* p = bytes.data() + offset;
+      ASSERT_EQ(Crc32(0, p, len), BitwiseCrc32(p, len))
+          << "offset " << offset << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32, IncrementalRandomSplitsMatchOneShot) {
+  const std::vector<unsigned char> bytes = RandomBytes(8671, 9);
+  const uint32_t whole = BitwiseCrc32(bytes.data(), bytes.size());
+  Rng rng(13);
+  for (int trial = 0; trial < 200; ++trial) {
+    uint32_t crc = 0;
+    size_t at = 0;
+    while (at < bytes.size()) {
+      const size_t chunk =
+          std::min<size_t>(bytes.size() - at, rng.NextUint64(trial % 2 == 0 ? 24 : 2048));
+      crc = Crc32(crc, bytes.data() + at, chunk);
+      at += chunk;
+    }
+    ASSERT_EQ(crc, whole) << "trial " << trial;
   }
 }
 
