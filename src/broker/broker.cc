@@ -1,18 +1,10 @@
 #include "broker/broker.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <filesystem>
 #include <utility>
 
 #include "common/check.h"
-#include "common/fault.h"
-#include "common/parallel.h"
 
 namespace pdm::broker {
 namespace {
@@ -73,102 +65,6 @@ size_t WaveSizeForCap(size_t cap) {
   return std::min(kMaxWave, std::max<size_t>(1, cap / kResidentsPerWaveVictim));
 }
 
-/// One spill write's injected faults, drawn before the write runs so that a
-/// wave draws its victims' decisions serially, in victim order, while the
-/// writes themselves run concurrently (DESIGN.md §14).
-struct SpillFaults {
-  bool open = false;
-  bool short_write = false;
-  bool write = false;
-  bool fsync = false;
-  bool rename = false;
-};
-
-/// Draws the spill.{open,short_write,write,fsync,rename} sites in syscall
-/// order, stopping at the first that fires — the sites a failed write would
-/// never reach are not consulted.
-SpillFaults DrawSpillFaults() {
-  SpillFaults faults;
-  if ((faults.open = fault::ShouldFail("spill.open"))) return faults;
-  if ((faults.short_write = fault::ShouldFail("spill.short_write"))) return faults;
-  if ((faults.write = fault::ShouldFail("spill.write"))) return faults;
-  if ((faults.fsync = fault::ShouldFail("spill.fsync"))) return faults;
-  faults.rename = fault::ShouldFail("spill.rename");
-  return faults;
-}
-
-/// Crash-consistent spill write (DESIGN.md §14): the bytes land in `tmp`
-/// (`path + ".tmp"`), are fsync'd, and only then atomically renamed over
-/// `path` — a crash at any instant leaves either the old spill, the new
-/// spill, or a sweepable `.tmp` orphan, never a torn file under the real
-/// name. `faults` injects failures at the syscalls they name: spill.open,
-/// spill.write (EIO before any byte), spill.short_write (ENOSPC after a
-/// partial write), spill.fsync, spill.rename. Makes syscalls only — no
-/// heap allocation — so eviction-wave workers can run it.
-bool WriteSpillAtomic(const std::string& path, const std::string& tmp,
-                      std::string_view bytes, const SpillFaults& faults) {
-  int fd = -1;
-  if (!faults.open) {
-    fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  }
-  if (fd < 0) return false;
-  bool ok = true;
-  if (faults.short_write) {
-    // Simulated ENOSPC: a prefix lands in the tmp file, then the device
-    // fills. The torn bytes never reach `path` — that is the whole point.
-    ssize_t ignored = ::write(fd, bytes.data(), bytes.size() / 2);
-    (void)ignored;
-    ok = false;
-  } else if (faults.write) {
-    ok = false;  // simulated EIO before any byte lands
-  }
-  size_t written = 0;
-  while (ok && written < bytes.size()) {
-    ssize_t n = ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ok = false;
-      break;
-    }
-    written += static_cast<size_t>(n);
-  }
-  if (ok && (faults.fsync || ::fsync(fd) != 0)) ok = false;
-  ::close(fd);
-  if (ok && faults.rename) ok = false;
-  if (ok && ::rename(tmp.c_str(), path.c_str()) != 0) ok = false;
-  if (!ok) ::unlink(tmp.c_str());
-  return ok;
-}
-
-enum class SpillRead { kOk, kMissing, kError };
-
-/// Whole-file read with the spill.open / spill.read fault sites. kMissing
-/// (the file does not exist) is the caller's data-loss signal; kError is a
-/// transient I/O failure — the bytes are presumably still on disk.
-SpillRead ReadSpillFile(const std::string& path, std::string* bytes) {
-  if (fault::ShouldFail("spill.open")) return SpillRead::kError;
-  int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return errno == ENOENT ? SpillRead::kMissing : SpillRead::kError;
-  bytes->clear();
-  char buf[64 << 10];
-  for (;;) {
-    if (fault::ShouldFail("spill.read")) {
-      ::close(fd);
-      return SpillRead::kError;
-    }
-    ssize_t n = ::read(fd, buf, sizeof buf);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return SpillRead::kError;
-    }
-    if (n == 0) break;
-    bytes->append(buf, static_cast<size_t>(n));
-  }
-  ::close(fd);
-  return SpillRead::kOk;
-}
-
 }  // namespace
 
 uint64_t TicketBaseForIndex(size_t session_index) {
@@ -180,13 +76,8 @@ struct Broker::WaveVictim {
   size_t index = 0;
   /// Held from snapshot to commit.
   std::unique_lock<std::mutex> lock;
-  /// The encoded pdm.snap envelope.
-  std::string bytes;
-  std::string path;
-  std::string tmp_path;
-  SpillFaults faults;
-  /// Set by the wave worker that wrote the spill.
-  bool written = false;
+  /// The victim's envelope in the pending pack (its pack is set at commit).
+  SpillRecord record;
 };
 
 void Broker::PoolDeleter::operator()(PricingSession* session) const {
@@ -197,10 +88,7 @@ void Broker::PoolDeleter::operator()(PricingSession* session) const {
 Broker::Broker(const BrokerConfig& config)
     : config_(config), stripes_(std::make_unique<Stripe[]>(kStripes)) {
   if (!config_.spill_dir.empty()) {
-    std::error_code ec;
-    std::filesystem::create_directories(config_.spill_dir, ec);
-    // A failed create surfaces on the first eviction attempt; the broker
-    // itself stays usable as a pure hot-tier broker.
+    spill_store_ = std::make_unique<SpillStore>(config_.spill_dir);
   }
   if (config_.metrics != nullptr) {
     metrics::MetricGateway& recovery_gw = *config_.metrics;
@@ -209,7 +97,7 @@ Broker::Broker(const BrokerConfig& config)
         "Spills that failed checksum/decode/restore and were quarantined.");
     metrics_.spill_write_errors = recovery_gw.GetCounter(
         "pdm_broker_spill_write_errors_total",
-        "Eviction spill writes that failed (session stayed resident).");
+        "Sessions whose eviction wave failed to land (they stayed resident).");
     metrics_.spill_adopted = recovery_gw.GetCounter(
         "pdm_broker_spill_adopted_total",
         "Pre-crash spills adopted by OpenSession(s) after a restart.");
@@ -252,7 +140,7 @@ Broker::Broker(const BrokerConfig& config)
     collected_.open_products =
         gw.GetGauge("pdm_broker_open_products", "Products currently open.");
     collected_.spill = gw.GetGauge(
-        "pdm_broker_spill_bytes", "Bytes currently held in cold-tier spill files.");
+        "pdm_broker_spill_bytes", "Bytes of live cold-tier spill records.");
     collected_.batch_size = gw.GetHistogram(
         "pdm_broker_batch_size",
         "Requests per PostPrices/Observes call (single PostPrice/Observe calls "
@@ -278,19 +166,22 @@ Broker::~Broker() {
     collected_.open_products.Sub(static_cast<double>(reported_.open_sessions));
     collected_.spill.Sub(static_cast<double>(reported_.spill_bytes));
   }
+  // Evicted slots leave no trace: their records are discarded, which
+  // unlinks every pack that held nothing else (packs with an unclaimed
+  // inventory record stay), along with the packs queued since the last
+  // wave.
+  if (spill_store_ != nullptr) {
+    std::vector<SpillRecord> records;
+    for (SessionSlot* slot : slots_) {
+      if (slot->evicted && !slot->quarantined) records.push_back(slot->spill);
+    }
+    spill_store_->Discard(records);
+  }
   // Slots live in the arena, so ~Broker runs their destructors explicitly
   // (sessions return to the pool through PoolDeleter — both the pool and
   // the arena outlive this loop because the member destructors have not run
-  // yet). Evicted slots leave no trace: their spill files are removed, and
-  // so are the spills fault-ins consumed since the last sweep.
-  for (size_t i = 0; i < slots_.size(); ++i) {
-    if (slots_[i]->evicted) {
-      std::error_code ec;
-      std::filesystem::remove(SpillPath(i), ec);
-    }
-    slots_[i]->~SessionSlot();
-  }
-  for (const std::string& consumed : consumed_spills_) ::unlink(consumed.c_str());
+  // yet).
+  for (SessionSlot* slot : slots_) slot->~SessionSlot();
 }
 
 Broker::SessionSlot* Broker::NewSlot() {
@@ -309,127 +200,41 @@ Broker::SessionPtr Broker::MakePooledSession(std::string product,
   return SessionPtr(raw, PoolDeleter(this));
 }
 
-std::string Broker::SpillPath(size_t index) const {
-  return config_.spill_dir + "/slot-" + std::to_string(index) + ".snap";
-}
-
 void Broker::SweepSpillDirOnStartup() {
-  if (config_.spill_dir.empty()) return;
-  namespace fs = std::filesystem;
-  std::error_code ec;
-  // `recovered-<n>.snap` is the inventory namespace: disjoint from the live
-  // `slot-<i>.snap` namespace, so an unclaimed pre-crash spill can never be
-  // renamed over by a live slot's eviction, and adoption can never rename an
-  // inventory file over another slot's still-unclaimed bytes (the restart
-  // open order need not match the pre-crash slot layout).
-  auto recovered_path = [this](uint64_t n) {
-    return config_.spill_dir + "/recovered-" + std::to_string(n) + ".snap";
-  };
-  auto parse_recovered = [](const std::string& name, uint64_t* n) {
-    if (!name.starts_with("recovered-") || !name.ends_with(".snap")) return false;
-    const size_t begin = std::string_view("recovered-").size();
-    const size_t end = name.size() - std::string_view(".snap").size();
-    if (end <= begin) return false;
-    uint64_t value = 0;
-    for (size_t i = begin; i < end; ++i) {
-      if (name[i] < '0' || name[i] > '9') return false;
-      value = value * 10 + static_cast<uint64_t>(name[i] - '0');
-    }
-    *n = value;
-    return true;
-  };
-  // Collect first: the loop below renames files inside this directory, which
-  // must not perturb an in-flight directory_iterator. The same pass finds the
-  // first recovered-<n> index free of collisions with survivors of a crash
-  // between a previous sweep and its adoptions.
-  std::vector<fs::path> candidates;
-  uint64_t next_recovered = 0;
-  for (const auto& entry : fs::directory_iterator(config_.spill_dir, ec)) {
-    std::error_code file_ec;
-    if (!entry.is_regular_file(file_ec)) continue;
-    candidates.push_back(entry.path());
-    uint64_t index = 0;
-    if (parse_recovered(entry.path().filename().string(), &index) &&
-        index >= next_recovered) {
-      next_recovered = index + 1;
-    }
-  }
-  for (const fs::path& path : candidates) {
-    std::error_code file_ec;
-    const std::string name = path.filename().string();
-    if (name.size() > 4 && name.ends_with(".tmp")) {
-      // A torn write from a crashed predecessor: the atomic-rename protocol
-      // guarantees nothing under the real spill name references it.
-      size_t size = static_cast<size_t>(fs::file_size(path, file_ec));
-      if (fs::remove(path, file_ec)) {
-        ++recovery_report_.tmp_reclaimed;
-        recovery_report_.bytes_reclaimed += size;
-        metrics_.spill_orphans_reclaimed.Increment();
-      }
-      continue;
-    }
-    const bool from_slot = name.starts_with("slot-") && name.ends_with(".snap");
-    uint64_t parsed_index = 0;
-    const bool from_recovered = parse_recovered(name, &parsed_index);
-    if (!from_slot && !from_recovered) continue;
-    std::string bytes;
-    SessionSnapshot snapshot;
-    bool valid = ReadSpillFile(path.string(), &bytes) == SpillRead::kOk &&
-                 DecodeSessionSnapshot(bytes, &snapshot).ok();
-    if (!valid) {
-      // Checksum or structure damage from the previous run: keep the bytes
-      // for forensics under `*.quarantined`, never as an adoption candidate.
-      fs::rename(path, fs::path(path.string() + ".quarantined"), file_ec);
-      ++recovery_report_.corrupt_quarantined;
-      metrics_.spill_corruptions.Increment();
-      continue;
-    }
-    std::string inventory_path = path.string();
-    if (from_slot) {
-      inventory_path = recovered_path(next_recovered);
-      fs::rename(path, inventory_path, file_ec);
-      if (file_ec) {
-        // Can't move it to safety; reclaiming beats leaving a collision
-        // hazard sitting in the live slot namespace.
-        if (fs::remove(path, file_ec)) {
-          ++recovery_report_.orphans_reclaimed;
-          recovery_report_.bytes_reclaimed += bytes.size();
-          metrics_.spill_orphans_reclaimed.Increment();
-        }
-        continue;
-      }
-      ++next_recovered;
-    }
-    auto [it, inserted] = recovered_spills_.emplace(
-        snapshot.product, RecoveredSpill{inventory_path, bytes.size()});
-    if (inserted) {
-      ++recovery_report_.spills_found;
-    } else {
-      // Two spills claiming one product cannot both be right; keep the
-      // first, reclaim the duplicate.
-      if (fs::remove(inventory_path, file_ec)) {
+  if (spill_store_ == nullptr) return;
+  const SpillStore::SweepStats swept =
+      spill_store_->Sweep([this](std::string product, const SpillRecord& record) {
+        auto [it, inserted] = recovered_spills_.try_emplace(std::move(product), record);
+        if (inserted) return;
+        // Two spills claiming one product cannot both be right. The sweep
+        // visits older files first, so keep this newer one and reclaim the
+        // other.
+        spill_store_->Discard(std::span<const SpillRecord>(&it->second, 1));
         ++recovery_report_.orphans_reclaimed;
-        recovery_report_.bytes_reclaimed += bytes.size();
+        recovery_report_.bytes_reclaimed += it->second.size;
         metrics_.spill_orphans_reclaimed.Increment();
-      }
-    }
-  }
+        it->second = record;
+      });
+  recovery_report_.tmp_reclaimed = swept.dead_reclaimed;
+  recovery_report_.spills_found = recovered_spills_.size();
+  recovery_report_.corrupt_quarantined = swept.corrupt_quarantined;
+  recovery_report_.bytes_reclaimed += swept.bytes_reclaimed;
+  metrics_.spill_orphans_reclaimed.Add(swept.dead_reclaimed);
+  metrics_.spill_corruptions.Add(swept.corrupt_quarantined);
 }
 
 size_t Broker::SweepUnclaimedSpills() {
   std::lock_guard control(control_mu_);
-  size_t reclaimed = 0;
-  for (const auto& [product, spill] : recovered_spills_) {
-    std::error_code ec;
-    if (std::filesystem::remove(spill.path, ec)) {
-      ++reclaimed;
-      recovery_report_.bytes_reclaimed += spill.size;
-    }
+  std::vector<SpillRecord> unclaimed;
+  for (const auto& [product, record] : recovered_spills_) {
+    unclaimed.push_back(record);
+    recovery_report_.bytes_reclaimed += record.size;
   }
+  if (spill_store_ != nullptr) spill_store_->Discard(unclaimed);
   recovered_spills_.clear();
-  recovery_report_.orphans_reclaimed += reclaimed;
-  metrics_.spill_orphans_reclaimed.Add(reclaimed);
-  return reclaimed;
+  recovery_report_.orphans_reclaimed += unclaimed.size();
+  metrics_.spill_orphans_reclaimed.Add(unclaimed.size());
+  return unclaimed.size();
 }
 
 RecoveryReport Broker::recovery_report() const {
@@ -524,41 +329,19 @@ Status Broker::OpenSessions(std::span<const std::string> products,
     SessionSlot* slot = NewSlot();
     slot->recipe = recipe;
     // Crash recovery (DESIGN.md §14): a product whose spill survived a
-    // previous broker adopts it — the slot starts evicted with the pre-crash
-    // bytes under its own spill name, and the first touch faults the session
-    // back in bit-identically. Only registry opens adopt: fault-in needs the
-    // rebuild recipe.
-    bool adopted = false;
-    if (!config_.spill_dir.empty()) {
-      auto rec = recovered_spills_.find(product);
-      if (rec != recovered_spills_.end()) {
-        // The inventory lives in the `recovered-*.snap` namespace (startup
-        // sweep), so SpillPath(index) — a fresh slot's name — can never hold
-        // another product's unclaimed bytes; this rename clobbers nothing.
-        std::error_code ec;
-        std::filesystem::rename(rec->second.path, SpillPath(index), ec);
-        if (!ec) {
-          slot->evicted = true;
-          slot->spill_size = rec->second.size;
-          spill_bytes_.fetch_add(rec->second.size, std::memory_order_relaxed);
-          metrics_.spill_adopted.Increment();
-          ++recovery_report_.adopted;
-          adopted = true;
-        } else {
-          // Rename failure falls through to a fresh build; reclaim the
-          // recovered file so the directory can't grow across restarts.
-          std::error_code rm_ec;
-          if (std::filesystem::remove(rec->second.path, rm_ec)) {
-            ++recovery_report_.orphans_reclaimed;
-            recovery_report_.bytes_reclaimed += rec->second.size;
-            metrics_.spill_orphans_reclaimed.Increment();
-          }
-        }
-        // Either way the inventory entry is spent.
-        recovered_spills_.erase(rec);
-      }
-    }
-    if (!adopted) {
+    // previous broker adopts it in place — the slot starts evicted,
+    // pointing at the pre-crash record, and the first touch faults the
+    // session back in bit-identically. Only registry opens adopt: fault-in
+    // needs the rebuild recipe.
+    auto rec = recovered_spills_.find(product);
+    if (rec != recovered_spills_.end()) {
+      slot->evicted = true;
+      slot->spill = rec->second;
+      spill_bytes_.fetch_add(rec->second.size, std::memory_order_relaxed);
+      metrics_.spill_adopted.Increment();
+      ++recovery_report_.adopted;
+      recovered_spills_.erase(rec);
+    } else {
       slot->session = MakePooledSession(
           product, scenario::MechanismRegistry::Builtin().Build(spec, info),
           TicketBaseForIndex(index));
@@ -590,14 +373,14 @@ Status Broker::CloseSession(std::string_view product) {
     std::lock_guard session_lock(slot->mu);
     slot->state.store(it->second.generation + 1, std::memory_order_release);
     if (slot->evicted) {
-      // Close-while-cold: drop the spill file, nothing to fault back in.
-      // A quarantined slot already surrendered its bytes (the file lives on
-      // under `*.quarantined` and its accounting is zero), so these are
-      // no-ops for it beyond clearing the flags.
-      std::error_code ec;
-      std::filesystem::remove(SpillPath(it->second.index), ec);
-      spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
-      slot->spill_size = 0;
+      // Close-while-cold: discard the spill record, nothing to fault back
+      // in. A quarantined slot already surrendered its record (its bytes
+      // live on under `*.quarantined` and its accounting is zero).
+      if (!slot->quarantined) {
+        spill_store_->Discard(std::span<const SpillRecord>(&slot->spill, 1));
+      }
+      spill_bytes_.fetch_sub(slot->spill.size, std::memory_order_relaxed);
+      slot->spill = SpillRecord{};
       slot->evicted = false;
       slot->quarantined = false;
     } else {
@@ -648,15 +431,13 @@ Broker::SessionSlot* Broker::ProbeTicket(uint64_t ticket, uint32_t* state_out) c
   return slot;
 }
 
-void Broker::QuarantineLocked(SessionSlot* slot, size_t index) {
+void Broker::QuarantineLocked(SessionSlot* slot, std::string_view bytes) {
   // Keep the damaged bytes for forensics under `*.quarantined`; the slot
   // flag (not the file) is what short-circuits every later touch to
-  // DataLoss. A missing file simply has nothing to rename.
-  std::string path = SpillPath(index);
-  std::error_code ec;
-  std::filesystem::rename(path, path + ".quarantined", ec);
-  spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
-  slot->spill_size = 0;
+  // DataLoss. A missing pack simply has nothing to copy.
+  spill_store_->Quarantine(slot->spill, bytes);
+  spill_bytes_.fetch_sub(slot->spill.size, std::memory_order_relaxed);
+  slot->spill = SpillRecord{};
   slot->quarantined = true;
   metrics_.spill_corruptions.Increment();
 }
@@ -666,20 +447,20 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
     return Status::DataLoss(
         "session state lost: spill quarantined after corruption");
   }
-  // Timed end to end — spill read, decode, engine rebuild, restore — into
-  // the fault-in histogram; this is the latency a request pays when it lands
-  // on a cold session (DESIGN.md §12/§13).
+  // Timed end to end — spill read, decode, engine rebuild, restore,
+  // tombstone — into the fault-in histogram; this is the latency a request
+  // pays when it lands on a cold session (DESIGN.md §12/§13).
   const auto fault_start = std::chrono::steady_clock::now();
-  std::string path = SpillPath(index);
-  std::string bytes;
-  switch (ReadSpillFile(path, &bytes)) {
-    case SpillRead::kOk:
+  // One read buffer per request thread, reused by every fault-in.
+  thread_local std::string bytes;
+  switch (spill_store_->Read(slot->spill, &bytes)) {
+    case SpillStore::ReadResult::kOk:
       break;
-    case SpillRead::kMissing:
-      // An evicted slot whose spill vanished has no state left to restore.
-      QuarantineLocked(slot, index);
-      return Status::DataLoss("spill file missing for evicted session");
-    case SpillRead::kError:
+    case SpillStore::ReadResult::kMissing:
+      // An evicted slot whose pack vanished has no state left to restore.
+      QuarantineLocked(slot, {});
+      return Status::DataLoss("spill pack missing for evicted session");
+    case SpillStore::ReadResult::kError:
       // The bytes are presumably still on disk — a retry may succeed, so
       // this is NOT a quarantine.
       return Status::Unavailable("spill read failed (transient I/O error)");
@@ -687,7 +468,7 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   SessionSnapshot snapshot;
   Status decoded = DecodeSessionSnapshot(bytes, &snapshot);
   if (!decoded.ok()) {
-    QuarantineLocked(slot, index);
+    QuarantineLocked(slot, bytes);
     return Status::DataLoss("corrupt spill quarantined: " + decoded.message());
   }
   PDM_CHECK(slot->recipe != nullptr);  // only recipe sessions are evicted
@@ -706,28 +487,22 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
     // The checksum was intact but the state does not apply (e.g. a foreign
     // ticket base after an out-of-order recovery): the accumulated knowledge
     // set is unusable — data loss, not a retry.
-    QuarantineLocked(slot, index);
+    QuarantineLocked(slot, bytes);
     return Status::DataLoss("spill decoded but did not restore: " +
                             restored.message());
   }
+  // The record is consumed. Tombstoning it in place, before the session
+  // can move past it, is what keeps a restart from adopting it (DESIGN.md
+  // §14). If that write fails the record is still live and so is the slot's
+  // claim on it: the touch fails Unavailable, the slot stays evicted, and a
+  // retry faults in again.
+  if (!spill_store_->Consume(slot->spill)) {
+    return Status::Unavailable("spill tombstone write failed (transient I/O error)");
+  }
   slot->session = std::move(session);
   slot->evicted = false;
-  // The spill is consumed. Renaming it out of the live namespace is all the
-  // touch pays; the next eviction wave unlinks it alongside its spill
-  // writes (DESIGN.md §12). A crash before then leaves a `.tmp` orphan the
-  // startup sweep deletes — never a live-named spill behind a session that
-  // has moved on. A failed rename falls back to the inline unlink. The name
-  // differs from WriteSpillAtomic's `slot-N.snap.tmp`, so one wave can
-  // unlink it while re-spilling the same slot.
-  std::string consumed = path + ".consumed.tmp";
-  if (::rename(path.c_str(), consumed.c_str()) == 0) {
-    std::lock_guard consumed_lock(consumed_mu_);
-    consumed_spills_.push_back(std::move(consumed));
-  } else {
-    ::unlink(path.c_str());
-  }
-  spill_bytes_.fetch_sub(slot->spill_size, std::memory_order_relaxed);
-  slot->spill_size = 0;
+  spill_bytes_.fetch_sub(slot->spill.size, std::memory_order_relaxed);
+  slot->spill = SpillRecord{};
   resident_sessions_.fetch_add(1, std::memory_order_relaxed);
   fault_ins_.fetch_add(1, std::memory_order_relaxed);
   metrics_.fault_in_ns.Record(static_cast<uint64_t>(
@@ -885,73 +660,61 @@ size_t Broker::EvictLocked(size_t max_resident, size_t wave_size) {
         if (slot->evicted || slot->session == nullptr) continue;
         if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold()) continue;
         SessionSnapshot snapshot;
+        SpillRecord record;
         // Engines without snapshot support are skipped — they simply stay
-        // resident.
-        if (!slot->session->Snapshot(&snapshot).ok()) continue;
+        // resident — as is a record that would push the pack past 4 GiB.
+        if (!slot->session->Snapshot(&snapshot).ok() ||
+            !spill_store_->Append(snapshot, &record)) {
+          continue;
+        }
         WaveVictim& victim = wave.emplace_back();
         victim.slot = slot;
         victim.index = index;
         victim.lock = std::move(slot_lock);
-        victim.bytes = EncodeSessionSnapshot(snapshot);
-        victim.path = SpillPath(index);
-        victim.tmp_path = victim.path + ".tmp";
+        victim.record = record;
       }
       if (wave.empty()) break;
       evicted += SpillWave(&wave);
       drained = true;
     }
   }
-  // Even a sweep that evicts nothing unlinks the consumed spills queued
-  // before it.
+  // Even a sweep that evicts nothing unlinks the packs that died before it.
   if (!drained) SpillWave(&wave);
   return evicted;
 }
 
 size_t Broker::SpillWave(std::vector<WaveVictim>* wave) {
-  std::vector<std::string> consumed;
-  {
-    std::lock_guard consumed_lock(consumed_mu_);
-    consumed.swap(consumed_spills_);
-  }
-  // Fault decisions are drawn here, serially and in victim order, so a
-  // seeded schedule fails the same victims however the writes interleave
-  // (DESIGN.md §14).
-  for (WaveVictim& victim : *wave) victim.faults = DrawSpillFaults();
-  // The wave's file-system work, on one worker per victim. Every path and
-  // byte a worker touches was built above, so workers only make syscalls
-  // and never allocate. Spill writes hold the low indices and start first.
-  const size_t victims = wave->size();
-  ParallelFor(victims + consumed.size(), static_cast<int>(std::max<size_t>(victims, 1)),
-              [&](size_t i) {
-                if (i < victims) {
-                  WaveVictim& victim = (*wave)[i];
-                  victim.written = WriteSpillAtomic(victim.path, victim.tmp_path,
-                                                    victim.bytes, victim.faults);
-                } else {
-                  ::unlink(consumed[i - victims].c_str());
-                }
-              });
-  // Commit in CLOCK order. Spills carry the checksummed pdm.snap envelope
-  // and land through tmp + fsync + atomic rename (DESIGN.md §14): at no
-  // instant does the spill name reference torn bytes, and once the rename
-  // returns the spill survives kill -9. A failed write keeps the session
-  // resident — losing residency headroom beats losing state.
+  // First the packs whose last record died since the previous wave, while
+  // the victims are still locked: after the commit the sweep goes straight
+  // on to gather the next wave, so a client faulting in this wave's victims
+  // does not overtake the CLOCK hand (DESIGN.md §12).
+  spill_store_->UnlinkDeadPacks();
+  if (wave->empty()) return 0;
+  // The victims' envelopes are already in the pending pack, encoded in
+  // CLOCK order during the gather; one write, fsync, rename and directory
+  // fsync land them all (DESIGN.md §12, §14). At no instant does a pack
+  // name reference torn bytes, and once the directory fsync returns the
+  // pack survives an OS crash. A failed pack keeps every victim resident —
+  // losing residency headroom beats losing state.
+  uint64_t pack = 0;
+  const bool written =
+      spill_store_->CommitPack(static_cast<uint32_t>(wave->size()), &pack);
   size_t evicted = 0;
   for (WaveVictim& victim : *wave) {
     SessionSlot* slot = victim.slot;
-    if (victim.written) {
+    if (written) {
       slot->session.reset();
       slot->evicted = true;
-      slot->spill_size = victim.bytes.size();
-      spill_bytes_.fetch_add(victim.bytes.size(), std::memory_order_relaxed);
+      slot->spill = victim.record;
+      slot->spill.pack = pack;
+      spill_bytes_.fetch_add(victim.record.size, std::memory_order_relaxed);
       resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
       evictions_.fetch_add(1, std::memory_order_relaxed);
       ++evicted;
-    } else {
-      metrics_.spill_write_errors.Increment();
     }
     victim.lock.unlock();
   }
+  if (!written) metrics_.spill_write_errors.Add(wave->size());
   wave->clear();
   return evicted;
 }

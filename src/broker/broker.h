@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "broker/session.h"
+#include "broker/spill_store.h"
 #include "common/arena.h"
 #include "common/concurrency.h"
 #include "common/status.h"
@@ -55,8 +56,8 @@
 /// cold tier bounds resident engine state: when more than
 /// `max_resident_sessions` sessions hold live engines, the least-recently
 /// touched evictable sessions are spilled to `spill_dir` as checksummed
-/// `pdm.snap` blobs (crash-atomic writes, DESIGN.md §14), in waves whose
-/// file-system work runs concurrently, and their in-memory state is
+/// `pdm.snap` blobs, in waves that each land as one crash-atomic pack file
+/// (broker/spill_store.h, DESIGN.md §12, §14), and their in-memory state is
 /// dropped; the next request
 /// that touches an evicted product faults it back in transparently, and the
 /// snapshot round trip makes the resumed session *bit-identical* to one that
@@ -74,8 +75,8 @@ struct BrokerConfig {
   /// When the resident count exceeds the cap, request-path entry points
   /// trigger an eviction sweep (least-recently-touched first) down to
   /// cap − (W − 1), where W = min(8, max(1, cap / 256)) is the cap's
-  /// eviction-wave size (DESIGN.md §12): W victims spill concurrently, and
-  /// the next W − 1 fault-ins then pay no sweep. Caps below 512 keep a
+  /// eviction-wave size (DESIGN.md §12): W victims spill as one pack file,
+  /// and the next W − 1 fault-ins then pay no sweep. Caps below 512 keep a
   /// single-victim sweep down to the cap itself. Only registry-opened
   /// sessions (those with a rebuild recipe) are evictable; sessions opened
   /// with caller-built engines always stay resident, as does any session
@@ -94,16 +95,19 @@ struct BrokerConfig {
 /// prints this as its RECOVERY handshake line and tools/check_recovery.py
 /// reconciles it against the pre-restart spill manifest.
 struct RecoveryReport {
-  /// `*.tmp` files from torn spill writes deleted at construction.
+  /// Files with nothing live deleted at construction: `*.tmp` halves of
+  /// torn pack writes, and packs whose every record was consumed.
   size_t tmp_reclaimed = 0;
-  /// Valid spills inventoried at construction (adoption candidates).
+  /// Valid spill records inventoried at construction (adoption
+  /// candidates), one per product.
   size_t spills_found = 0;
-  /// Spills that failed checksum/decode at construction and were renamed to
-  /// `*.quarantined`.
+  /// Spill records that failed checksum/decode at construction and were
+  /// moved to `*.quarantined`.
   size_t corrupt_quarantined = 0;
   /// Inventoried spills adopted by OpenSession(s) so far.
   size_t adopted = 0;
-  /// Unclaimed spills deleted by SweepUnclaimedSpills.
+  /// Unclaimed spills discarded by SweepUnclaimedSpills, plus older
+  /// duplicates of a product's spill discarded at construction.
   size_t orphans_reclaimed = 0;
   /// Bytes freed by tmp + orphan reclamation.
   size_t bytes_reclaimed = 0;
@@ -196,7 +200,8 @@ struct BrokerStats {
   /// Cumulative cold-tier traffic.
   uint64_t evictions = 0;
   uint64_t fault_ins = 0;
-  /// Bytes currently held in spill files.
+  /// Bytes of the live spill records. The pack files hold at most 8× this
+  /// once a sweep has unlinked the dead packs (DESIGN.md §12).
   size_t spill_bytes = 0;
   /// Ticket slots permanently retired at the generation bound, summed over
   /// resident sessions (evicted sessions' retirements reappear on fault-in).
@@ -247,8 +252,8 @@ class Broker : private metrics::MetricCollector {
 
   /// Closes a session; its tickets and any resolved handles become
   /// unroutable (→ NotFound). Reopening the same name later creates a fresh
-  /// slot — old handles stay dead. Closing an evicted session removes its
-  /// spill file without faulting it in.
+  /// slot — old handles stay dead. Closing an evicted session discards its
+  /// spill record without faulting it in.
   Status CloseSession(std::string_view product);
 
   /// Resolves `product` to a fast-path handle (one immutable-map lookup).
@@ -297,15 +302,16 @@ class Broker : private metrics::MetricCollector {
   /// Evicts least-recently-touched evictable sessions until at most
   /// `max_resident` remain resident (or no candidates are left) — down to
   /// `max_resident` itself, without the request path's W − 1 headroom — in
-  /// waves of up to 8 victims whose spill writes run concurrently. Returns the
-  /// number evicted. Also unlinks the spills that fault-ins consumed since
-  /// the previous sweep. A no-op (returns 0) when the broker has no
-  /// spill_dir. Also the manual monitoring hook — the request path runs
+  /// waves of up to 8 victims, each spilled as one pack file. Returns the
+  /// number evicted. Also unlinks the packs whose last record fault-ins
+  /// consumed since the previous sweep. A no-op (returns 0) when the broker
+  /// has no spill_dir. Also the manual monitoring hook — the request path runs
   /// the same sweep automatically when `max_resident_sessions` is exceeded.
   size_t EvictIdleSessions(size_t max_resident);
 
-  /// Deletes inventoried spill files no OpenSession(s) call has adopted and
-  /// returns how many were reclaimed. Call once the serving fleet is open
+  /// Discards inventoried spill records no OpenSession(s) call has adopted
+  /// (tombstoned, or unlinked with their pack) and returns how many were
+  /// reclaimed. Call once the serving fleet is open
   /// (pdm_serve does): anything still unclaimed belonged to a product this
   /// process will never serve — the spill-leak fix for unclean shutdowns.
   /// Previously-quarantined files are deliberately left on disk as evidence.
@@ -395,7 +401,8 @@ class Broker : private metrics::MetricCollector {
   ///
   /// Cold-tier state: an *evicted* slot keeps its odd `state` (handles and
   /// tickets stay routable) but holds no session — `evicted` is true and
-  /// the serialized bytes sit in the spill file. `last_touch_epoch` is the
+  /// `spill` says where its serialized bytes sit: which pack file, at what
+  /// offset, how many bytes (broker/spill_store.h). `last_touch_epoch` is the
   /// eviction sweep's LRU clock: Acquire* stamps it with the current sweep
   /// epoch using plain relaxed stores, so the request hot path stays free
   /// of shared read-modify-writes (DESIGN.md §9's core invariant).
@@ -406,22 +413,25 @@ class Broker : private metrics::MetricCollector {
   /// sums them lock-free (DESIGN.md §13). They belong to the slot, not the
   /// session, so they survive eviction, fault-in and close.
   ///
-  /// Layout (glibc, 40-byte mutex): line 0 holds `state`, `mu` and
-  /// `session`; line 1 holds everything else.
+  /// Layout (glibc, 40-byte mutex): line 0 holds `state`, the two cold-tier
+  /// flags (in the padding before `mu`), `mu` and `session`; line 1 holds
+  /// everything else.
   struct alignas(kCacheLineSize) SessionSlot {
     std::atomic<uint32_t> state{0};
+    /// Guarded by `mu`.
+    bool evicted = false;
+    /// The slot's spill failed checksum or decode on fault-in: its bytes
+    /// were copied to `*.quarantined`, its record retired, and every touch
+    /// answers DataLoss without retrying the bytes (DESIGN.md §14).
+    /// Guarded by `mu`.
+    bool quarantined = false;
     std::mutex mu;
     /// Guarded by `mu` (+ a state check: non-null iff state is odd and the
     /// slot is not evicted).
     SessionPtr session;
-    /// Guarded by `mu`.
-    bool evicted = false;
-    /// The slot's spill failed checksum or decode on fault-in: the file has
-    /// been renamed `*.quarantined` and every touch answers DataLoss without
-    /// retrying the bytes (DESIGN.md §14). Guarded by `mu`.
-    bool quarantined = false;
-    /// Bytes of this slot's spill file (0 unless evicted). Guarded by `mu`.
-    size_t spill_size = 0;
+    /// The slot's spill record (all zero unless evicted and not
+    /// quarantined). Guarded by `mu`.
+    SpillRecord spill;
     /// Immutable after the slot is published; null for caller-built engines
     /// (such sessions are never evicted). Owned by `recipes_`.
     const RebuildRecipe* recipe = nullptr;
@@ -496,34 +506,30 @@ class Broker : private metrics::MetricCollector {
                                std::unique_ptr<PricingEngine> engine,
                                uint64_t ticket_base);
 
-  /// Restores an evicted slot's session from its spill file. Requires
+  /// Restores an evicted slot's session from its spill record. Requires
   /// `slot->mu` held and `slot->evicted`. On failure the slot stays evicted
-  /// and the status says why: Unavailable for a transient read error (the
-  /// bytes are still on disk — a retry may succeed), DataLoss when the spill
-  /// failed checksum/decode/restore and was quarantined (every later touch
-  /// short-circuits to DataLoss). On success the consumed spill is renamed
-  /// to `slot-N.snap.consumed.tmp` and queued for the next sweep to unlink
-  /// (a crash first leaves a `.tmp` the startup sweep deletes); if that
-  /// rename fails it is unlinked inline.
+  /// and the status says why: Unavailable for a transient read error or a
+  /// failed tombstone write (the record is still live on disk — a retry may
+  /// succeed), DataLoss when the spill failed checksum/decode/restore and
+  /// was quarantined (every later touch short-circuits to DataLoss). On
+  /// success the consumed record is tombstoned in place and released; the
+  /// next wave unlinks its pack once no record in it is live.
   Status FaultInLocked(SessionSlot* slot, size_t index);
 
-  /// Marks the slot's spill corrupt: renames the file to `*.quarantined`,
-  /// drops its bytes from the spill accounting, and flips the slot's
-  /// quarantined flag. Requires `slot->mu` held.
-  void QuarantineLocked(SessionSlot* slot, size_t index);
+  /// Marks the slot's spill corrupt: copies `bytes` (the record as read) to
+  /// `*.quarantined`, retires the record, drops it from the spill
+  /// accounting, and flips the slot's quarantined flag. Requires
+  /// `slot->mu` held.
+  void QuarantineLocked(SessionSlot* slot, std::string_view bytes);
 
-  /// Constructor-time spill_dir sweep (DESIGN.md §14): deletes `*.tmp`
-  /// orphans from torn writes and inventories pre-crash spills into
-  /// `recovered_spills_` (corrupt ones are quarantined on the spot). Valid
-  /// `slot-*.snap` files are renamed into the disjoint `recovered-<n>.snap`
-  /// inventory namespace first, so unclaimed inventory files can never
-  /// collide with a live slot's spill path — neither via adoption's rename
-  /// nor via a fresh slot evicting. Runs before the broker is visible to
-  /// any other thread.
+  /// Constructor-time spill_dir sweep (DESIGN.md §14) through
+  /// SpillStore::Sweep: deletes `*.tmp` halves and dead packs, quarantines
+  /// corrupt records, and inventories every live record into
+  /// `recovered_spills_` by the product name inside it; adoption then
+  /// points a fresh slot at the record in place, so nothing is renamed and
+  /// no unclaimed record can be overwritten. Runs before the broker is
+  /// visible to any other thread.
   void SweepSpillDirOnStartup();
-
-  /// Spill file for slot `index`.
-  std::string SpillPath(size_t index) const;
 
   /// Request-path residency enforcement: when the resident count exceeds
   /// the configured cap, runs one eviction sweep down to cap − (W − 1) in
@@ -536,22 +542,21 @@ class Broker : private metrics::MetricCollector {
   /// gathering waves of up to `wave_size` victims until at most
   /// `max_resident` sessions stay resident or no candidate is left, and
   /// runs each through SpillWave. Every call runs at least one (possibly
-  /// victimless) wave, so it also unlinks every consumed spill queued
-  /// before it.
+  /// victimless) wave, so it also unlinks every pack that died before it.
   size_t EvictLocked(size_t max_resident, size_t wave_size);
 
   /// One eviction-wave victim (defined in broker.cc): its slot lock, held
-  /// from snapshot to commit, and everything the wave's workers touch —
-  /// spill bytes, paths, pre-drawn fault decisions — built beforehand.
+  /// from snapshot to commit, and where its envelope sits in the pending
+  /// pack.
   struct WaveVictim;
 
   /// Runs one eviction wave; control_mu_ must be held and every victim's
-  /// slot lock is held by its WaveVictim. Draws each victim's spill fault
-  /// decisions serially in victim order, then runs the spill writes and
-  /// the unlinks of every queued consumed spill concurrently on one worker
-  /// per victim (ParallelFor: a wave of one runs on the calling thread),
-  /// then commits the victims in order and releases their locks. A victim
-  /// whose write failed stays resident. Returns the number evicted and
+  /// slot lock is held by its WaveVictim, whose envelope the gather already
+  /// appended to the store's pending pack. Unlinks the packs that died
+  /// since the previous wave, lands the pack (SpillStore::CommitPack: one
+  /// write, fsync, rename and directory fsync on the calling thread), then
+  /// commits the victims in order and releases their locks — if the pack
+  /// failed, every victim stays resident. Returns the number evicted and
   /// leaves `wave` empty.
   size_t SpillWave(std::vector<WaveVictim>* wave);
 
@@ -627,7 +632,8 @@ class Broker : private metrics::MetricCollector {
   /// Serializes directory mutations (open/close) and eviction sweeps; never
   /// taken on the request path (fault-in included). Session-state mutations
   /// (Restore, feedback) need only the slot lock. Lock order: control_mu_ →
-  /// slot locks → the leaf locks (`arena_mu_`, `consumed_mu_`). An eviction
+  /// slot locks → the leaf locks (`arena_mu_`, the spill store's live-pack
+  /// table). An eviction
   /// wave holds up to 8 slot locks at once; that cannot deadlock, because
   /// no request path holds two slot locks, and Stats() — the only other
   /// caller that visits several slots — locks one at a time and only after
@@ -668,20 +674,11 @@ class Broker : private metrics::MetricCollector {
   /// instead of rescanning (and re-sorting) the whole slot table from zero.
   /// Guarded by control_mu_.
   size_t clock_hand_ = 0;
-  /// Spills consumed by fault-ins (renamed to `*.consumed.tmp`) and not
-  /// yet unlinked: the next eviction wave unlinks them alongside its spill
-  /// writes, ~Broker unlinks what is left. At most one file per slot.
-  /// Appended under a slot lock by fault-in, drained by SpillWave; guarded
-  /// by `consumed_mu_`, a leaf lock.
-  std::mutex consumed_mu_;
-  std::vector<std::string> consumed_spills_;
-  /// Spill files inventoried by the startup sweep and not yet adopted:
-  /// decoded product name → on-disk path + size. Guarded by control_mu_.
-  struct RecoveredSpill {
-    std::string path;
-    size_t size = 0;
-  };
-  std::unordered_map<std::string, RecoveredSpill> recovered_spills_;
+  /// Every spill file operation (DESIGN.md §12); null without a spill_dir.
+  std::unique_ptr<SpillStore> spill_store_;
+  /// Spill records inventoried by the startup sweep and not yet adopted:
+  /// decoded product name → record. Guarded by control_mu_.
+  std::unordered_map<std::string, SpillRecord> recovered_spills_;
   /// Recovery bookkeeping (startup sweep + adoptions). Guarded by control_mu_.
   RecoveryReport recovery_report_;
   Instruments metrics_;

@@ -8,10 +8,9 @@
 namespace pdm::broker {
 namespace {
 
-/// Envelope (DESIGN.md §14): 8-byte magic, u32 version, u32 body size, the
-/// body, u32 CRC-32 of the body. The magic doubles as a format sentinel: a
-/// foreign blob fails fast on its first bytes.
-constexpr char kMagic[8] = {'P', 'D', 'M', 'S', 'N', 'A', 'P', '2'};
+/// Envelope (DESIGN.md §14): 8-byte magic (kSnapshotMagic), u32 version,
+/// u32 body size, the body, u32 CRC-32 of the body. The magic doubles as a
+/// format sentinel: a foreign blob fails fast on its first bytes.
 constexpr uint32_t kVersion = 2;
 
 /// The body opens with this tag and version (the magic of the format before
@@ -117,8 +116,13 @@ Status DecodeBody(std::string_view body, SessionSnapshot* snap) {
 
 std::string EncodeSessionSnapshot(const SessionSnapshot& snapshot) {
   std::string out;
-  ByteWriter w(&out);
-  w.PutBytes(kMagic, sizeof kMagic);
+  AppendSessionSnapshot(snapshot, &out);
+  return out;
+}
+
+void AppendSessionSnapshot(const SessionSnapshot& snapshot, std::string* out) {
+  ByteWriter w(out);
+  w.PutBytes(kSnapshotMagic.data(), kSnapshotMagic.size());
   w.PutU32(kVersion);
   const size_t body = w.BeginLength();
   w.PutBytes(kBodyTag, sizeof kBodyTag);
@@ -169,15 +173,14 @@ std::string EncodeSessionSnapshot(const SessionSnapshot& snapshot) {
   w.PutU32(static_cast<uint32_t>(snapshot.pending.size()));
   for (const PendingTicketState& p : snapshot.pending) w.PutF64(p.posted_price);
   w.PutU32(Crc32(w.EndLength(body)));
-  return out;
 }
 
 Status DecodeSessionSnapshot(std::string_view bytes, SessionSnapshot* out) {
   if (out == nullptr) return Status::InvalidArgument("null snapshot output");
   ByteReader envelope(bytes);
-  char magic[sizeof kMagic] = {};
+  char magic[kSnapshotMagic.size()] = {};
   if (!envelope.GetBytes(magic, sizeof magic) ||
-      std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
+      std::string_view(magic, sizeof magic) != kSnapshotMagic) {
     return Status::InvalidArgument("not a pdm.snap document (bad magic)");
   }
   // Envelope damage (truncation, padding, checksum mismatch) is DataLoss —

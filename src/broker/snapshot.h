@@ -71,8 +71,18 @@ struct SessionSnapshot {
   double accepted_value = 0.0;
 };
 
+/// Envelope framing, for readers that walk envelopes laid back to back (the
+/// cold tier's pack files, broker/spill_store.h): the 8-byte magic, u32
+/// version and u32 body size come before the body, its u32 CRC after it.
+inline constexpr std::string_view kSnapshotMagic{"PDMSNAP2", 8};
+inline constexpr size_t kSnapshotHeaderBytes = 16;
+inline constexpr size_t kSnapshotTrailerBytes = 4;
+
 /// Serializes to the `pdm.snap` byte format.
 std::string EncodeSessionSnapshot(const SessionSnapshot& snapshot);
+
+/// Appends the `pdm.snap` bytes of `snapshot` to `out`.
+void AppendSessionSnapshot(const SessionSnapshot& snapshot, std::string* out);
 
 /// Parses bytes produced by EncodeSessionSnapshot. Errors: InvalidArgument
 /// for a bad magic, an unsupported version, or a structurally bad body

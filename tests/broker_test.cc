@@ -1523,13 +1523,13 @@ TEST(BrokerColdTier, RandomizedEvictFaultInMatchesNeverEvictedTwinBitwise) {
   }
 }
 
-/// Files in `dir` whose names end in ".tmp".
-size_t CountTmpFiles(const std::string& dir) {
-  size_t count = 0;
+/// Bytes held by the `*.snap` pack files in `dir`.
+size_t SpillDirBytes(const std::string& dir) {
+  size_t bytes = 0;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().ends_with(".tmp")) ++count;
+    if (entry.path().extension() == ".snap") bytes += entry.file_size();
   }
-  return count;
+  return bytes;
 }
 
 TEST(BrokerColdTier, ResidencyCapWavesMatchNeverEvictedTwinBitwise) {
@@ -1781,6 +1781,51 @@ TEST(BrokerColdTier, CloseWhileEvictedDropsSpillFileWithoutFaultIn) {
       StatusCode::kNotFound);
   EXPECT_TRUE(
       broker.PostPrice({"closecold/b", round.features, round.reserve}, &quote).ok());
+}
+
+TEST(BrokerColdTier, SpillDirStaysWithinEightTimesLiveSpillBytes) {
+  // A pack lives until its last record dies, so consumed records ride along
+  // inside live packs. A pack holds at most 8 records, so with records of
+  // one size the spill directory holds at most 8× the live spill bytes
+  // once a sweep has unlinked the packs that died.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("bound/base", 4, 4000, "reserve", 43);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kProducts = 96;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) {
+    // Names of one length, so every record has the same size.
+    names.push_back(std::string(i < 10 ? "bound/p0" : "bound/p") + std::to_string(i));
+  }
+  BrokerConfig config;
+  config.spill_dir = ColdDir("bound");
+  Broker broker(config);
+  ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  auto touch = [&](size_t p) {
+    stream->Next(&rng, &round);
+    Quote quote;
+    ASSERT_TRUE(broker.PostPrice({names[p], round.features, round.reserve}, &quote).ok());
+    ASSERT_TRUE(broker.Observe(quote.ticket, quote.price <= round.value).ok());
+  };
+  // One quote each first: a session's ticket table, and so its record,
+  // grows on its first quote and then keeps its size.
+  for (size_t p = 0; p < kProducts; ++p) touch(p);
+  Rng control(20261019);
+  size_t checks = 0;
+  for (int step = 0; step < 3000; ++step) {
+    touch(control.NextUint64(kProducts));
+    if (control.NextUint64(16) == 0) {
+      broker.EvictIdleSessions(control.NextUint64(kProducts / 2));
+      const BrokerStats stats = broker.Stats();
+      ASSERT_LE(SpillDirBytes(config.spill_dir), 8 * stats.spill_bytes) << "step " << step;
+      ++checks;
+    }
+  }
+  EXPECT_GT(checks, 100u);
+  EXPECT_GT(broker.Stats().fault_ins, 500u);
 }
 
 TEST(BrokerColdTier, CallerBuiltEnginesAreNeverEvicted) {

@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -24,6 +25,7 @@
 #include "broker/broker.h"
 #include "broker/session.h"
 #include "broker/snapshot.h"
+#include "broker/spill_store.h"
 #include "common/byte_codec.h"
 #include "common/crc32.h"
 #include "common/fault.h"
@@ -83,6 +85,48 @@ std::string ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, std::string_view bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Overwrites bytes in place, as a disk fault would.
+void PatchFileBytes(const std::string& path, size_t offset, std::string_view bytes) {
+  std::fstream io(path, std::ios::binary | std::ios::in | std::ios::out);
+  io.seekp(static_cast<std::streamoff>(offset));
+  io.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// One live (not tombstoned) spill record found on disk.
+struct LiveSpill {
+  std::string path;  // its pack file
+  size_t offset = 0;
+  std::string bytes;  // its pdm.snap envelope
+};
+
+/// Every live record in `dir`'s `*.snap` packs, by the product inside it.
+/// Records that do not decode are skipped.
+std::map<std::string, LiveSpill> LiveSpills(const std::string& dir) {
+  std::map<std::string, LiveSpill> live;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() != ".snap") continue;
+    const std::string path = entry.path().string();
+    const std::string bytes = ReadFileBytes(path);
+    WalkPack(bytes, [&](const PackEntry& record) {
+      if (record.tombstone) return;
+      const std::string envelope = bytes.substr(record.offset, record.size);
+      SessionSnapshot snap;
+      if (!DecodeSessionSnapshot(envelope, &snap).ok()) return;
+      live[snap.product] = LiveSpill{path, record.offset, envelope};
+    });
+  }
+  return live;
+}
+
+/// Files in `dir` whose names end in `suffix`.
+size_t CountFiles(const std::string& dir, std::string_view suffix) {
+  size_t count = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().ends_with(suffix)) ++count;
+  }
+  return count;
 }
 
 /// Drives `rounds` priced rounds with immediate feedback on one product.
@@ -290,14 +334,21 @@ TEST(BrokerChaosTest, EvictionSpillsV2AndCorruptionQuarantinesWithDataLoss) {
   DriveRounds(&broker, &factory, spec, "chaos/p1", 20);
 
   ASSERT_EQ(broker.EvictIdleSessions(0), 2u);
-  const std::string spill0 = config.spill_dir + "/slot-0.snap";
-  std::string bytes = ReadFileBytes(spill0);
-  ASSERT_EQ(bytes.substr(0, 8), "PDMSNAP2");  // spills are enveloped
+  // One wave, one pack, two enveloped records.
+  std::map<std::string, LiveSpill> spills = LiveSpills(config.spill_dir);
+  ASSERT_EQ(spills.size(), 2u);
+  const LiveSpill spill0 = spills["chaos/p0"];
+  EXPECT_EQ(spill0.path, spills["chaos/p1"].path);
+  EXPECT_EQ(CountFiles(config.spill_dir, ".snap"), 1u);
+  ASSERT_EQ(spill0.bytes.substr(0, 8), "PDMSNAP2");  // spills are enveloped
 
-  // Corrupt one body byte on disk. The next touch must fail DataLoss and
-  // quarantine the file — never serve a silently wrong price.
+  // Corrupt one body byte of p0's record on disk. The next touch must fail
+  // DataLoss and quarantine the record — never serve a silently wrong
+  // price — while p1's record in the same pack stays live.
+  std::string bytes = spill0.bytes;
   bytes[bytes.size() / 2] = static_cast<char>(bytes[bytes.size() / 2] ^ 0x01);
-  WriteFileBytes(spill0, bytes);
+  PatchFileBytes(spill0.path, spill0.offset + bytes.size() / 2,
+                 std::string_view(bytes).substr(bytes.size() / 2, 1));
 
   Rng rng(spec.sim_seed);
   std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
@@ -307,8 +358,14 @@ TEST(BrokerChaosTest, EvictionSpillsV2AndCorruptionQuarantinesWithDataLoss) {
   Status touched =
       broker.PostPrice({"chaos/p0", round.features, round.reserve}, &quote);
   EXPECT_EQ(touched.code(), StatusCode::kDataLoss);
-  EXPECT_FALSE(std::filesystem::exists(spill0));
-  EXPECT_TRUE(std::filesystem::exists(spill0 + ".quarantined"));
+  // The damaged bytes are kept, the record is retired in its pack.
+  EXPECT_EQ(ReadFileBytes(spill0.path + "." + std::to_string(spill0.offset) +
+                          ".quarantined"),
+            bytes);
+  EXPECT_EQ(ReadFileBytes(spill0.path).substr(spill0.offset, 8), kTombstoneMagic);
+  spills = LiveSpills(config.spill_dir);
+  EXPECT_EQ(spills.count("chaos/p0"), 0u);
+  EXPECT_EQ(spills.count("chaos/p1"), 1u);
   EXPECT_EQ(registry.GetCounter("pdm_broker_spill_corruptions_total", "").value(),
             1u);
   EXPECT_EQ(broker.Stats().quarantined_sessions, 1u);
@@ -348,16 +405,23 @@ TEST(BrokerChaosTest, IntactSpillWithACutTheEngineCannotApplyIsQuarantined) {
       broker.PostPrice({"chaos/badcut", round.features, round.reserve}, &quote).ok());
   ASSERT_EQ(broker.EvictIdleSessions(0), 1u);
 
-  const std::string spill = config.spill_dir + "/slot-0.snap";
+  const LiveSpill spill = LiveSpills(config.spill_dir)["chaos/badcut"];
   SessionSnapshot snap;
-  ASSERT_TRUE(DecodeSessionSnapshot(ReadFileBytes(spill), &snap).ok());
+  ASSERT_TRUE(DecodeSessionSnapshot(spill.bytes, &snap).ok());
   ASSERT_EQ(snap.pending.size(), 1u);
   ASSERT_GT(snap.pending[0].cut.support.half_width, 0.0);
   snap.pending[0].cut.support.direction.resize(2);
-  WriteFileBytes(spill, EncodeSessionSnapshot(snap));
+  // The slot reads its record's exact byte range, so the re-encoded
+  // envelope keeps the length: the product name (informational) takes up
+  // the four doubles the direction lost.
+  snap.product += std::string(4 * sizeof(double), '_');
+  const std::string damaged = EncodeSessionSnapshot(snap);
+  ASSERT_EQ(damaged.size(), spill.bytes.size());
+  PatchFileBytes(spill.path, spill.offset, damaged);
 
   EXPECT_EQ(broker.Observe(quote.ticket, false).code(), StatusCode::kDataLoss);
-  EXPECT_TRUE(std::filesystem::exists(spill + ".quarantined"));
+  EXPECT_EQ(ReadFileBytes(spill.path + "." + std::to_string(spill.offset) + ".quarantined"),
+            damaged);
   EXPECT_EQ(broker.Stats().quarantined_sessions, 1u);
   EXPECT_TRUE(broker.CloseSession("chaos/badcut").ok());
 }
@@ -372,7 +436,7 @@ TEST(BrokerChaosTest, MissingSpillSurfacesDataLoss) {
   ASSERT_TRUE(broker.OpenSession("chaos/gone", spec, factory.Prepare(spec)).ok());
   DriveRounds(&broker, &factory, spec, "chaos/gone", 10);
   ASSERT_EQ(broker.EvictIdleSessions(0), 1u);
-  std::filesystem::remove(config.spill_dir + "/slot-0.snap");
+  ASSERT_TRUE(std::filesystem::remove(LiveSpills(config.spill_dir)["chaos/gone"].path));
 
   Rng rng(spec.sim_seed);
   std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
@@ -397,12 +461,27 @@ TEST(BrokerChaosTest, InjectedSpillWriteFailureKeepsSessionResident) {
   ASSERT_TRUE(broker.OpenSession("chaos/w0", spec, factory.Prepare(spec)).ok());
   DriveRounds(&broker, &factory, spec, "chaos/w0", 10);
 
-  FaultInjector::Global().TriggerOnHit("spill.write", 1);
-  FaultInjector::Global().Arm(3);
-  EXPECT_EQ(broker.EvictIdleSessions(0), 0u);  // write failed → not evicted
-  EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(),
-            1u);
-  EXPECT_EQ(broker.Stats().resident_sessions, 1u);
+  // Every step of landing a pack can fail, the directory fsync after the
+  // rename included; each failure keeps the session resident and leaves
+  // neither the pack nor its tmp behind. (Each round touches the session
+  // first, so the sweep's first pass skips it and the second tries it once.)
+  const std::vector<std::string> sites{"spill.open",  "spill.short_write",
+                                       "spill.write", "spill.fsync",
+                                       "spill.rename", "spill.dir_fsync"};
+  uint64_t errors = 0;
+  for (const std::string& site : sites) {
+    DriveRounds(&broker, &factory, spec, "chaos/w0", 1);
+    FaultInjector::Global().Reset();
+    FaultInjector::Global().TriggerOnHit(site, 1);
+    FaultInjector::Global().Arm(3);
+    EXPECT_EQ(broker.EvictIdleSessions(0), 0u) << site;  // write failed → not evicted
+    EXPECT_EQ(FaultInjector::Global().fires(site), 1u) << site;
+    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(),
+              ++errors)
+        << site;
+    EXPECT_EQ(broker.Stats().resident_sessions, 1u) << site;
+    EXPECT_TRUE(std::filesystem::is_empty(config.spill_dir)) << site;
+  }
 
   // The session still serves, and a later (fault-free) eviction succeeds.
   FaultInjector::Global().Disarm();
@@ -432,12 +511,13 @@ TEST(BrokerChaosTest, StartupSweepAdoptsByNameQuarantinesCorruptReclaimsOrphans)
     ASSERT_TRUE(donor.Snapshot("chaos/adopted", &snap).ok());
     expected = EncodeSessionSnapshot(snap);
     ASSERT_EQ(donor.EvictIdleSessions(0), 1u);
-    spill_bytes = ReadFileBytes(donor_config.spill_dir + "/slot-0.snap");
-    ASSERT_FALSE(spill_bytes.empty());
+    spill_bytes = LiveSpills(donor_config.spill_dir)["chaos/adopted"].bytes;
+    ASSERT_EQ(spill_bytes, expected);
   }
 
-  // Fake the crashed broker's directory: a valid spill, a torn .tmp, a
-  // corrupt spill, and a valid-but-unclaimed spill from some other fleet.
+  // Fake a crashed broker's directory in the one-file-per-spill layout,
+  // whose files the sweep reads as packs of one: a valid spill, a torn
+  // .tmp, and a corrupt spill.
   std::filesystem::create_directories(dir);
   WriteFileBytes(dir + "/slot-4.snap", spill_bytes);
   WriteFileBytes(dir + "/slot-9.snap.tmp", "torn half-write");
@@ -469,11 +549,11 @@ TEST(BrokerChaosTest, StartupSweepAdoptsByNameQuarantinesCorruptReclaimsOrphans)
   EXPECT_EQ(broker.SweepUnclaimedSpills(), 0u);
 }
 
-// The restart open order need not match the pre-crash slot layout. The sweep
-// moves inventoried spills into the disjoint `recovered-*.snap` namespace, so
-// adopting product B into what used to be A's slot index can never rename
-// over A's still-unclaimed bytes (the bug: A then silently served B's state
-// while B's slot was quarantined as DataLoss).
+// The restart open order need not match the pre-crash slot layout. Adoption
+// points each fresh slot at its product's record in place, so adopting
+// product B into what used to be A's slot index can never touch A's
+// still-unclaimed bytes (the bug the one-file layout once had: A then
+// silently served B's state while B's slot was quarantined as DataLoss).
 TEST(BrokerChaosTest, AdoptionSurvivesReversedRestartOpenOrder) {
   FaultGuard guard;
   StreamFactory factory;
@@ -498,11 +578,10 @@ TEST(BrokerChaosTest, AdoptionSurvivesReversedRestartOpenOrder) {
     expected_b = EncodeSessionSnapshot(snap);
     ASSERT_NE(expected_a, expected_b);
     ASSERT_EQ(donor.EvictIdleSessions(0), 2u);
-    std::filesystem::create_directories(dir);
-    std::filesystem::copy_file(donor_config.spill_dir + "/slot-0.snap",
-                               dir + "/slot-0.snap");
-    std::filesystem::copy_file(donor_config.spill_dir + "/slot-1.snap",
-                               dir + "/slot-1.snap");
+    // Both records share one pack.
+    std::filesystem::copy(donor_config.spill_dir, dir);
+    ASSERT_EQ(LiveSpills(dir).size(), 2u);
+    ASSERT_EQ(CountFiles(dir, ".snap"), 1u);
   }
 
   // Restart opens B first: B lands on slot 0 (A's pre-crash index) and A on
@@ -530,7 +609,6 @@ TEST(BrokerChaosTest, UnclaimedSpillsAreSweptNotLeaked) {
   WorkloadInfo info = factory.Prepare(spec);
   const std::string dir = ChaosDir("orphan");
 
-  std::string spill_bytes;
   {
     BrokerConfig donor_config;
     donor_config.spill_dir = ChaosDir("orphan_donor");
@@ -538,10 +616,10 @@ TEST(BrokerChaosTest, UnclaimedSpillsAreSweptNotLeaked) {
     ASSERT_TRUE(donor.OpenSession("chaos/left-behind", spec, info).ok());
     DriveRounds(&donor, &factory, spec, "chaos/left-behind", 5);
     ASSERT_EQ(donor.EvictIdleSessions(0), 1u);
-    spill_bytes = ReadFileBytes(donor_config.spill_dir + "/slot-0.snap");
+    std::filesystem::copy(donor_config.spill_dir, dir);
   }
-  std::filesystem::create_directories(dir);
-  WriteFileBytes(dir + "/slot-3.snap", spill_bytes);
+  const std::string pack = LiveSpills(dir)["chaos/left-behind"].path;
+  ASSERT_FALSE(pack.empty());
 
   BrokerConfig config;
   config.spill_dir = dir;
@@ -550,30 +628,63 @@ TEST(BrokerChaosTest, UnclaimedSpillsAreSweptNotLeaked) {
   // The fleet this broker opens does NOT include the orphan's product.
   ASSERT_TRUE(broker.OpenSession("chaos/other", spec, info).ok());
   EXPECT_EQ(broker.SweepUnclaimedSpills(), 1u);
-  EXPECT_FALSE(std::filesystem::exists(dir + "/slot-3.snap"));
+  EXPECT_FALSE(std::filesystem::exists(pack));  // its only record was unclaimed
   EXPECT_EQ(broker.recovery_report().orphans_reclaimed, 1u);
 }
 
-/// Files in `dir` whose names end in ".tmp".
-size_t CountTmpFiles(const std::string& dir) {
-  size_t count = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().filename().string().ends_with(".tmp")) ++count;
+// An OS crash can bring back a record whose tombstone never reached the
+// disk, beside the newer record its product was spilled to later. The sweep
+// visits older files first — the one-file layout before every pack, packs
+// by number — so the newer record wins and the older one is reclaimed.
+TEST(BrokerChaosTest, DuplicateSpillsAdoptTheNewest) {
+  FaultGuard guard;
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/dup", 6, 2000, "reserve", 41);
+  WorkloadInfo info = factory.Prepare(spec);
+  const std::string dir = ChaosDir("dup");
+  std::filesystem::create_directories(dir);
+  std::string newer;
+  {
+    BrokerConfig donor_config;
+    donor_config.spill_dir = ChaosDir("dup_donor");
+    Broker donor(donor_config);
+    ASSERT_TRUE(donor.OpenSession("chaos/dup", spec, info).ok());
+    DriveRounds(&donor, &factory, spec, "chaos/dup", 10);
+    ASSERT_EQ(donor.EvictIdleSessions(0), 1u);
+    // The older spill, as the one-file layout would have named it.
+    WriteFileBytes(dir + "/slot-7.snap", LiveSpills(donor_config.spill_dir)["chaos/dup"].bytes);
+    DriveRounds(&donor, &factory, spec, "chaos/dup", 5);
+    SessionSnapshot snap;
+    ASSERT_TRUE(donor.Snapshot("chaos/dup", &snap).ok());
+    newer = EncodeSessionSnapshot(snap);
+    ASSERT_EQ(donor.EvictIdleSessions(0), 1u);
+    const LiveSpill spill = LiveSpills(donor_config.spill_dir)["chaos/dup"];
+    ASSERT_EQ(spill.bytes, newer);
+    WriteFileBytes(dir + "/pack-3.snap", spill.bytes);
   }
-  return count;
+  BrokerConfig config;
+  config.spill_dir = dir;
+  Broker broker(config);
+  EXPECT_EQ(broker.recovery_report().spills_found, 1u);
+  EXPECT_EQ(broker.recovery_report().orphans_reclaimed, 1u);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/slot-7.snap"));  // its only record
+  ASSERT_TRUE(broker.OpenSession("chaos/dup", spec, info).ok());
+  SessionSnapshot adopted;
+  ASSERT_TRUE(broker.Snapshot("chaos/dup", &adopted).ok());
+  EXPECT_EQ(EncodeSessionSnapshot(adopted), newer);
 }
 
-// An eviction wave draws every victim's spill fault decisions serially, in
-// victim order, before its writes run concurrently: a scripted fault fails
-// the same victim however the writes interleave.
+// An eviction wave lands as one pack, and the fault sites are drawn on the
+// sweeping thread in wave order: a scripted fault fails the same wave on
+// every run, and only that wave's victims stay resident.
 TEST(BrokerChaosTest, WaveFaultScheduleIsTheSameEveryRun) {
   StreamFactory factory;
   ScenarioSpec spec = LinearSpec("chaos/wave", 6, 2000, "reserve", 33);
   WorkloadInfo info = factory.Prepare(spec);
-  constexpr size_t kProducts = 5;
+  constexpr size_t kProducts = 20;  // waves of 8, 8 and 4
   std::vector<std::string> names;
   for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/wave" + std::to_string(i));
-  std::string first_resident;
+  std::vector<std::string> first_resident;
   for (int rep = 0; rep < 20; ++rep) {
     FaultGuard guard;
     metrics::MetricRegistry registry;
@@ -584,40 +695,38 @@ TEST(BrokerChaosTest, WaveFaultScheduleIsTheSameEveryRun) {
     ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
     for (const std::string& name : names) DriveRounds(&broker, &factory, spec, name, 5);
 
-    // One wave of five victims; the second one's fsync fails.
+    // Three waves; the second one's fsync fails.
     FaultInjector::Global().TriggerOnHit("spill.fsync", 2);
     FaultInjector::Global().Arm(3);
-    EXPECT_EQ(broker.EvictIdleSessions(0), kProducts - 1) << "rep " << rep;
+    EXPECT_EQ(broker.EvictIdleSessions(0), kProducts - 8) << "rep " << rep;
     FaultInjector::Global().Disarm();
-    EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), kProducts);
-    EXPECT_EQ(broker.Stats().resident_sessions, 1u);
-    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(), 1u);
+    EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), 3u);
+    EXPECT_EQ(broker.Stats().resident_sessions, 8u);
+    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(), 8u);
 
-    // Every other victim's spill decodes, to its own product.
-    std::string resident;
-    for (size_t i = 0; i < kProducts; ++i) {
-      const std::string path = config.spill_dir + "/slot-" + std::to_string(i) + ".snap";
-      if (!std::filesystem::exists(path)) {
-        EXPECT_TRUE(resident.empty()) << "two products stayed resident";
-        resident = names[i];
-        continue;
-      }
-      SessionSnapshot snap;
-      ASSERT_TRUE(DecodeSessionSnapshot(ReadFileBytes(path), &snap).ok()) << path;
-      EXPECT_EQ(snap.product, names[i]);
+    // Two packs; every spilled product has exactly one live record, which
+    // decodes to its own product.
+    EXPECT_EQ(CountFiles(config.spill_dir, ".snap"), 2u);
+    EXPECT_EQ(CountFiles(config.spill_dir, ".tmp"), 0u);  // the failed pack's tmp too
+    const std::map<std::string, LiveSpill> spills = LiveSpills(config.spill_dir);
+    EXPECT_EQ(spills.size(), kProducts - 8);
+    std::vector<std::string> resident;
+    for (const std::string& name : names) {
+      if (spills.count(name) == 0) resident.push_back(name);
     }
-    EXPECT_EQ(CountTmpFiles(config.spill_dir), 0u);  // the failed write's tmp too
     if (rep == 0) first_resident = resident;
     ASSERT_EQ(resident, first_resident) << "rep " << rep;
   }
-  // The CLOCK hand starts at slot 0, so the second victim is slot 1.
-  EXPECT_EQ(first_resident, names[1]);
+  // The CLOCK hand starts at slot 0, so the second wave is slots 8..15.
+  ASSERT_EQ(first_resident.size(), 8u);
+  EXPECT_EQ(first_resident.front(), names[8]);
+  EXPECT_EQ(first_resident.back(), names[15]);
 }
 
-// Fault-in renames the spill it consumed to a `.tmp` name and leaves the
-// unlink to the next wave. A kill -9 in between must look to the restarted
-// broker like a torn write: the consumed file is reclaimed, never adopted,
-// so it cannot shadow the state its session moved on to.
+// Fault-in tombstones the record it consumed, in place, before the session
+// moves on. A kill -9 at any later instant leaves the pack with that record
+// retired: the restarted broker never adopts it, so it cannot shadow the
+// state its session moved on to, while the pack's other records adopt.
 TEST(BrokerChaosTest, ConsumedSpillNeverShadowsLiveStateAfterACrash) {
   FaultGuard guard;
   StreamFactory factory;
@@ -639,22 +748,29 @@ TEST(BrokerChaosTest, ConsumedSpillNeverShadowsLiveStateAfterACrash) {
       expected[i] = EncodeSessionSnapshot(snap);
     }
     ASSERT_EQ(broker.EvictIdleSessions(0), 3u);
+    const LiveSpill c0 = LiveSpills(dir)["chaos/c0"];
     // c0 faults back in and moves on; no sweep runs after it.
     DriveRounds(&broker, &factory, spec, names[0], 5);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/slot-0.snap"));
-    EXPECT_EQ(CountTmpFiles(dir), 1u);
+    // The consumed record is a tombstone inside the still-live pack.
+    const std::string pack = ReadFileBytes(c0.path);
+    EXPECT_EQ(pack.substr(c0.offset, 8), kTombstoneMagic);
+    EXPECT_EQ(pack.substr(c0.offset + 8, c0.bytes.size() - 8), c0.bytes.substr(8));
+    const std::map<std::string, LiveSpill> live = LiveSpills(dir);
+    EXPECT_EQ(live.size(), 2u);
+    EXPECT_EQ(live.count("chaos/c0"), 0u);
+    EXPECT_EQ(CountFiles(dir, ".tmp"), 0u);
     // The simulated kill -9: the directory as the crash would leave it.
     std::filesystem::copy(dir, crashed, std::filesystem::copy_options::recursive);
   }
-  // ~Broker unlinked the consumed spill along with the evicted slots'.
-  EXPECT_EQ(CountTmpFiles(dir), 0u);
+  // ~Broker discarded the evicted slots' records, so their pack went too.
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
 
   BrokerConfig config;
   config.spill_dir = crashed;
   {
     Broker restarted(config);
     const RecoveryReport report = restarted.recovery_report();
-    EXPECT_EQ(report.tmp_reclaimed, 1u);  // the consumed spill
+    EXPECT_EQ(report.tmp_reclaimed, 0u);  // nothing to reclaim: c0 is a tombstone
     EXPECT_EQ(report.spills_found, 2u);   // c1 and c2, nothing for c0
     ASSERT_TRUE(restarted.OpenSessions(names, spec, info).ok());
     EXPECT_EQ(restarted.recovery_report().adopted, 2u);
@@ -670,7 +786,191 @@ TEST(BrokerChaosTest, ConsumedSpillNeverShadowsLiveStateAfterACrash) {
     }
     EXPECT_EQ(restarted.SweepUnclaimedSpills(), 0u);
   }
-  EXPECT_EQ(CountTmpFiles(crashed), 0u);
+  EXPECT_EQ(CountFiles(crashed, ".tmp"), 0u);
+}
+
+// A fault-in whose tombstone write fails must not let the session move on
+// while its record still reads as live: the touch fails Unavailable, the
+// slot stays evicted, and a retry faults in to the exact spilled state.
+TEST(BrokerChaosTest, FailedTombstoneWriteLeavesTheSlotEvictedForARetry) {
+  FaultGuard guard;
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/tomb", 6, 2000, "reserve", 37);
+  BrokerConfig config;
+  config.spill_dir = ChaosDir("tomb");
+  Broker broker(config);
+  ASSERT_TRUE(broker.OpenSession("chaos/tomb", spec, factory.Prepare(spec)).ok());
+  DriveRounds(&broker, &factory, spec, "chaos/tomb", 12);
+  SessionSnapshot snap;
+  ASSERT_TRUE(broker.Snapshot("chaos/tomb", &snap).ok());
+  const std::string expected = EncodeSessionSnapshot(snap);
+  ASSERT_EQ(broker.EvictIdleSessions(0), 1u);
+
+  FaultInjector::Global().TriggerOnHit("spill.tombstone", 1);
+  FaultInjector::Global().Arm(5);
+  EXPECT_EQ(broker.Snapshot("chaos/tomb", &snap).code(), StatusCode::kUnavailable);
+  FaultInjector::Global().Disarm();
+  const BrokerStats stats = broker.Stats();
+  EXPECT_EQ(stats.evicted_sessions, 1u);
+  EXPECT_EQ(stats.resident_sessions, 0u);
+  EXPECT_EQ(stats.fault_ins, 0u);
+  EXPECT_EQ(stats.quarantined_sessions, 0u);
+  EXPECT_EQ(LiveSpills(config.spill_dir).count("chaos/tomb"), 1u);
+
+  ASSERT_TRUE(broker.Snapshot("chaos/tomb", &snap).ok());
+  EXPECT_EQ(EncodeSessionSnapshot(snap), expected);
+  EXPECT_EQ(broker.Stats().fault_ins, 1u);
+  EXPECT_TRUE(LiveSpills(config.spill_dir).empty());
+}
+
+// What a kill -9 leaves is the page cache: the spill directory exactly as
+// the broker last wrote it. This drill copies the directory after every
+// eviction wave of 8 and after every fault-in, restarts a broker on each
+// copy, and checks the §14 contract on multi-record packs: every committed
+// eviction adopts bit-identically, no tombstoned record is adopted, and one
+// flipped body byte costs only its own record.
+struct CrashCopy {
+  std::string dir;
+  /// product → the bytes its durable spill must restore (evicted products
+  /// only; a product absent here was resident, its record consumed).
+  std::map<std::string, std::string> durable;
+};
+
+void RestartOnCrashCopy(const CrashCopy& copy, const std::vector<std::string>& names,
+                        const ScenarioSpec& spec, const WorkloadInfo& info) {
+  SCOPED_TRACE(copy.dir);
+  BrokerConfig config;
+  config.spill_dir = copy.dir;
+  Broker restarted(config);
+  EXPECT_EQ(restarted.recovery_report().spills_found, copy.durable.size());
+  EXPECT_EQ(restarted.recovery_report().corrupt_quarantined, 0u);
+  ASSERT_TRUE(restarted.OpenSessions(names, spec, info).ok());
+  EXPECT_EQ(restarted.recovery_report().adopted, copy.durable.size());
+  for (const std::string& name : names) {
+    auto it = copy.durable.find(name);
+    if (it == copy.durable.end()) {
+      SessionInfo fresh;  // never adopted from a tombstoned record
+      ASSERT_TRUE(restarted.GetSessionInfo(name, &fresh).ok());
+      EXPECT_EQ(fresh.quotes_issued, 0) << name;
+      continue;
+    }
+    SessionSnapshot snap;
+    ASSERT_TRUE(restarted.Snapshot(name, &snap).ok()) << name;
+    EXPECT_EQ(EncodeSessionSnapshot(snap), it->second) << name;
+  }
+}
+
+TEST(BrokerChaosTest, CrashCopiesOfMultiRecordPacksAdoptExactly) {
+  FaultGuard guard;
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/packs", 6, 2000, "reserve", 39);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kProducts = 24;  // three waves of 8
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/pk" + std::to_string(i));
+  const std::string dir = ChaosDir("packs");
+  std::vector<CrashCopy> copies;
+  // The model: each product's bytes as of its last eviction, while evicted.
+  std::map<std::string, std::string> durable;
+  {
+    BrokerConfig config;
+    config.spill_dir = dir;
+    Broker broker(config);
+    ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    for (size_t i = 0; i < kProducts; ++i) {
+      DriveRounds(&broker, &factory, spec, names[i], 3 + static_cast<int>(i % 5));
+    }
+    auto copy_now = [&] {
+      CrashCopy copy{ChaosDir("packs_copy" + std::to_string(copies.size())), durable};
+      std::filesystem::copy(dir, copy.dir);
+      copies.push_back(std::move(copy));
+    };
+    // Evicts one wave and moves its victims into the model. Only resident
+    // products are snapshotted first: a snapshot of an evicted one would
+    // fault it in.
+    auto evict_to = [&](size_t max_resident, size_t wave) {
+      std::map<std::string, std::string> before;
+      for (const std::string& name : names) {
+        if (durable.count(name) != 0) continue;
+        SessionSnapshot snap;
+        ASSERT_TRUE(broker.Snapshot(name, &snap).ok());
+        before[name] = EncodeSessionSnapshot(snap);
+      }
+      ASSERT_EQ(broker.EvictIdleSessions(max_resident), wave);
+      const std::map<std::string, LiveSpill> live = LiveSpills(dir);
+      for (const auto& [name, bytes] : before) {
+        auto it = live.find(name);
+        if (it == live.end()) continue;
+        EXPECT_EQ(it->second.bytes, bytes) << name;
+        durable[name] = bytes;
+      }
+      ASSERT_EQ(live.size(), durable.size());
+      copy_now();
+    };
+    auto fault_in = [&](size_t i) {
+      DriveRounds(&broker, &factory, spec, names[i], 2);
+      durable.erase(names[i]);
+      copy_now();
+    };
+    evict_to(16, 8);
+    evict_to(8, 8);
+    evict_to(0, 8);
+    EXPECT_EQ(CountFiles(dir, ".snap"), 3u);
+    fault_in(0);   // first pack
+    fault_in(9);   // second pack
+    evict_to(0, 2);  // both again, into a fourth pack
+    fault_in(0);   // its record in the fourth pack
+    // Consume the whole third pack: it dies with its eighth fault-in, and
+    // the next wave unlinks it.
+    for (size_t i = 16; i < kProducts; ++i) fault_in(i);
+    EXPECT_EQ(CountFiles(dir, ".snap"), 4u);
+    evict_to(kProducts, 0);
+    EXPECT_EQ(CountFiles(dir, ".snap"), 3u);
+  }
+  ASSERT_EQ(copies.size(), 16u);
+  // A restart rewrites its copy (fault-ins tombstone), so the damaged
+  // variant below starts from a copy of its own.
+  CrashCopy full = copies[2];  // after the third wave
+  ASSERT_EQ(full.durable.size(), kProducts);
+  full.dir = ChaosDir("packs_flip");
+  std::filesystem::copy(copies[2].dir, full.dir);
+  for (const CrashCopy& copy : copies) RestartOnCrashCopy(copy, names, spec, info);
+
+  // One flipped body byte in a pack of eight live records: that record is
+  // quarantined with its bytes kept, and its seven pack mates still adopt.
+  const std::map<std::string, LiveSpill> live = LiveSpills(full.dir);
+  const LiveSpill& victim = live.at(names[12]);
+  std::string damaged = victim.bytes;
+  damaged[damaged.size() / 2] = static_cast<char>(damaged[damaged.size() / 2] ^ 0x10);
+  PatchFileBytes(victim.path, victim.offset, damaged);
+  {
+    BrokerConfig config;
+    config.spill_dir = full.dir;
+    Broker restarted(config);
+    EXPECT_EQ(restarted.recovery_report().corrupt_quarantined, 1u);
+    EXPECT_EQ(restarted.recovery_report().spills_found, kProducts - 1);
+    EXPECT_EQ(ReadFileBytes(victim.path + "." + std::to_string(victim.offset) + ".quarantined"),
+              damaged);
+    ASSERT_TRUE(restarted.OpenSessions(names, spec, info).ok());
+    EXPECT_EQ(restarted.recovery_report().adopted, kProducts - 1);
+    for (const std::string& name : names) {
+      SessionSnapshot snap;
+      ASSERT_TRUE(restarted.Snapshot(name, &snap).ok()) << name;
+      if (name == names[12]) {
+        EXPECT_EQ(snap.quotes_issued, 0);  // opened fresh
+      } else {
+        EXPECT_EQ(EncodeSessionSnapshot(snap), full.durable.at(name)) << name;
+      }
+    }
+  }
+  // The quarantined record reads as a tombstone now: a second restart finds
+  // no damage left, and the forensic copy is never read back.
+  {
+    BrokerConfig config;
+    config.spill_dir = full.dir;
+    Broker again(config);
+    EXPECT_EQ(again.recovery_report().corrupt_quarantined, 0u);
+  }
 }
 
 // ------------------------------------------------------- server chaos
@@ -918,17 +1218,29 @@ TEST(ClientChaosTest, MutatingCallsSurfaceUnavailableAndNeverAutoRetry) {
   broker::ProductHandle handle;
   ASSERT_TRUE(client.Resolve("chaos/mutate", &handle).ok());
 
+  // A ticket for the feedback below, priced while the transport is healthy.
+  std::vector<double> features(6, 0.1);
+  Quote priced;
+  ASSERT_TRUE(client.PostPrice(handle, features, 0.0, &priced).ok());
+
   // Every recv dies until disarmed: a PostPrice must fail Unavailable after
   // ONE send (at-most-once — the broker may or may not have priced it), not
   // silently replay.
   FaultInjector::Global().SetProbability("server.recv_reset", 1.0);
   FaultInjector::Global().Arm(9);
   const int64_t retries_before = client.retries();
-  std::vector<double> features(6, 0.1);
   Quote quote;
   Status s = client.PostPrice(handle, features, 0.0, &quote);
   EXPECT_EQ(s.code(), StatusCode::kUnavailable) << s.ToString();
   EXPECT_EQ(client.retries(), retries_before);  // no auto-retry for mutations
+
+  // Feedback is at-most-once too (DESIGN.md §14): one dial, one send, then
+  // Unavailable — a replay could land after the first copy was applied.
+  const int64_t reconnects_before = client.reconnects();
+  Status observed = client.Observe(priced.ticket, true);
+  EXPECT_EQ(observed.code(), StatusCode::kUnavailable) << observed.ToString();
+  EXPECT_EQ(client.retries(), retries_before);
+  EXPECT_EQ(client.reconnects(), reconnects_before + 1);
   FaultInjector::Global().Disarm();
 
   // The next mutating call auto-reconnects first and succeeds.

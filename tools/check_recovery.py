@@ -8,19 +8,24 @@ The CI chaos job runs this in three steps around a hard server kill:
     check_recovery.py verify-files manifest.json SPILL_DIR
     check_recovery.py verify-scrape manifest.json SCRAPE --serve-log serve2.log
 
-`snapshot` fingerprints every durable spill (*.snap) the killed server left
-behind: size and SHA-256 per file. A drill that spilled nothing proves
-nothing, so an empty directory is a hard failure, not a quiet pass.
+`snapshot` fingerprints every durable spill the killed server left behind.
+A spill file (*.snap) is a pack: one or more pdm.snap envelopes back to back
+(magic, u32 version, u32 body size, body, u32 CRC). Each live envelope is
+one spilled session, fingerprinted by file, offset, size and SHA-256; an
+envelope whose magic was overwritten with the tombstone magic was consumed
+by a fault-in and is skipped. A drill that spilled nothing proves nothing,
+so a directory without a live record is a hard failure, not a quiet pass,
+and so is a *.snap file that does not split into envelopes.
 
-`verify-files` runs after the restart and asserts every fingerprinted spill
+`verify-files` runs after the restart and asserts every fingerprinted record
 still exists in the directory *byte-for-byte*. Comparison is by content
-hash, not filename: adopting a spill into the restarted broker's slot table
-may rename `slot-N.snap` to a new index, which is fine — losing or altering
-the bytes is not. New spills written by the restarted server are ignored.
+hash, not by file or offset, so records may move between files — losing or
+altering the bytes may not. New records written by the restarted server are
+ignored.
 
 `verify-scrape` closes the loop on the restarted server's own accounting:
 the RECOVERY handshake line in its log must report exactly one adoption per
-fingerprinted spill (none dropped, none double-counted), and the metrics
+fingerprinted record (none dropped, none double-counted), and the metrics
 scrape must show zero spill corruptions — recovery that quarantined a file
 is data loss, and the drill must say so.
 
@@ -33,10 +38,18 @@ import hashlib
 import json
 import pathlib
 import re
+import struct
 import sys
 import urllib.request
 
-MANIFEST_SCHEMA = "pdm.spill_manifest.v1"
+MANIFEST_SCHEMA = "pdm.spill_manifest.v2"
+
+# pdm.snap envelope framing (src/broker/snapshot.h) and the cold tier's
+# tombstone (src/broker/spill_store.h).
+SNAP_MAGIC = b"PDMSNAP2"
+TOMBSTONE_MAGIC = b"PDMTOMB2"
+HEADER_BYTES = 16
+TRAILER_BYTES = 4
 
 
 def fail(message):
@@ -44,17 +57,48 @@ def fail(message):
     return 1
 
 
-def hash_file(path):
-    digest = hashlib.sha256()
-    with open(path, "rb") as fp:
-        for chunk in iter(lambda: fp.read(1 << 20), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def spill_files(directory):
     """Durable spills only: *.snap, not *.tmp halves or *.quarantined."""
     return sorted(p for p in pathlib.Path(directory).glob("*.snap") if p.is_file())
+
+
+def split_envelopes(data):
+    """Frames a pack's bytes into envelopes from their headers.
+
+    Returns ([(offset, envelope bytes, tombstoned)], end), where end is the
+    offset of the first byte that does not frame (len(data) when all do).
+    """
+    envelopes = []
+    offset = 0
+    while offset + HEADER_BYTES + TRAILER_BYTES <= len(data):
+        magic = data[offset : offset + 8]
+        if magic not in (SNAP_MAGIC, TOMBSTONE_MAGIC):
+            break
+        (body,) = struct.unpack_from("<I", data, offset + 12)
+        size = HEADER_BYTES + body + TRAILER_BYTES
+        if offset + size > len(data):
+            break
+        envelopes.append((offset, data[offset : offset + size], magic == TOMBSTONE_MAGIC))
+        offset += size
+    return envelopes, offset
+
+
+def live_records(directory):
+    """Every live record as (file name, offset, envelope bytes), plus the
+    names of files with bytes that do not frame."""
+    records = []
+    unframed = []
+    for path in spill_files(directory):
+        data = path.read_bytes()
+        envelopes, end = split_envelopes(data)
+        if end != len(data):
+            unframed.append(f"{path.name} (at byte {end})")
+        records.extend(
+            (path.name, offset, envelope)
+            for offset, envelope, tombstoned in envelopes
+            if not tombstoned
+        )
+    return records, unframed
 
 
 def load_manifest(path):
@@ -68,7 +112,7 @@ def load_manifest(path):
             f"check_recovery: {path} has schema {doc.get('schema')!r}, "
             f"expected {MANIFEST_SCHEMA!r}"
         )
-    if not doc.get("files"):
+    if not doc.get("records"):
         sys.exit(f"check_recovery: {path} fingerprints no spills")
     return doc
 
@@ -104,25 +148,38 @@ def cmd_snapshot(args):
     directory = pathlib.Path(args.spill_dir)
     if not directory.is_dir():
         return fail(f"{directory} is not a directory — did pdm_serve spill at all?")
-    files = spill_files(directory)
-    if not files:
+    records, unframed = live_records(directory)
+    if unframed:
         return fail(
-            f"{directory} holds no *.snap spills — a drill with nothing "
-            "durable to recover proves nothing (lower --max_resident or "
-            "drive more products)"
+            f"{directory}: *.snap bytes that are not pdm.snap envelopes: "
+            f"{', '.join(unframed)} — a published pack was torn"
+        )
+    if not records:
+        return fail(
+            f"{directory} holds no live *.snap spill records — a drill with "
+            "nothing durable to recover proves nothing (lower --max_resident "
+            "or drive more products)"
         )
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "spill_dir": str(directory),
-        "files": [
-            {"name": p.name, "bytes": p.stat().st_size, "sha256": hash_file(p)}
-            for p in files
+        "records": [
+            {
+                "name": name,
+                "offset": offset,
+                "bytes": len(envelope),
+                "sha256": hashlib.sha256(envelope).hexdigest(),
+            }
+            for name, offset, envelope in records
         ],
     }
     with open(args.out, "w", encoding="utf-8") as fp:
         json.dump(manifest, fp, indent=2)
         fp.write("\n")
-    print(f"OK: fingerprinted {len(files)} spill(s) from {directory} into {args.out}")
+    print(
+        f"OK: fingerprinted {len(records)} spill record(s) from {directory} "
+        f"into {args.out}"
+    )
     return 0
 
 
@@ -131,20 +188,18 @@ def cmd_verify_files(args):
     directory = pathlib.Path(args.spill_dir)
     if not directory.is_dir():
         return fail(f"{directory} is not a directory")
-    # Content-addressed: adoption may have renamed slot files, so compare
-    # the set of surviving byte-streams, not the filenames.
-    survivors = {}
-    for path in spill_files(directory):
-        survivors.setdefault(hash_file(path), []).append(path.name)
+    # Content-addressed: compare the set of surviving live records, not
+    # where they sit.
+    records, _unframed = live_records(directory)
+    survivors = {hashlib.sha256(envelope).hexdigest() for _, _, envelope in records}
 
     failures = []
-    for entry in manifest["files"]:
-        names = survivors.get(entry["sha256"])
-        if not names:
+    for entry in manifest["records"]:
+        if entry["sha256"] not in survivors:
             failures.append(
-                f"  {entry['name']} ({entry['bytes']} bytes, sha256 "
-                f"{entry['sha256'][:12]}...): no byte-identical spill survived "
-                "the restart — recovery lost or altered it"
+                f"  {entry['name']}@{entry['offset']} ({entry['bytes']} bytes, "
+                f"sha256 {entry['sha256'][:12]}...): no byte-identical live "
+                "spill record survived the restart — recovery lost or altered it"
             )
     quarantined = sorted(
         p.name for p in directory.glob("*.quarantined") if p.is_file()
@@ -152,7 +207,7 @@ def cmd_verify_files(args):
     if quarantined:
         failures.append(
             f"  quarantined spill(s) after restart: {', '.join(quarantined)} — "
-            "the durable write path tore a file"
+            "the durable write path tore a record"
         )
     if failures:
         print(
@@ -162,15 +217,15 @@ def cmd_verify_files(args):
         print("\n".join(failures))
         return 1
     print(
-        f"OK: all {len(manifest['files'])} pre-kill spill(s) survived the "
-        "restart byte-for-byte (0 quarantined)"
+        f"OK: all {len(manifest['records'])} pre-kill spill record(s) survived "
+        "the restart byte-for-byte (0 quarantined)"
     )
     return 0
 
 
 def cmd_verify_scrape(args):
     manifest = load_manifest(args.manifest)
-    expected = len(manifest["files"])
+    expected = len(manifest["records"])
     failures = []
 
     if args.serve_log:

@@ -11,10 +11,12 @@ never a quiet pass that leaves the drill disarmed.
 
 import json
 import pathlib
+import struct
 import subprocess
 import sys
 import tempfile
 import unittest
+import zlib
 
 TOOLS = pathlib.Path(__file__).resolve().parent
 CHECK_RECOVERY = TOOLS / "check_recovery.py"
@@ -28,6 +30,21 @@ def run(*argv):
         text=True,
     )
     return proc.returncode, proc.stdout
+
+
+def envelope(body, magic=b"PDMSNAP2"):
+    """A pdm.snap envelope around `body` (the checker never decodes it)."""
+    return (
+        magic
+        + struct.pack("<II", 2, len(body))
+        + body
+        + struct.pack("<I", zlib.crc32(body))
+    )
+
+
+def tombstone(body):
+    """The envelope of a record a fault-in consumed."""
+    return envelope(body, magic=b"PDMTOMB2")
 
 
 def scrape_text(corruptions=0, omit=False):
@@ -70,26 +87,77 @@ class CheckRecoveryTest(unittest.TestCase):
         directory = self.spill_dir(
             "pre",
             {
-                "slot-0.snap": b"alpha spill",
-                "slot-1.snap": b"beta spill",
-                "slot-2.snap.tmp": b"torn half-write",
-                "slot-3.snap.quarantined": b"damaged",
+                "pack-0.snap": envelope(b"alpha spill"),
+                "pack-1.snap": envelope(b"beta spill"),
+                "pack-2.snap.tmp": b"torn half-write",
+                "pack-3.snap.0.quarantined": b"damaged",
             },
         )
         out = self.manifest_for(directory)
         doc = json.loads(out.read_text(encoding="utf-8"))
-        self.assertEqual(doc["schema"], "pdm.spill_manifest.v1")
-        names = [entry["name"] for entry in doc["files"]]
-        self.assertEqual(names, ["slot-0.snap", "slot-1.snap"])
-        self.assertEqual(doc["files"][0]["bytes"], len(b"alpha spill"))
-        self.assertEqual(len(doc["files"][0]["sha256"]), 64)
+        self.assertEqual(doc["schema"], "pdm.spill_manifest.v2")
+        names = [entry["name"] for entry in doc["records"]]
+        self.assertEqual(names, ["pack-0.snap", "pack-1.snap"])
+        self.assertEqual(doc["records"][0]["bytes"], len(envelope(b"alpha spill")))
+        self.assertEqual(len(doc["records"][0]["sha256"]), 64)
+
+    def test_snapshot_fingerprints_each_live_record_of_a_pack(self):
+        """A pack of three with one tombstone holds two spills."""
+        pack = envelope(b"alpha") + tombstone(b"consumed") + envelope(b"gamma")
+        directory = self.spill_dir("pack", {"pack-7.snap": pack})
+        doc = json.loads(self.manifest_for(directory).read_text(encoding="utf-8"))
+        records = [(r["name"], r["offset"], r["bytes"]) for r in doc["records"]]
+        third = len(envelope(b"alpha")) + len(tombstone(b"consumed"))
+        self.assertEqual(
+            records,
+            [
+                ("pack-7.snap", 0, len(envelope(b"alpha"))),
+                ("pack-7.snap", third, len(envelope(b"gamma"))),
+            ],
+        )
+        # Two adoptions settle it; one is a shortfall.
+        scrape = self.write_text("scrape.txt", scrape_text())
+        manifest = self.root / "pack.manifest.json"
+        code, out = run(
+            "verify-scrape", str(manifest), str(scrape),
+            f"--serve-log={self.serve_log(adopted=2)}",
+        )
+        self.assertEqual(code, 0, out)
+        code, out = run(
+            "verify-scrape", str(manifest), str(scrape),
+            f"--serve-log={self.serve_log(adopted=1)}",
+        )
+        self.assertEqual(code, 1, out)
+
+    def test_snapshot_reads_a_legacy_single_record_file(self):
+        """The one-file-per-spill layout is a pack of one."""
+        directory = self.spill_dir("legacy", {"slot-4.snap": envelope(b"legacy")})
+        doc = json.loads(self.manifest_for(directory).read_text(encoding="utf-8"))
+        self.assertEqual(
+            [(r["name"], r["offset"]) for r in doc["records"]], [("slot-4.snap", 0)]
+        )
+        # Adopted in place or rewritten into a pack, the bytes are what count.
+        (directory / "slot-4.snap").unlink()
+        (directory / "pack-0.snap").write_bytes(envelope(b"new") + envelope(b"legacy"))
+        code, out = run("verify-files", str(self.root / "legacy.manifest.json"), str(directory))
+        self.assertEqual(code, 0, out)
 
     def test_snapshot_of_empty_dir_fails_loudly(self):
         """A drill that spilled nothing proves nothing — hard failure."""
-        directory = self.spill_dir("empty", {"slot-0.snap.tmp": b"torn"})
+        directory = self.spill_dir(
+            "empty", {"pack-0.snap.tmp": b"torn", "pack-1.snap": tombstone(b"gone")}
+        )
         code, out = run("snapshot", str(directory), f"--out={self.root/'m.json'}")
         self.assertEqual(code, 1, out)
         self.assertIn("proves nothing", out)
+
+    def test_snapshot_of_a_torn_pack_fails(self):
+        directory = self.spill_dir(
+            "torn", {"pack-0.snap": envelope(b"alpha") + b"PDMSNAP2 torn"}
+        )
+        code, out = run("snapshot", str(directory), f"--out={self.root/'m.json'}")
+        self.assertEqual(code, 1, out)
+        self.assertIn("pack-0.snap (at byte", out)
 
     def test_snapshot_of_missing_dir_fails(self):
         code, out = run(
@@ -101,44 +169,56 @@ class CheckRecoveryTest(unittest.TestCase):
     # --------------------------------------------------------- verify-files
 
     def test_verify_files_passes_when_bytes_survive(self):
-        directory = self.spill_dir("ok", {"slot-0.snap": b"alpha", "slot-1.snap": b"beta"})
+        directory = self.spill_dir(
+            "ok", {"pack-0.snap": envelope(b"alpha"), "pack-1.snap": envelope(b"beta")}
+        )
         manifest = self.manifest_for(directory)
         code, out = run("verify-files", str(manifest), str(directory))
         self.assertEqual(code, 0, out)
         self.assertIn("byte-for-byte", out)
 
-    def test_verify_files_tolerates_adoption_renames_and_new_spills(self):
-        directory = self.spill_dir("renamed", {"slot-4.snap": b"adopt me"})
+    def test_verify_files_tolerates_moved_records_and_new_spills(self):
+        directory = self.spill_dir("renamed", {"pack-4.snap": envelope(b"adopt me")})
         manifest = self.manifest_for(directory)
-        # The restarted broker re-slotted the spill and wrote a new one.
-        (directory / "slot-4.snap").rename(directory / "slot-0.snap")
-        (directory / "slot-1.snap").write_bytes(b"fresh post-restart spill")
+        # The record now sits elsewhere, and the restarted broker wrote more.
+        (directory / "pack-4.snap").rename(directory / "pack-0.snap")
+        (directory / "pack-5.snap").write_bytes(envelope(b"fresh post-restart spill"))
         code, out = run("verify-files", str(manifest), str(directory))
         self.assertEqual(code, 0, out)
 
     def test_verify_files_fails_on_altered_bytes(self):
-        directory = self.spill_dir("torn", {"slot-0.snap": b"alpha"})
+        directory = self.spill_dir("torn", {"pack-0.snap": envelope(b"alpha")})
         manifest = self.manifest_for(directory)
-        (directory / "slot-0.snap").write_bytes(b"alphA")
+        (directory / "pack-0.snap").write_bytes(envelope(b"alphA"))
         code, out = run("verify-files", str(manifest), str(directory))
         self.assertEqual(code, 1, out)
         self.assertIn("lost or altered", out)
-        self.assertIn("slot-0.snap", out)
+        self.assertIn("pack-0.snap@0", out)
 
     def test_verify_files_fails_on_lost_spill(self):
         directory = self.spill_dir(
-            "lost", {"slot-0.snap": b"alpha", "slot-1.snap": b"beta"}
+            "lost", {"pack-0.snap": envelope(b"alpha"), "pack-1.snap": envelope(b"beta")}
         )
         manifest = self.manifest_for(directory)
-        (directory / "slot-1.snap").unlink()
+        (directory / "pack-1.snap").unlink()
         code, out = run("verify-files", str(manifest), str(directory))
         self.assertEqual(code, 1, out)
-        self.assertIn("slot-1.snap", out)
+        self.assertIn("pack-1.snap", out)
+
+    def test_verify_files_fails_on_a_record_tombstoned_before_adoption(self):
+        directory = self.spill_dir(
+            "consumed", {"pack-0.snap": envelope(b"alpha") + envelope(b"beta")}
+        )
+        manifest = self.manifest_for(directory)
+        (directory / "pack-0.snap").write_bytes(envelope(b"alpha") + tombstone(b"beta"))
+        code, out = run("verify-files", str(manifest), str(directory))
+        self.assertEqual(code, 1, out)
+        self.assertIn("pack-0.snap@", out)
 
     def test_verify_files_fails_on_quarantine_after_restart(self):
-        directory = self.spill_dir("quar", {"slot-0.snap": b"alpha"})
+        directory = self.spill_dir("quar", {"pack-0.snap": envelope(b"alpha")})
         manifest = self.manifest_for(directory)
-        (directory / "slot-9.snap.quarantined").write_bytes(b"damaged")
+        (directory / "pack-9.snap.0.quarantined").write_bytes(b"damaged")
         code, out = run("verify-files", str(manifest), str(directory))
         self.assertEqual(code, 1, out)
         self.assertIn("quarantined", out)
@@ -155,7 +235,7 @@ class CheckRecoveryTest(unittest.TestCase):
 
     def two_spill_manifest(self):
         directory = self.spill_dir(
-            "scrape", {"slot-0.snap": b"alpha", "slot-1.snap": b"beta"}
+            "scrape", {"pack-0.snap": envelope(b"alpha") + envelope(b"beta")}
         )
         return self.manifest_for(directory)
 
