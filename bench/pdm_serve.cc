@@ -157,14 +157,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(totals.rejects), totals.regret_proxy);
   std::printf("memory: %zu sessions (%zu resident, %zu evicted, %zu "
               "quarantined); slab slots %zu live / %zu tombstoned / %zu free; "
-              "%llu evictions, %llu fault-ins, %zu spill bytes, %lld retired "
-              "ticket slots\n",
+              "%llu evictions, %llu fault-ins, %zu spill bytes in %zu pack "
+              "bytes, %llu relocations, %lld retired ticket slots\n",
               totals.open_sessions, totals.resident_sessions,
               totals.evicted_sessions, totals.quarantined_sessions,
               totals.slab_live_slots, totals.slab_tombstoned_slots,
               totals.slab_free_capacity,
               static_cast<unsigned long long>(totals.evictions),
               static_cast<unsigned long long>(totals.fault_ins), totals.spill_bytes,
+              totals.spill_file_bytes, static_cast<unsigned long long>(totals.relocations),
               static_cast<long long>(totals.retired_ticket_slots));
   // The fault counters stay push instruments (they fire on rare cold-path
   // events), so their registry cells are current without a scrape.

@@ -58,12 +58,8 @@ size_t ThreadStripe(size_t stripes) {
 
 /// Eviction waves (DESIGN.md §12): a residency cap gets one wave victim per
 /// kResidentsPerWaveVictim resident sessions, between 1 and kMaxWave.
-constexpr size_t kMaxWave = 8;
-constexpr size_t kResidentsPerWaveVictim = 256;
-
-size_t WaveSizeForCap(size_t cap) {
-  return std::min(kMaxWave, std::max<size_t>(1, cap / kResidentsPerWaveVictim));
-}
+constexpr size_t kMaxWave = 64;
+constexpr size_t kResidentsPerWaveVictim = 32;
 
 }  // namespace
 
@@ -71,13 +67,23 @@ uint64_t TicketBaseForIndex(size_t session_index) {
   return (static_cast<uint64_t>(session_index) + 1) << 40;
 }
 
+size_t WaveSizeForCap(size_t cap) {
+  return std::min(kMaxWave, std::max<size_t>(1, cap / kResidentsPerWaveVictim));
+}
+
 struct Broker::WaveVictim {
   SessionSlot* slot = nullptr;
   size_t index = 0;
-  /// Held from snapshot to commit.
-  std::unique_lock<std::mutex> lock;
   /// The victim's envelope in the pending pack (its pack is set at commit).
   SpillRecord record;
+};
+
+/// A live record a wave copies out of a sparse pack: its slot, owned by the
+/// wave until the old copy retires, and the new copy in the pending pack.
+struct Broker::Relocation {
+  SessionSlot* slot = nullptr;
+  uint32_t index = 0;
+  SpillRecord copy;
 };
 
 void Broker::PoolDeleter::operator()(PricingSession* session) const {
@@ -141,6 +147,12 @@ Broker::Broker(const BrokerConfig& config)
         gw.GetGauge("pdm_broker_open_products", "Products currently open.");
     collected_.spill = gw.GetGauge(
         "pdm_broker_spill_bytes", "Bytes of live cold-tier spill records.");
+    collected_.spill_files = gw.GetGauge(
+        "pdm_broker_spill_file_bytes",
+        "Bytes of the cold-tier pack files that hold a live record.");
+    collected_.relocations = gw.GetCounter(
+        "pdm_broker_spill_relocations_total",
+        "Live spill records copied out of sparse packs by the pack cleaner.");
     collected_.batch_size = gw.GetHistogram(
         "pdm_broker_batch_size",
         "Requests per PostPrices/Observes call (single PostPrice/Observe calls "
@@ -165,6 +177,7 @@ Broker::~Broker() {
     collected_.evicted.Sub(static_cast<double>(reported_.evicted_sessions));
     collected_.open_products.Sub(static_cast<double>(reported_.open_sessions));
     collected_.spill.Sub(static_cast<double>(reported_.spill_bytes));
+    collected_.spill_files.Sub(static_cast<double>(reported_.spill_file_bytes));
   }
   // Evicted slots leave no trace: their records are discarded, which
   // unlinks every pack that held nothing else (packs with an unclaimed
@@ -173,7 +186,7 @@ Broker::~Broker() {
   if (spill_store_ != nullptr) {
     std::vector<SpillRecord> records;
     for (SessionSlot* slot : slots_) {
-      if (slot->evicted && !slot->quarantined) records.push_back(slot->spill);
+      if (slot->evicted && !slot->quarantined && !slot->unbuilt) records.push_back(slot->spill);
     }
     spill_store_->Discard(records);
   }
@@ -316,10 +329,29 @@ Status Broker::OpenSessions(std::span<const std::string> products,
     }
   }
 
+  // Residency room for the batch: with a cap, the products past it open
+  // unbuilt, so a bulk open never builds more engines than the cap holds
+  // (DESIGN.md §12). Adopted products open evicted and take no room.
+  const size_t cap = config_.max_resident_sessions;
+  const size_t resident = resident_sessions_.load(std::memory_order_relaxed);
+  const size_t room = spill_store_ == nullptr || cap == 0
+                          ? products.size()
+                          : cap - std::min(cap, resident);
   // One shared recipe and ONE directory copy + publish for the whole batch:
   // this is what keeps a million-product open O(N) instead of O(N²)
-  // (DESIGN.md §12).
-  recipes_.push_back(std::make_unique<const RebuildRecipe>(RebuildRecipe{spec, info}));
+  // (DESIGN.md §12). The recipe names the products from the room's end on;
+  // only the unbuilt ones among them need it.
+  auto owned = std::make_unique<RebuildRecipe>(RebuildRecipe{spec, info, 0, {}});
+  size_t built = 0;
+  for (size_t i = 0; i < products.size(); ++i) {
+    if (recovered_spills_.contains(products[i])) continue;
+    if (built++ == room) {
+      owned->first_unbuilt = slots_.size() + i;
+      owned->names.assign(products.begin() + static_cast<ptrdiff_t>(i), products.end());
+      break;
+    }
+  }
+  recipes_.push_back(std::move(owned));
   const RebuildRecipe* recipe = recipes_.back().get();
   auto next = std::make_unique<Directory>(*current);
   uint64_t epoch = sweep_epoch_.load(std::memory_order_relaxed);
@@ -337,10 +369,15 @@ Status Broker::OpenSessions(std::span<const std::string> products,
     if (rec != recovered_spills_.end()) {
       slot->evicted = true;
       slot->spill = rec->second;
+      spill_store_->Adopt(rec->second, static_cast<uint32_t>(index));
       spill_bytes_.fetch_add(rec->second.size, std::memory_order_relaxed);
       metrics_.spill_adopted.Increment();
       ++recovery_report_.adopted;
       recovered_spills_.erase(rec);
+    } else if (fresh == room) {
+      // Past the cap: no engine and nothing on disk until the first touch.
+      slot->evicted = true;
+      slot->unbuilt = true;
     } else {
       slot->session = MakePooledSession(
           product, scenario::MechanismRegistry::Builtin().Build(spec, info),
@@ -375,14 +412,16 @@ Status Broker::CloseSession(std::string_view product) {
     if (slot->evicted) {
       // Close-while-cold: discard the spill record, nothing to fault back
       // in. A quarantined slot already surrendered its record (its bytes
-      // live on under `*.quarantined` and its accounting is zero).
-      if (!slot->quarantined) {
+      // live on under `*.quarantined` and its accounting is zero), and an
+      // unbuilt one never had one.
+      if (!slot->quarantined && !slot->unbuilt) {
         spill_store_->Discard(std::span<const SpillRecord>(&slot->spill, 1));
       }
       spill_bytes_.fetch_sub(slot->spill.size, std::memory_order_relaxed);
       slot->spill = SpillRecord{};
       slot->evicted = false;
       slot->quarantined = false;
+      slot->unbuilt = false;
     } else {
       slot->session.reset();
       resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
@@ -451,6 +490,35 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   // tombstone — into the fault-in histogram; this is the latency a request
   // pays when it lands on a cold session (DESIGN.md §12/§13).
   const auto fault_start = std::chrono::steady_clock::now();
+  PDM_CHECK(slot->recipe != nullptr);  // only recipe sessions are evicted
+  const RebuildRecipe& recipe = *slot->recipe;
+  SessionPtr session;
+  if (slot->unbuilt) {
+    // Opened past the cap: the recipe builds exactly the session a built,
+    // spilled and restored twin would hold.
+    session = MakePooledSession(recipe.names[index - recipe.first_unbuilt],
+                                scenario::MechanismRegistry::Builtin().Build(recipe.spec,
+                                                                             recipe.info),
+                                TicketBaseForIndex(index));
+  } else {
+    Status restored = RestoreSpillLocked(slot, index, &session);
+    if (!restored.ok()) return restored;
+  }
+  slot->session = std::move(session);
+  slot->evicted = false;
+  slot->unbuilt = false;
+  spill_bytes_.fetch_sub(slot->spill.size, std::memory_order_relaxed);
+  slot->spill = SpillRecord{};
+  resident_sessions_.fetch_add(1, std::memory_order_relaxed);
+  fault_ins_.fetch_add(1, std::memory_order_relaxed);
+  metrics_.fault_in_ns.Record(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - fault_start)
+          .count()));
+  return Status::Ok();
+}
+
+Status Broker::RestoreSpillLocked(SessionSlot* slot, size_t index, SessionPtr* out) {
   // One read buffer per request thread, reused by every fault-in.
   thread_local std::string bytes;
   switch (spill_store_->Read(slot->spill, &bytes)) {
@@ -471,7 +539,6 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
     QuarantineLocked(slot, bytes);
     return Status::DataLoss("corrupt spill quarantined: " + decoded.message());
   }
-  PDM_CHECK(slot->recipe != nullptr);  // only recipe sessions are evicted
   SessionPtr session = MakePooledSession(
       snapshot.product,
       scenario::MechanismRegistry::Builtin().Build(slot->recipe->spec,
@@ -499,16 +566,7 @@ Status Broker::FaultInLocked(SessionSlot* slot, size_t index) {
   if (!spill_store_->Consume(slot->spill)) {
     return Status::Unavailable("spill tombstone write failed (transient I/O error)");
   }
-  slot->session = std::move(session);
-  slot->evicted = false;
-  spill_bytes_.fetch_sub(slot->spill.size, std::memory_order_relaxed);
-  slot->spill = SpillRecord{};
-  resident_sessions_.fetch_add(1, std::memory_order_relaxed);
-  fault_ins_.fetch_add(1, std::memory_order_relaxed);
-  metrics_.fault_in_ns.Record(static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now() - fault_start)
-          .count()));
+  *out = std::move(session);
   return Status::Ok();
 }
 
@@ -520,6 +578,8 @@ Broker::LockedSlot Broker::AcquireHandle(ProductHandle handle) {
     return acquired;
   }
   std::unique_lock<std::mutex> lock(slot->mu);
+  // A slot an eviction wave owns is unchanged until the wave commits it.
+  wave_done_.wait(lock, [slot] { return !slot->in_wave; });
   // Re-check under the lock: a close may have won the race after the probe.
   // `state` is only written under `mu`, so relaxed is sufficient here.
   if (slot->state.load(std::memory_order_relaxed) != handle.generation) {
@@ -551,6 +611,7 @@ Broker::LockedSlot Broker::AcquireTicket(uint64_t ticket) {
     return acquired;
   }
   std::unique_lock<std::mutex> lock(slot->mu);
+  wave_done_.wait(lock, [slot] { return !slot->in_wave; });
   if (slot->state.load(std::memory_order_relaxed) != state) {
     acquired.error = Status::NotFound("ticket " + std::to_string(ticket) +
                                       " references no open session");
@@ -595,7 +656,7 @@ size_t Broker::EvictIdleSessions(size_t max_resident) {
 size_t Broker::EvictLocked(size_t max_resident, size_t wave_size) {
   std::vector<WaveVictim> wave;
   size_t evicted = 0;
-  bool drained = false;
+  bool waved = false;
   if (resident_sessions_.load(std::memory_order_relaxed) > max_resident) {
     // Advance the sweep epoch first: sessions touched after this point stamp
     // the new epoch and read as recently-used in this sweep — a CLOCK-style
@@ -639,25 +700,21 @@ size_t Broker::EvictLocked(size_t max_resident, size_t wave_size) {
       }
       return nullptr;
     };
+    // A wave whose pack fails to land ends the sweep: a failing disk is
+    // written once per sweep, and the next sweep retries.
     for (;;) {
       // Gather one wave in CLOCK order: each victim is locked, re-checked,
-      // snapshotted and encoded, and stays locked until SpillWave commits it.
-      // A wave takes its slot locks in ascending slot order, so it ends
-      // where the hand wraps: no two waves lock slots in opposite orders,
-      // and no wave comes round to a slot it already holds.
+      // snapshotted and encoded, and marked `in_wave` — requests then wait
+      // for the wave instead of changing a session it has snapshotted —
+      // and unlocked, so the wave holds one slot lock at a time.
       while (wave.size() < wave_size &&
              resident_sessions_.load(std::memory_order_relaxed) > max_resident + wave.size()) {
         size_t index = 0;
         SessionSlot* slot = next_candidate(&index);
         if (slot == nullptr) break;
-        if (!wave.empty() && index <= wave.back().index) {
-          evicted += SpillWave(&wave);
-          drained = true;
-          if (resident_sessions_.load(std::memory_order_relaxed) <= max_resident) break;
-        }
-        std::unique_lock slot_lock(slot->mu);
+        std::lock_guard slot_lock(slot->mu);
         if ((slot->state.load(std::memory_order_relaxed) & 1) == 0) continue;
-        if (slot->evicted || slot->session == nullptr) continue;
+        if (slot->evicted || slot->in_wave || slot->session == nullptr) continue;
         if (slot->last_touch_epoch.load(std::memory_order_relaxed) > threshold()) continue;
         SessionSnapshot snapshot;
         SpillRecord record;
@@ -667,42 +724,81 @@ size_t Broker::EvictLocked(size_t max_resident, size_t wave_size) {
             !spill_store_->Append(snapshot, &record)) {
           continue;
         }
-        WaveVictim& victim = wave.emplace_back();
-        victim.slot = slot;
-        victim.index = index;
-        victim.lock = std::move(slot_lock);
-        victim.record = record;
+        slot->in_wave = true;
+        wave.push_back(WaveVictim{slot, index, record});
       }
       if (wave.empty()) break;
-      evicted += SpillWave(&wave);
-      drained = true;
+      waved = true;
+      if (!SpillWave(&wave, &evicted)) break;
     }
   }
-  // Even a sweep that evicts nothing unlinks the packs that died before it.
-  if (!drained) SpillWave(&wave);
+  // Even a sweep that evicts nothing cleans the sparse packs and unlinks
+  // the packs that died before it.
+  if (!waved) SpillWave(&wave, &evicted);
   return evicted;
 }
 
-size_t Broker::SpillWave(std::vector<WaveVictim>* wave) {
-  // First the packs whose last record died since the previous wave, while
-  // the victims are still locked: after the commit the sweep goes straight
-  // on to gather the next wave, so a client faulting in this wave's victims
-  // does not overtake the CLOCK hand (DESIGN.md §12).
-  spill_store_->UnlinkDeadPacks();
-  if (wave->empty()) return 0;
-  // The victims' envelopes are already in the pending pack, encoded in
-  // CLOCK order during the gather; one write, fsync, rename and directory
-  // fsync land them all (DESIGN.md §12, §14). At no instant does a pack
-  // name reference torn bytes, and once the directory fsync returns the
-  // pack survives an OS crash. A failed pack keeps every victim resident —
-  // losing residency headroom beats losing state.
+bool Broker::SpillWave(std::vector<WaveVictim>* wave, size_t* evicted) {
+  // The pack cleaner (DESIGN.md §12): copy the live records of every sparse
+  // pack, bytes unchanged, into this wave's pack. Their slots are only
+  // try-locked — a slot a request holds stays put until a later wave — and
+  // the wave owns each one it copies until the old copy retires.
+  std::vector<Relocation> moves;
+  for (const SparseOwner& owner : spill_store_->SparseOwners()) {
+    SessionSlot* slot = slots_[owner.owner];
+    std::unique_lock slot_lock(slot->mu, std::try_to_lock);
+    if (!slot_lock.owns_lock()) continue;
+    if ((slot->state.load(std::memory_order_relaxed) & 1) == 0 || !slot->evicted ||
+        slot->quarantined || slot->unbuilt || slot->in_wave ||
+        slot->spill.pack != owner.pack) {
+      continue;  // a stale owner: the slot has left this pack
+    }
+    SpillRecord copy;
+    if (!spill_store_->AppendCopy(slot->spill, &copy)) continue;
+    slot->in_wave = true;
+    moves.push_back(Relocation{slot, owner.owner, copy});
+  }
+  // The victims' envelopes, encoded in CLOCK order during the gather, and
+  // the relocated copies are in the pending pack; one write, fsync, rename
+  // and directory fsync land them all (DESIGN.md §12, §14). At no instant
+  // does a pack name reference torn bytes, and once the directory fsync
+  // returns the pack survives an OS crash. A failed pack keeps every victim
+  // resident and every relocated slot on its old record — losing residency
+  // headroom beats losing state.
+  bool landed = true;
   uint64_t pack = 0;
-  const bool written =
-      spill_store_->CommitPack(static_cast<uint32_t>(wave->size()), &pack);
-  size_t evicted = 0;
-  for (WaveVictim& victim : *wave) {
+  if (!wave->empty() || !moves.empty()) {
+    std::vector<uint32_t> owners;
+    owners.reserve(wave->size() + moves.size());
+    for (const WaveVictim& victim : *wave) owners.push_back(static_cast<uint32_t>(victim.index));
+    for (const Relocation& move : moves) owners.push_back(move.index);
+    landed = spill_store_->CommitPack(owners, &pack);
+  }
+  // Only now that the new copies are durable does each old copy retire: a
+  // crash in between leaves two byte-identical records, and the startup
+  // sweep keeps the newer. A failed retire leaves the slot on its old
+  // record and retires the new copy instead.
+  for (Relocation& move : moves) {
+    std::lock_guard slot_lock(move.slot->mu);
+    if (landed) {
+      move.copy.pack = pack;
+      if (spill_store_->Consume(move.slot->spill)) {
+        move.slot->spill = move.copy;
+        relocations_.fetch_add(1, std::memory_order_relaxed);
+      } else {
+        spill_store_->Discard(std::span<const SpillRecord>(&move.copy, 1));
+      }
+    }
+    move.slot->in_wave = false;
+  }
+  // The packs this wave's retires emptied, and those fault-ins emptied
+  // since the previous wave, go before the victims are released: after that
+  // the sweep goes straight on to gather the next wave.
+  spill_store_->UnlinkDeadPacks();
+  for (const WaveVictim& victim : *wave) {
     SessionSlot* slot = victim.slot;
-    if (written) {
+    std::lock_guard slot_lock(slot->mu);
+    if (landed) {
       slot->session.reset();
       slot->evicted = true;
       slot->spill = victim.record;
@@ -710,13 +806,14 @@ size_t Broker::SpillWave(std::vector<WaveVictim>* wave) {
       spill_bytes_.fetch_add(victim.record.size, std::memory_order_relaxed);
       resident_sessions_.fetch_sub(1, std::memory_order_relaxed);
       evictions_.fetch_add(1, std::memory_order_relaxed);
-      ++evicted;
+      ++*evicted;
     }
-    victim.lock.unlock();
+    slot->in_wave = false;
   }
-  if (!written) metrics_.spill_write_errors.Add(wave->size());
+  if (!landed) metrics_.spill_write_errors.Add(wave->size());
   wave->clear();
-  return evicted;
+  wave_done_.notify_all();
+  return landed;
 }
 
 void Broker::SumTotals(BrokerStats* stats) const {
@@ -732,6 +829,8 @@ void Broker::SumTotals(BrokerStats* stats) const {
   stats->evictions = evictions_.load(std::memory_order_relaxed);
   stats->fault_ins = fault_ins_.load(std::memory_order_relaxed);
   stats->spill_bytes = spill_bytes_.load(std::memory_order_relaxed);
+  stats->spill_file_bytes = spill_store_ != nullptr ? spill_store_->file_bytes() : 0;
+  stats->relocations = relocations_.load(std::memory_order_relaxed);
 }
 
 void Broker::Collect() {
@@ -757,6 +856,8 @@ void Broker::Collect() {
   collected_.evicted.Add(gauge_delta(now.evicted_sessions, reported_.evicted_sessions));
   collected_.open_products.Add(gauge_delta(now.open_sessions, reported_.open_sessions));
   collected_.spill.Add(gauge_delta(now.spill_bytes, reported_.spill_bytes));
+  collected_.spill_files.Add(gauge_delta(now.spill_file_bytes, reported_.spill_file_bytes));
+  collected_.relocations.Add(now.relocations - reported_.relocations);
   for (size_t i = 0; i < kStripes; ++i) {
     collected_.batch_size.DrainFrom(&stripes_[i].batch_size);
   }

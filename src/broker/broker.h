@@ -2,6 +2,7 @@
 #define PDM_BROKER_BROKER_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -61,7 +62,9 @@
 /// dropped; the next request
 /// that touches an evicted product faults it back in transparently, and the
 /// snapshot round trip makes the resumed session *bit-identical* to one that
-/// was never evicted. Handles and outstanding tickets remain valid across
+/// was never evicted. Registry opens past the cap start *unbuilt*: no
+/// engine and nothing on disk until their first touch builds them from the
+/// recipe. Handles and outstanding tickets remain valid across
 /// the round trip — the slot (and its ticket base) never moves.
 
 namespace pdm::broker {
@@ -74,10 +77,13 @@ struct BrokerConfig {
   /// Soft cap on sessions holding live in-memory engines. 0 = unlimited.
   /// When the resident count exceeds the cap, request-path entry points
   /// trigger an eviction sweep (least-recently-touched first) down to
-  /// cap − (W − 1), where W = min(8, max(1, cap / 256)) is the cap's
-  /// eviction-wave size (DESIGN.md §12): W victims spill as one pack file,
-  /// and the next W − 1 fault-ins then pay no sweep. Caps below 512 keep a
-  /// single-victim sweep down to the cap itself. Only registry-opened
+  /// cap − (W − 1), where W = WaveSizeForCap(cap) = min(64, max(1, cap / 32))
+  /// is the cap's eviction-wave size (DESIGN.md §12): W victims spill as one
+  /// pack file, and the next W − 1 fault-ins then pay no sweep. Caps below
+  /// 64 keep a single-victim sweep down to the cap itself. Registry opens
+  /// that would take the resident count past the cap open unbuilt (the
+  /// first touch builds them, counted as a fault-in), so a bulk open never
+  /// holds more than the cap in memory. Only registry-opened
   /// sessions (those with a rebuild recipe) are evictable; sessions opened
   /// with caller-built engines always stay resident, as does any session
   /// whose snapshot is not currently capturable.
@@ -187,7 +193,8 @@ struct BrokerStats {
   size_t open_sessions = 0;
   /// Open sessions holding a live in-memory engine.
   size_t resident_sessions = 0;
-  /// Open sessions currently spilled to the cold tier.
+  /// Open sessions in the cold tier: spilled, or opened unbuilt and not yet
+  /// touched.
   size_t evicted_sessions = 0;
   /// Open sessions whose spill was quarantined as corrupt (DataLoss).
   size_t quarantined_sessions = 0;
@@ -200,9 +207,14 @@ struct BrokerStats {
   /// Cumulative cold-tier traffic.
   uint64_t evictions = 0;
   uint64_t fault_ins = 0;
-  /// Bytes of the live spill records. The pack files hold at most 8× this
-  /// once a sweep has unlinked the dead packs (DESIGN.md §12).
+  /// Bytes of the live spill records.
   size_t spill_bytes = 0;
+  /// Bytes of the pack files that hold a live record. For records of one
+  /// size this stays within 8× `spill_bytes` once a sweep has run
+  /// (DESIGN.md §12).
+  size_t spill_file_bytes = 0;
+  /// Live records the pack cleaner has moved out of sparse packs.
+  uint64_t relocations = 0;
   /// Ticket slots permanently retired at the generation bound, summed over
   /// resident sessions (evicted sessions' retirements reappear on fault-in).
   int64_t retired_ticket_slots = 0;
@@ -302,11 +314,14 @@ class Broker : private metrics::MetricCollector {
   /// Evicts least-recently-touched evictable sessions until at most
   /// `max_resident` remain resident (or no candidates are left) — down to
   /// `max_resident` itself, without the request path's W − 1 headroom — in
-  /// waves of up to 8 victims, each spilled as one pack file. Returns the
-  /// number evicted. Also unlinks the packs whose last record fault-ins
-  /// consumed since the previous sweep. A no-op (returns 0) when the broker
-  /// has no spill_dir. Also the manual monitoring hook — the request path runs
-  /// the same sweep automatically when `max_resident_sessions` is exceeded.
+  /// waves of up to 64 victims, each spilled as one pack file. A wave whose
+  /// pack fails to land ends the sweep: its victims stay resident and the
+  /// next sweep retries. Returns the number evicted. Every call runs at
+  /// least one wave, which relocates the live records of sparse packs and
+  /// unlinks the packs that died since the previous wave. A no-op (returns
+  /// 0) when the broker has no spill_dir. Also the manual monitoring hook —
+  /// the request path runs the same sweep automatically when
+  /// `max_resident_sessions` is exceeded.
   size_t EvictIdleSessions(size_t max_resident);
 
   /// Discards inventoried spill records no OpenSession(s) call has adopted
@@ -367,9 +382,14 @@ class Broker : private metrics::MetricCollector {
   /// How a registry-opened session is rebuilt at fault-in time: the same
   /// (spec, info) pair that built its engine at open. Shared across a bulk
   /// open, so a million-product batch stores ONE recipe, not a million.
+  /// It also keeps the names of the batch's unbuilt products, which have
+  /// no session or spill to carry one: slot `first_unbuilt + i` is named
+  /// `names[i]`.
   struct RebuildRecipe {
     scenario::ScenarioSpec spec;
     scenario::WorkloadInfo info;
+    size_t first_unbuilt = 0;
+    std::vector<std::string> names;
   };
 
   /// Pooled-session deleter: returns the object's storage to the broker's
@@ -413,9 +433,14 @@ class Broker : private metrics::MetricCollector {
   /// sums them lock-free (DESIGN.md §13). They belong to the slot, not the
   /// session, so they survive eviction, fault-in and close.
   ///
-  /// Layout (glibc, 40-byte mutex): line 0 holds `state`, the two cold-tier
-  /// flags (in the padding before `mu`), `mu` and `session`; line 1 holds
-  /// everything else.
+  /// Eviction waves: from a victim's snapshot to its commit, and from a
+  /// relocated record's copy to its retire, the wave owns the slot without
+  /// holding its lock — `in_wave` is set, and Acquire* waits on
+  /// `wave_done_` until the wave has committed it (DESIGN.md §12).
+  ///
+  /// Layout (glibc, 40-byte mutex): line 0 holds `state`, the four
+  /// cold-tier flags (in the padding before `mu`), `mu` and `session`;
+  /// line 1 holds everything else.
   struct alignas(kCacheLineSize) SessionSlot {
     std::atomic<uint32_t> state{0};
     /// Guarded by `mu`.
@@ -425,6 +450,12 @@ class Broker : private metrics::MetricCollector {
     /// answers DataLoss without retrying the bytes (DESIGN.md §14).
     /// Guarded by `mu`.
     bool quarantined = false;
+    /// Opened past the cap and never touched since: `evicted` is set too,
+    /// but there is no spill record — the first touch builds the session
+    /// from `recipe`, which keeps its name. Guarded by `mu`.
+    bool unbuilt = false;
+    /// An eviction wave owns the slot (see above). Guarded by `mu`.
+    bool in_wave = false;
     std::mutex mu;
     /// Guarded by `mu` (+ a state check: non-null iff state is odd and the
     /// slot is not evicted).
@@ -482,9 +513,9 @@ class Broker : private metrics::MetricCollector {
   /// goes through Acquire*. Acquire* also services the cold tier: touching
   /// an evicted slot faults the session back in (still under only the slot
   /// lock — fault-in never takes control_mu_, so it cannot deadlock with an
-  /// eviction sweep holding control_mu_ and waiting on slot locks). A
-  /// LockedSlot is the only slot lock its thread holds: no request path
-  /// holds two slot locks, which is what lets an eviction wave hold several.
+  /// eviction sweep holding control_mu_ and waiting on slot locks). A slot
+  /// an eviction wave owns is waited for, with its lock released, until the
+  /// wave commits it. A LockedSlot is the only slot lock its thread holds.
   struct LockedSlot {
     SessionSlot* slot = nullptr;
     std::unique_lock<std::mutex> lock;
@@ -506,8 +537,9 @@ class Broker : private metrics::MetricCollector {
                                std::unique_ptr<PricingEngine> engine,
                                uint64_t ticket_base);
 
-  /// Restores an evicted slot's session from its spill record. Requires
-  /// `slot->mu` held and `slot->evicted`. On failure the slot stays evicted
+  /// Restores an evicted slot's session from its spill record, or builds
+  /// an unbuilt slot's session from its recipe. Requires `slot->mu` held
+  /// and `slot->evicted`. On failure the slot stays evicted
   /// and the status says why: Unavailable for a transient read error or a
   /// failed tombstone write (the record is still live on disk — a retry may
   /// succeed), DataLoss when the spill failed checksum/decode/restore and
@@ -515,6 +547,11 @@ class Broker : private metrics::MetricCollector {
   /// success the consumed record is tombstoned in place and released; the
   /// next wave unlinks its pack once no record in it is live.
   Status FaultInLocked(SessionSlot* slot, size_t index);
+
+  /// FaultInLocked's spill half: reads, decodes and restores the slot's
+  /// record into `*out`, then tombstones it. Quarantines a record that
+  /// fails checksum, decode or restore.
+  Status RestoreSpillLocked(SessionSlot* slot, size_t index, SessionPtr* out);
 
   /// Marks the slot's spill corrupt: copies `bytes` (the record as read) to
   /// `*.quarantined`, retires the record, drops it from the spill
@@ -540,25 +577,32 @@ class Broker : private metrics::MetricCollector {
 
   /// The sweep core; control_mu_ must be held. Walks the CLOCK hand,
   /// gathering waves of up to `wave_size` victims until at most
-  /// `max_resident` sessions stay resident or no candidate is left, and
-  /// runs each through SpillWave. Every call runs at least one (possibly
-  /// victimless) wave, so it also unlinks every pack that died before it.
+  /// `max_resident` sessions stay resident, no candidate is left, or a
+  /// wave's pack fails to land, and runs each through SpillWave. Every call
+  /// runs at least one (possibly victimless) wave, so it also cleans the
+  /// sparse packs and unlinks every pack that died before it.
   size_t EvictLocked(size_t max_resident, size_t wave_size);
 
-  /// One eviction-wave victim (defined in broker.cc): its slot lock, held
-  /// from snapshot to commit, and where its envelope sits in the pending
-  /// pack.
+  /// One eviction-wave victim (defined in broker.cc): its slot, owned by
+  /// the wave from snapshot to commit, and where its envelope sits in the
+  /// pending pack.
   struct WaveVictim;
+  /// One record a wave moves out of a sparse pack (defined in broker.cc).
+  struct Relocation;
 
-  /// Runs one eviction wave; control_mu_ must be held and every victim's
-  /// slot lock is held by its WaveVictim, whose envelope the gather already
-  /// appended to the store's pending pack. Unlinks the packs that died
-  /// since the previous wave, lands the pack (SpillStore::CommitPack: one
-  /// write, fsync, rename and directory fsync on the calling thread), then
-  /// commits the victims in order and releases their locks — if the pack
-  /// failed, every victim stays resident. Returns the number evicted and
-  /// leaves `wave` empty.
-  size_t SpillWave(std::vector<WaveVictim>* wave);
+  /// Runs one eviction wave; control_mu_ must be held, and the gather has
+  /// marked every victim's slot `in_wave` and appended its envelope to the
+  /// store's pending pack. Appends copies of the sparse packs' live records
+  /// (their owners are only try-locked, then marked too), lands the pack
+  /// (SpillStore::CommitPack: one write, fsync, rename and directory fsync
+  /// on the calling thread), retires each relocated record's old copy and
+  /// points its slot at the new one, unlinks the packs that died, commits
+  /// the victims in order, and wakes the requests waiting on them. If the
+  /// pack failed, every victim stays resident and every relocated slot
+  /// keeps its old record. Adds the number evicted to `*evicted`, leaves
+  /// `wave` empty, and returns whether the pack landed (true when there
+  /// was none).
+  bool SpillWave(std::vector<WaveVictim>* wave, size_t* evicted);
 
   /// Push instruments, resolved once from `config.metrics` at construction
   /// (DESIGN.md §13): only events that fire at most once per fault-in,
@@ -588,6 +632,8 @@ class Broker : private metrics::MetricCollector {
     metrics::Gauge evicted;
     metrics::Gauge open_products;
     metrics::Gauge spill;
+    metrics::Gauge spill_files;
+    metrics::Counter relocations;
     metrics::Histogram batch_size;
   };
 
@@ -611,7 +657,8 @@ class Broker : private metrics::MetricCollector {
   /// (tombstones included), the directory size, and the control-plane
   /// occupancy and cold-tier atomics. Fills `quotes`, `accepts`,
   /// `rejects`, `regret_proxy`, `open_sessions`, `resident_sessions`,
-  /// `evictions`, `fault_ins` and `spill_bytes`; leaves the rest alone.
+  /// `evictions`, `fault_ins`, `spill_bytes`, `spill_file_bytes` and
+  /// `relocations`; leaves the rest alone.
   /// O(slots ever opened) per call.
   void SumTotals(BrokerStats* stats) const;
 
@@ -633,14 +680,12 @@ class Broker : private metrics::MetricCollector {
   /// taken on the request path (fault-in included). Session-state mutations
   /// (Restore, feedback) need only the slot lock. Lock order: control_mu_ →
   /// slot locks → the leaf locks (`arena_mu_`, the spill store's live-pack
-  /// table). An eviction
-  /// wave holds up to 8 slot locks at once; that cannot deadlock, because
-  /// no request path holds two slot locks, and Stats() — the only other
-  /// caller that visits several slots — locks one at a time and only after
-  /// taking control_mu_, which the wave holds. A wave also takes its slot
-  /// locks in ascending slot order (it ends where the CLOCK hand wraps), so
-  /// no two waves lock the same pair of slots in opposite orders.
+  /// table). An eviction wave, like Stats(), holds one slot lock at a time:
+  /// the slots it owns are marked `in_wave` rather than kept locked, and
+  /// the slots whose records it relocates are only try-locked.
   mutable std::mutex control_mu_;
+  /// Notified when a wave has committed its slots (see SessionSlot).
+  std::condition_variable_any wave_done_;
   /// Backing store for slot and session objects (DESIGN.md §12): slots are
   /// bump-allocated and live until ~Broker; session objects recycle through
   /// the pool as products close/evict/fault-in. `arena_mu_` guards both —
@@ -669,6 +714,7 @@ class Broker : private metrics::MetricCollector {
   std::atomic<uint64_t> evictions_{0};
   std::atomic<uint64_t> fault_ins_{0};
   std::atomic<size_t> spill_bytes_{0};
+  std::atomic<uint64_t> relocations_{0};
   /// Incremental CLOCK hand: the directory index where the next eviction
   /// sweep resumes, so consecutive over-cap faults keep walking forward
   /// instead of rescanning (and re-sorting) the whole slot table from zero.
@@ -693,6 +739,10 @@ class Broker : private metrics::MetricCollector {
 /// high 24 bits; the session fills the low 40 with slot index + generation,
 /// see PricingSession's ticket layout).
 uint64_t TicketBaseForIndex(size_t session_index);
+
+/// The eviction-wave size W of a residency cap: min(64, max(1, cap / 32))
+/// victims per pack file (see BrokerConfig::max_resident_sessions).
+size_t WaveSizeForCap(size_t cap);
 
 }  // namespace pdm::broker
 

@@ -63,6 +63,22 @@ bool WriteAll(int fd, std::string_view bytes) {
   return true;
 }
 
+/// Reads `size` bytes at `offset` into `out`, stopping early at end of
+/// file. Returns the bytes read, or -1 on an I/O error.
+ssize_t PreadFull(int fd, char* out, size_t size, uint64_t offset) {
+  size_t got = 0;
+  while (got < size) {
+    ssize_t n = ::pread(fd, out + got, size - got, static_cast<off_t>(offset + got));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if (n == 0) break;
+    got += static_cast<size_t>(n);
+  }
+  return static_cast<ssize_t>(got);
+}
+
 /// Whole-file read for the startup sweep.
 bool ReadFile(const std::string& path, std::string* bytes) {
   int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -90,6 +106,10 @@ void WriteQuarantine(const std::string& path, std::string_view bytes) {
   (void)WriteAll(fd, bytes);
   ::close(fd);
 }
+
+/// The disk bound (DESIGN.md §12): a pack of more than this many records
+/// turns sparse once at most 1/kDiskBound of them are live.
+constexpr uint32_t kDiskBound = 8;
 
 }  // namespace
 
@@ -138,6 +158,24 @@ bool SpillStore::Append(const SessionSnapshot& snapshot, SpillRecord* record) {
   return true;
 }
 
+bool SpillStore::AppendCopy(const SpillRecord& from, SpillRecord* to) {
+  const size_t offset = pending_.size();
+  if (offset + from.size > std::numeric_limits<uint32_t>::max()) return false;
+  int fd = ::open(PackPath(from.pack).c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  pending_.resize(offset + from.size);
+  const ssize_t got = PreadFull(fd, pending_.data() + offset, from.size, from.offset);
+  ::close(fd);
+  if (got != static_cast<ssize_t>(from.size) ||
+      std::string_view(pending_).substr(offset, kSnapshotMagic.size()) != kSnapshotMagic) {
+    pending_.resize(offset);
+    return false;
+  }
+  to->offset = static_cast<uint32_t>(offset);
+  to->size = from.size;
+  return true;
+}
+
 bool SpillStore::SyncDir() const {
   int fd = ::open(dir_.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd < 0) return false;
@@ -146,7 +184,7 @@ bool SpillStore::SyncDir() const {
   return ok;
 }
 
-bool SpillStore::CommitPack(uint32_t records, uint64_t* pack) {
+bool SpillStore::CommitPack(std::span<const uint32_t> owners, uint64_t* pack) {
   // Crash-consistent (DESIGN.md §14): the bytes land in the tmp name, are
   // fsynced, and only then renamed, so a kill at any instant leaves the
   // whole pack or a `.tmp` the startup sweep deletes. The directory fsync
@@ -179,12 +217,30 @@ bool SpillStore::CommitPack(uint32_t records, uint64_t* pack) {
     ::unlink(path.c_str());
     ok = false;
   }
+  const size_t bytes = pending_.size();
   pending_.clear();
   if (!ok) return false;
+  const auto records = static_cast<uint32_t>(owners.size());
   std::lock_guard lock(mu_);
-  live_.emplace(id, records);
+  InsertLocked(id, records, records, bytes).owners.assign(owners.begin(), owners.end());
   *pack = id;
   return true;
+}
+
+void SpillStore::Adopt(const SpillRecord& record, uint32_t owner) {
+  std::lock_guard lock(mu_);
+  auto it = live_.find(record.pack);
+  if (it != live_.end()) it->second.owners.push_back(owner);
+}
+
+std::span<const SparseOwner> SpillStore::SparseOwners() {
+  sparse_owners_.clear();
+  std::lock_guard lock(mu_);
+  std::erase_if(sparse_, [this](uint64_t id) { return !live_.contains(id); });
+  for (uint64_t id : sparse_) {
+    for (uint32_t owner : live_.at(id).owners) sparse_owners_.push_back({id, owner});
+  }
+  return sparse_owners_;
 }
 
 void SpillStore::UnlinkDeadPacks() {
@@ -196,11 +252,35 @@ void SpillStore::UnlinkDeadPacks() {
   unlinking_.clear();
 }
 
+SpillStore::Pack& SpillStore::InsertLocked(uint64_t id, uint32_t records, uint32_t live,
+                                           size_t bytes) {
+  Pack& pack = live_[id];
+  pack.records = records;
+  pack.live = live;
+  pack.bytes = bytes;
+  file_bytes_.fetch_add(bytes, std::memory_order_relaxed);
+  MarkIfSparseLocked(id, &pack);
+  return pack;
+}
+
+void SpillStore::MarkIfSparseLocked(uint64_t id, Pack* pack) {
+  if (pack->sparse || pack->records <= kDiskBound ||
+      uint64_t{pack->live} * kDiskBound > pack->records) {
+    return;
+  }
+  pack->sparse = true;
+  sparse_.push_back(id);
+}
+
 bool SpillStore::ReleaseLocked(uint64_t pack) {
   auto it = live_.find(pack);
   PDM_DCHECK(it != live_.end());
   if (it == live_.end()) return false;
-  if (--it->second > 0) return false;
+  if (--it->second.live > 0) {
+    MarkIfSparseLocked(pack, &it->second);
+    return false;
+  }
+  file_bytes_.fetch_sub(it->second.bytes, std::memory_order_relaxed);
   live_.erase(it);
   dead_.push_back(pack);
   return true;
@@ -235,24 +315,11 @@ SpillStore::ReadResult SpillStore::Read(const SpillRecord& record, std::string* 
   int fd = ::open(PackPath(record.pack).c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) return errno == ENOENT ? ReadResult::kMissing : ReadResult::kError;
   bytes->resize(record.size);
-  size_t got = 0;
-  while (got < record.size) {
-    if (fault::ShouldFail("spill.read")) {
-      ::close(fd);
-      return ReadResult::kError;
-    }
-    ssize_t n = ::pread(fd, bytes->data() + got, record.size - got,
-                        static_cast<off_t>(record.offset + got));
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      ::close(fd);
-      return ReadResult::kError;
-    }
-    if (n == 0) break;  // the pack ends inside the record
-    got += static_cast<size_t>(n);
-  }
+  const ssize_t got =
+      fault::ShouldFail("spill.read") ? -1 : PreadFull(fd, bytes->data(), record.size, record.offset);
   ::close(fd);
-  bytes->resize(got);
+  if (got < 0) return ReadResult::kError;
+  bytes->resize(static_cast<size_t>(got));  // short when the pack ends inside the record
   return ReadResult::kOk;
 }
 
@@ -335,7 +402,9 @@ SpillStore::SweepStats SpillStore::Sweep(
     }
     live.clear();
     corrupt.clear();
+    uint32_t records = 0;
     const size_t framed = WalkPack(bytes, [&](const PackEntry& entry) {
+      ++records;
       if (entry.tombstone) return;
       SessionSnapshot snapshot;
       if (!DecodeSessionSnapshot(std::string_view(bytes).substr(entry.offset, entry.size),
@@ -374,16 +443,16 @@ SpillStore::SweepStats SpillStore::Sweep(
                       std::string_view(bytes).substr(entry.offset, entry.size));
       (void)WriteTombstone(record);
     }
+    size_t file_size = bytes.size();
     if (damaged_tail) {
       WriteQuarantine(candidate.path + "." + std::to_string(framed) + ".quarantined",
                       std::string_view(bytes).substr(framed));
-      if (::truncate(candidate.path.c_str(), static_cast<off_t>(framed)) != 0) {
-        // The tail stays; the next sweep quarantines it again.
-      }
+      // On failure the tail stays, and the next sweep quarantines it again.
+      if (::truncate(candidate.path.c_str(), static_cast<off_t>(framed)) == 0) file_size = framed;
     }
     {
       std::lock_guard lock(mu_);
-      live_[candidate.pack] = static_cast<uint32_t>(live.size());
+      InsertLocked(candidate.pack, records, static_cast<uint32_t>(live.size()), file_size);
     }
     for (auto& [product, record] : live) found(std::move(product), record);
   }

@@ -1,6 +1,7 @@
 #ifndef PDM_BROKER_SPILL_STORE_H_
 #define PDM_BROKER_SPILL_STORE_H_
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
@@ -33,18 +34,28 @@
 /// The tombstoned envelope keeps its version and size fields, so a reader
 /// still walks past it.
 ///
-/// The live-pack table counts each pack's live records under a leaf lock
-/// and holds only packs with a live record. When a pack's last record dies
-/// it moves to a dead list, and the next wave unlinks it. Pack numbers only
-/// grow — a new store starts above every `pack-<n>` name on disk — so no
-/// name is reused while its unlink is pending.
+/// The live-pack table keeps, under a leaf lock, each pack's record count,
+/// live count, file size and owners (the slots whose records it received,
+/// registered at commit and at adoption), and holds only packs with a live
+/// record. When a pack's last record dies it moves to a dead list, and the
+/// wave unlinks it. Pack numbers only grow — a new store starts above every
+/// `pack-<n>` name on disk — so no name is reused while its unlink is
+/// pending.
 ///
-/// Thread safety: the wave-writer side (`Append`, `CommitPack`,
-/// `UnlinkDeadPacks`, `Discard`) has one caller at a time — the broker
-/// holds `control_mu_`. `Read`, `Consume` and `Quarantine` may run
-/// concurrently with it and with each other on distinct records;
-/// each record is guarded by its slot's lock. The startup sweep runs
-/// before the store is shared.
+/// The cleaner. A pack of more than 8 records turns *sparse* once its live
+/// count falls to 1/8 of its records. The next wave copies the sparse
+/// pack's live records, bytes unchanged, into its own pack (`AppendCopy`)
+/// and, once that pack has landed, retires each old copy with `Consume`;
+/// the old pack then dies. So every live pack holds more than 1/8 live
+/// records or at most 8 records, which bounds the spill directory at 8×
+/// the live spill bytes for records of one size (DESIGN.md §12).
+///
+/// Thread safety: the wave-writer side (`Append`, `AppendCopy`,
+/// `CommitPack`, `SparseOwners`, `UnlinkDeadPacks`, `Discard`, `Adopt`) has
+/// one caller at a time — the broker holds `control_mu_`. `Read`,
+/// `Consume` and `Quarantine` may run concurrently with it and with each
+/// other on distinct records; each record is guarded by its slot's lock.
+/// The startup sweep runs before the store is shared.
 
 namespace pdm::broker {
 
@@ -58,6 +69,13 @@ struct SpillRecord {
 
 /// Overwrites the magic of a consumed record (see above).
 inline constexpr std::string_view kTombstoneMagic{"PDMTOMB2", 8};
+
+/// A slot that owns, or once owned, a record in a sparse pack (`owner` is
+/// the broker's slot index). The owner's slot says whether it still does.
+struct SparseOwner {
+  uint64_t pack = 0;
+  uint32_t owner = 0;
+};
 
 /// One envelope found by `WalkPack`.
 struct PackEntry {
@@ -100,14 +118,30 @@ class SpillStore {
   /// is one buffer reused by every wave.
   bool Append(const SessionSnapshot& snapshot, SpillRecord* record);
 
+  /// Appends a copy of the live record `from`, read with `pread` straight
+  /// from its pack, to the pending pack and sets `to`'s offset and size.
+  /// Returns false, appending nothing, when the read comes up short, the
+  /// bytes are not a live envelope, or the pack would outgrow 32-bit
+  /// offsets; the record then stays where it is. No fault site.
+  bool AppendCopy(const SpillRecord& from, SpillRecord* to);
+
   /// Lands the pending pack as `pack-<n>.snap` — tmp, write, fsync, rename,
   /// fsync of the directory — and empties the buffer. On success `*pack`
-  /// is n and the pack enters the live-pack table with `records` live
-  /// records. On failure nothing stays under the pack's name. Fault sites,
-  /// in syscall order, stopping at the first that fires: spill.open,
+  /// is n and the pack enters the live-pack table with one live record per
+  /// entry of `owners`, the slots of its records in append order. On
+  /// failure nothing stays under the pack's name. Fault sites, in syscall
+  /// order, stopping at the first that fires: spill.open,
   /// spill.short_write, spill.write, spill.fsync, spill.rename,
   /// spill.dir_fsync.
-  bool CommitPack(uint32_t records, uint64_t* pack);
+  bool CommitPack(std::span<const uint32_t> owners, uint64_t* pack);
+
+  /// Registers `owner` as the slot of an inventoried record it adopted.
+  void Adopt(const SpillRecord& record, uint32_t owner);
+
+  /// The owners of every sparse pack still live, for the next wave to
+  /// relocate. Entries are stale once their slot left the pack; the
+  /// returned span is valid until the next call.
+  std::span<const SparseOwner> SparseOwners();
 
   /// Unlinks every pack whose last record died since the previous call.
   void UnlinkDeadPacks();
@@ -127,11 +161,12 @@ class SpillStore {
   /// Fault sites: spill.open, spill.read.
   ReadResult Read(const SpillRecord& record, std::string* bytes) const;
 
-  /// Retires a record a fault-in has restored: writes the tombstone magic
-  /// over the record's magic and, once that write succeeded, marks the
-  /// record dead in the live-pack table (the pack joins the dead list with
-  /// its last record). Returns false, with the record still live, when the
-  /// write fails. Fault site: spill.tombstone.
+  /// Retires a record a fault-in has restored, or that a wave has copied:
+  /// writes the tombstone magic over the record's magic and, once that
+  /// write succeeded, marks the record dead in the live-pack table (the
+  /// pack joins the dead list with its last record). Returns false, with
+  /// the record still live, when the write fails. Fault site:
+  /// spill.tombstone.
   bool Consume(const SpillRecord& record);
 
   /// Keeps `bytes` — the damaged record as read, if any — under
@@ -153,9 +188,25 @@ class SpillStore {
   /// product is the newer one. Runs once, before the store is shared.
   SweepStats Sweep(const std::function<void(std::string product, const SpillRecord&)>& found);
 
+  /// Bytes of the pack files holding a live record.
+  size_t file_bytes() const { return file_bytes_.load(std::memory_order_relaxed); }
+
  private:
+  /// One live pack's entry in the live-pack table.
+  struct Pack {
+    uint32_t records = 0;
+    uint32_t live = 0;
+    size_t bytes = 0;
+    bool sparse = false;
+    std::vector<uint32_t> owners;
+  };
+
   /// The file that holds `pack`.
   std::string PackPath(uint64_t pack) const;
+  /// Enters a pack with `live` of its `records` live. Requires `mu_`.
+  Pack& InsertLocked(uint64_t id, uint32_t records, uint32_t live, size_t bytes);
+  /// Queues `pack` for the cleaner once it turns sparse. Requires `mu_`.
+  void MarkIfSparseLocked(uint64_t id, Pack* pack);
   /// Drops one live record from `pack`'s count; returns whether the pack
   /// died with it (it then joins `dead_`). Requires `mu_`.
   bool ReleaseLocked(uint64_t pack);
@@ -173,10 +224,16 @@ class SpillStore {
   /// `dead_`'s contents while UnlinkDeadPacks works through them (wave
   /// writer only; swapped, so neither vector reallocates in steady state).
   std::vector<uint64_t> unlinking_;
-  /// The live-pack table and the dead list, guarded by `mu_` (a leaf lock).
+  /// What `SparseOwners` last returned (wave writer only).
+  std::vector<SparseOwner> sparse_owners_;
+  /// The live-pack table, the sparse list and the dead list, guarded by
+  /// `mu_` (a leaf lock). A pack leaves `sparse_` when it dies.
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, uint32_t> live_;
+  std::unordered_map<uint64_t, Pack> live_;
+  std::vector<uint64_t> sparse_;
   std::vector<uint64_t> dead_;
+  /// Sum of the live packs' `bytes`, written under `mu_`.
+  std::atomic<size_t> file_bytes_{0};
 };
 
 }  // namespace pdm::broker

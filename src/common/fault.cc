@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <utility>
 
 namespace pdm::fault {
 namespace {
@@ -54,6 +55,11 @@ void FaultInjector::SetProbability(std::string_view site, double p) {
 void FaultInjector::TriggerOnHit(std::string_view site, uint64_t nth) {
   std::lock_guard<std::mutex> lock(mu_);
   SiteLocked(site).trigger_hits.push_back(nth);
+}
+
+void FaultInjector::SetHook(std::string_view site, std::function<void()> hook) {
+  std::lock_guard<std::mutex> lock(mu_);
+  SiteLocked(site).hook = std::move(hook);
 }
 
 Status FaultInjector::Configure(std::string_view spec) {
@@ -144,6 +150,13 @@ void FaultInjector::Reset() {
 }
 
 bool FaultInjector::ShouldFailArmed(std::string_view site_name) {
+  std::function<void()> hook;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = sites_.find(site_name);
+    if (it != sites_.end()) hook = it->second.hook;
+  }
+  if (hook) hook();
   std::lock_guard<std::mutex> lock(mu_);
   Site& site = SiteLocked(site_name);
   ++site.hits;

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <string>
@@ -58,6 +59,11 @@ class FaultInjector {
   /// Site fires on exactly its `nth` hit (1-based). May be called multiple
   /// times to script several scheduled failures.
   void TriggerOnHit(std::string_view site, uint64_t nth);
+  /// Runs `hook` on every hit of `site` while armed, before the decision
+  /// and outside the injector's lock, so a test can act at an exact
+  /// instant — e.g. copy a spill directory as a wave retires its first
+  /// relocated record. The hook must not touch the injector.
+  void SetHook(std::string_view site, std::function<void()> hook);
 
   /// Parses a `--faults=` spec: comma-separated `seed=<n>`,
   /// `<site>=<probability>`, and `<site>@<nth-hit>` entries, e.g.
@@ -82,6 +88,7 @@ class FaultInjector {
   struct Site {
     double probability = 0.0;
     std::vector<uint64_t> trigger_hits;
+    std::function<void()> hook;
     uint64_t hits = 0;
     uint64_t fires = 0;
   };

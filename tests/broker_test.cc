@@ -1532,19 +1532,27 @@ size_t SpillDirBytes(const std::string& dir) {
   return bytes;
 }
 
+TEST(BrokerColdTier, WaveSizeFollowsTheCap) {
+  // One wave victim per 32 resident sessions, between 1 and 64.
+  const std::vector<std::pair<size_t, size_t>> table{
+      {1, 1}, {31, 1}, {32, 1}, {500, 15}, {2048, 64}, {3000, 64}, {1000000, 64}};
+  for (const auto& [cap, wave] : table) EXPECT_EQ(WaveSizeForCap(cap), wave) << "cap " << cap;
+}
+
 TEST(BrokerColdTier, ResidencyCapWavesMatchNeverEvictedTwinBitwise) {
-  // The request-path sweep at a cap that gets multi-victim waves: cap 2048
-  // gives W = min(8, 2048 / 256) = 8, so each sweep spills eight victims
-  // concurrently down to cap − 7. The cold broker evicts and faults in on
-  // its own, and every quote and snapshot must still match a twin that
-  // never evicts. Three touches in four walk the catalog in order, which
-  // keeps running into the products the last wave spilled.
+  // The request-path sweep at a cap that gets full waves: cap 2048 gives
+  // W = min(64, 2048 / 32) = 64, so each sweep spills 64 victims as one
+  // pack down to cap − 63. The open leaves the 512 products past the cap
+  // unbuilt, so the cold broker builds, evicts and faults in on its own,
+  // and every quote and snapshot must still match a twin that never
+  // evicts. Three touches in four walk the catalog in order, which keeps
+  // running into the products the last wave spilled.
   StreamFactory factory;
   ScenarioSpec spec = LinearSpec("wave/base", 4, 4000, "reserve+uncertainty", 23);
   WorkloadInfo info = factory.Prepare(spec);
   constexpr size_t kCap = 2048;
-  constexpr size_t kWave = 8;
-  constexpr size_t kProducts = kCap + 40;
+  constexpr size_t kWave = 64;
+  constexpr size_t kProducts = kCap + 8 * kWave;
   std::vector<std::string> names;
   for (size_t i = 0; i < kProducts; ++i) names.push_back("wave/p" + std::to_string(i));
 
@@ -1561,10 +1569,11 @@ TEST(BrokerColdTier, ResidencyCapWavesMatchNeverEvictedTwinBitwise) {
   MarketRound round;
   Rng control(20261017);
   std::vector<std::pair<uint64_t, uint64_t>> held;  // (cold ticket, hot ticket)
+  EXPECT_EQ(cold.Stats().resident_sessions, kCap);
   size_t cursor = 0;
   uint64_t evictions_seen = 0;
   size_t sweeps = 0;
-  for (int step = 0; step < 1200; ++step) {
+  for (int step = 0; step < 4000; ++step) {
     const size_t p = control.NextUint64(4) != 0 ? cursor++ % kProducts
                                                 : control.NextUint64(kProducts);
     stream->Next(&rng, &round);
@@ -1590,19 +1599,18 @@ TEST(BrokerColdTier, ResidencyCapWavesMatchNeverEvictedTwinBitwise) {
                 hot.Observe(held[h].second, late_accept).code());
       held.erase(held.begin() + static_cast<ptrdiff_t>(h));
     }
-    // The first sweep takes the fresh catalog down to cap − (W − 1). Every
-    // later one starts at cap + 1, one fault-in over the cap, and spills
-    // exactly one wave of W.
+    // The open stopped at the cap, so every sweep starts at cap + 1, one
+    // fault-in over the cap, and spills exactly one wave of W.
     const uint64_t evictions = cold.eviction_count();
     if (evictions != evictions_seen) {
-      const size_t expected = sweeps == 0 ? kProducts - (kCap - (kWave - 1)) : kWave;
-      ASSERT_EQ(evictions - evictions_seen, expected) << "step " << step;
+      ASSERT_EQ(evictions - evictions_seen, kWave) << "step " << step;
       evictions_seen = evictions;
       ++sweeps;
     }
   }
   EXPECT_GT(sweeps, 20u);
-  EXPECT_GT(cold.fault_in_count(), 100u);
+  // The first sweep came one fault-in past the cap, each later one W after.
+  EXPECT_GT(cold.fault_in_count(), (sweeps - 1) * kWave);
   for (const auto& [cold_ticket, hot_ticket] : held) {
     ASSERT_EQ(cold.Observe(cold_ticket, true).code(), hot.Observe(hot_ticket, true).code());
   }
@@ -1618,10 +1626,11 @@ TEST(BrokerColdTier, ResidencyCapWavesMatchNeverEvictedTwinBitwise) {
 TEST(BrokerColdTier, ConcurrentFaultInsAndWavesKeepEveryProductExact) {
   // Four client threads walk their own quarter of a catalog larger than
   // the cap, so their touches keep faulting products in while the sweeps
-  // they trigger spill waves of eight (cap 2048 → W = 8); a fifth thread
+  // they trigger spill waves of 64 (cap 2048 → W = 64); a fifth thread
   // sweeps through EvictIdleSessions. Victims a client is waiting on sit
-  // locked in a wave, and fault-ins queue consumed spills while a wave is
-  // unlinking the earlier ones. The TSan job runs this suite.
+  // locked in a wave, fault-ins queue consumed spills while a wave is
+  // unlinking the earlier ones, and waves relocate the records of packs
+  // the clients have thinned out. The TSan job runs this suite.
   StreamFactory factory;
   ScenarioSpec spec = LinearSpec("stress/base", 4, 4000, "reserve", 29);
   WorkloadInfo info = factory.Prepare(spec);
@@ -1637,9 +1646,14 @@ TEST(BrokerColdTier, ConcurrentFaultInsAndWavesKeepEveryProductExact) {
   config.max_resident_sessions = kCap;
   std::vector<int64_t> quotes(kProducts, 0);
   std::vector<int64_t> feedback(kProducts, 0);
+  // Before the clients start, half the cap goes to disk. With the products
+  // the open left unbuilt past the cap, every client's first pass over its
+  // quarter then faults in a counted set, however the threads interleave.
+  constexpr size_t kCold = kProducts - kCap / 2;
   {
     Broker broker(config);
     ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    ASSERT_EQ(broker.EvictIdleSessions(kCap / 2), kCap / 2);
     std::atomic<int> failures{0};
     std::atomic<bool> done{false};
     std::vector<std::thread> clients;
@@ -1677,8 +1691,8 @@ TEST(BrokerColdTier, ConcurrentFaultInsAndWavesKeepEveryProductExact) {
     EXPECT_EQ(failures.load(), 0);
 
     const BrokerStats stats = broker.Stats();
-    EXPECT_GT(stats.evictions, 100u);
-    EXPECT_GT(stats.fault_ins, 100u);
+    EXPECT_GE(stats.evictions, kCap / 2);
+    EXPECT_GE(stats.fault_ins, kCold);
     EXPECT_EQ(stats.quarantined_sessions, 0u);
     EXPECT_EQ(stats.resident_sessions + stats.evicted_sessions, kProducts);
     EXPECT_EQ(stats.quotes, uint64_t{kThreads} * kTouches);
@@ -1785,9 +1799,10 @@ TEST(BrokerColdTier, CloseWhileEvictedDropsSpillFileWithoutFaultIn) {
 
 TEST(BrokerColdTier, SpillDirStaysWithinEightTimesLiveSpillBytes) {
   // A pack lives until its last record dies, so consumed records ride along
-  // inside live packs. A pack holds at most 8 records, so with records of
+  // inside live packs. A pack of more than 8 records turns sparse at 1/8
+  // live, and the next wave moves its live records out; so with records of
   // one size the spill directory holds at most 8× the live spill bytes
-  // once a sweep has unlinked the packs that died.
+  // once a sweep has run. EvictIdleSessions spills waves of up to 64.
   StreamFactory factory;
   ScenarioSpec spec = LinearSpec("bound/base", 4, 4000, "reserve", 43);
   WorkloadInfo info = factory.Prepare(spec);
@@ -1820,12 +1835,62 @@ TEST(BrokerColdTier, SpillDirStaysWithinEightTimesLiveSpillBytes) {
     if (control.NextUint64(16) == 0) {
       broker.EvictIdleSessions(control.NextUint64(kProducts / 2));
       const BrokerStats stats = broker.Stats();
-      ASSERT_LE(SpillDirBytes(config.spill_dir), 8 * stats.spill_bytes) << "step " << step;
+      const size_t on_disk = SpillDirBytes(config.spill_dir);
+      ASSERT_LE(on_disk, 8 * stats.spill_bytes) << "step " << step;
+      ASSERT_EQ(stats.spill_file_bytes, on_disk) << "step " << step;
       ++checks;
     }
   }
   EXPECT_GT(checks, 100u);
-  EXPECT_GT(broker.Stats().fault_ins, 500u);
+  const BrokerStats stats = broker.Stats();
+  EXPECT_GT(stats.fault_ins, 500u);
+  EXPECT_GT(stats.relocations, 0u);
+}
+
+TEST(BrokerColdTier, RequestPathWavesStayWithinEightTimesLiveSpillBytes) {
+  // The same bound for the request path's own waves: cap 2048 spills 64
+  // victims per sweep, and random touches thin the packs out unevenly.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("capbound/base", 4, 4000, "reserve", 47);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kCap = 2048;
+  constexpr size_t kProducts = kCap + 512;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) {
+    // Names of one length, so every record has the same size.
+    std::string number = std::to_string(i);
+    names.push_back("capbound/p" + std::string(4 - number.size(), '0') + number);
+  }
+  BrokerConfig config;
+  config.spill_dir = ColdDir("capbound");
+  config.max_resident_sessions = kCap;
+  Broker broker(config);
+  ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  size_t checks = 0;
+  uint64_t evictions_seen = 0;
+  auto touch = [&](size_t p) {
+    stream->Next(&rng, &round);
+    Quote quote;
+    ASSERT_TRUE(broker.PostPrice({names[p], round.features, round.reserve}, &quote).ok());
+    ASSERT_TRUE(broker.Observe(quote.ticket, quote.price <= round.value).ok());
+    if (broker.eviction_count() == evictions_seen) return;
+    evictions_seen = broker.eviction_count();
+    const BrokerStats stats = broker.Stats();
+    const size_t on_disk = SpillDirBytes(config.spill_dir);
+    ASSERT_LE(on_disk, 8 * stats.spill_bytes) << "touch of " << names[p];
+    ASSERT_EQ(stats.spill_file_bytes, on_disk) << "touch of " << names[p];
+    ++checks;
+  };
+  // One quote each first (every record then keeps one size), then random
+  // touches.
+  for (size_t p = 0; p < kProducts; ++p) touch(p);
+  Rng control(20261021);
+  for (int step = 0; step < 12000; ++step) touch(control.NextUint64(kProducts));
+  EXPECT_GT(checks, 20u);
+  EXPECT_GT(broker.Stats().relocations, 0u);
 }
 
 TEST(BrokerColdTier, CallerBuiltEnginesAreNeverEvicted) {
@@ -1842,6 +1907,178 @@ TEST(BrokerColdTier, CallerBuiltEnginesAreNeverEvicted) {
   BrokerStats stats = broker.Stats();
   EXPECT_EQ(stats.resident_sessions, 1u);
   EXPECT_EQ(stats.evicted_sessions, 1u);
+}
+
+TEST(BrokerColdTier, OverCapOpensStartUnbuiltAndWriteNothing) {
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("unbuilt/base", 6, 2000, "reserve", 53);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kCap = 4;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 12; ++i) names.push_back("unbuilt/p" + std::to_string(i));
+  BrokerConfig config;
+  config.spill_dir = ColdDir("unbuilt");
+  config.max_resident_sessions = kCap;
+  Broker broker(config);
+  // A caller-built engine takes room like any resident session.
+  ASSERT_TRUE(broker.OpenSession("unbuilt/custom", BuildEngine(spec, &factory)).ok());
+  ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+  ASSERT_TRUE(broker.OpenSession("unbuilt/late", spec, info).ok());
+  // The open builds exactly the cap's engines; the rest wait unbuilt, with
+  // nothing on disk.
+  BrokerStats stats = broker.Stats();
+  EXPECT_EQ(stats.open_sessions, names.size() + 2);
+  EXPECT_EQ(stats.resident_sessions, kCap);
+  EXPECT_EQ(stats.evicted_sessions, names.size() + 2 - kCap);
+  EXPECT_EQ(stats.evictions, 0u);
+  EXPECT_EQ(stats.fault_ins, 0u);
+  EXPECT_EQ(stats.spill_bytes, 0u);
+  EXPECT_EQ(stats.spill_file_bytes, 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(config.spill_dir));
+  // A sweep has nothing to take from them.
+  EXPECT_EQ(broker.EvictIdleSessions(kCap), 0u);
+  EXPECT_TRUE(std::filesystem::is_empty(config.spill_dir));
+  // The first touch builds one, counted as a fault-in.
+  SessionInfo session;
+  ASSERT_TRUE(broker.GetSessionInfo("unbuilt/late", &session).ok());
+  EXPECT_EQ(session.product, "unbuilt/late");
+  EXPECT_EQ(session.quotes_issued, 0);
+  EXPECT_EQ(broker.Stats().fault_ins, 1u);
+  EXPECT_EQ(broker.Stats().resident_sessions, kCap + 1);
+
+  // Without a spill directory there is no cold tier, and every open builds.
+  BrokerConfig hot_config;
+  hot_config.max_resident_sessions = kCap;
+  Broker hot(hot_config);
+  ASSERT_TRUE(hot.OpenSessions(names, spec, info).ok());
+  EXPECT_EQ(hot.Stats().resident_sessions, names.size());
+}
+
+TEST(BrokerColdTier, UnbuiltProductsMatchANeverEvictedTwinBitwise) {
+  // An unbuilt product's first touch builds it from the recipe. Its
+  // snapshot, tickets and quotes must match a twin broker that built it at
+  // open and never evicts — the same session a built, spilled and restored
+  // product resumes.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("unbuilt/twin", 6, 4000, "reserve+uncertainty", 57);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kCap = 3;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 10; ++i) names.push_back("unbuilt/t" + std::to_string(i));
+  BrokerConfig cold_config;
+  cold_config.spill_dir = ColdDir("unbuilt_twin");
+  cold_config.max_resident_sessions = kCap;
+  Broker cold(cold_config);
+  Broker hot;
+  // Two batches: the second opens entirely past the cap.
+  const std::vector<std::string> first(names.begin(), names.begin() + 5);
+  const std::vector<std::string> second(names.begin() + 5, names.end());
+  ASSERT_TRUE(cold.OpenSessions(first, spec, info).ok());
+  ASSERT_TRUE(cold.OpenSessions(second, spec, info).ok());
+  ASSERT_TRUE(hot.OpenSessions(first, spec, info).ok());
+  ASSERT_TRUE(hot.OpenSessions(second, spec, info).ok());
+  ASSERT_EQ(cold.Stats().resident_sessions, kCap);
+
+  // Unbuilt products snapshot byte-for-byte like their never-touched twins.
+  for (size_t i = kCap; i < names.size(); i += 2) {
+    SessionSnapshot cold_snap;
+    SessionSnapshot hot_snap;
+    ASSERT_TRUE(cold.Snapshot(names[i], &cold_snap).ok());
+    ASSERT_TRUE(hot.Snapshot(names[i], &hot_snap).ok());
+    ASSERT_EQ(EncodeSessionSnapshot(cold_snap), EncodeSessionSnapshot(hot_snap)) << names[i];
+  }
+  // The rest are first touched by a quote, in reverse, so products past
+  // the cap fault in, evict and fault in again.
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  MarketRound round;
+  Rng control(20261023);
+  for (int step = 0; step < 400; ++step) {
+    const size_t p = step < static_cast<int>(names.size())
+                         ? names.size() - 1 - static_cast<size_t>(step)
+                         : control.NextUint64(names.size());
+    stream->Next(&rng, &round);
+    Quote cold_quote;
+    Quote hot_quote;
+    ASSERT_TRUE(cold.PostPrice({names[p], round.features, round.reserve}, &cold_quote).ok());
+    ASSERT_TRUE(hot.PostPrice({names[p], round.features, round.reserve}, &hot_quote).ok());
+    ASSERT_EQ(cold_quote.ticket, hot_quote.ticket) << "step " << step;
+    ASSERT_EQ(cold_quote.price, hot_quote.price) << "step " << step;
+    ASSERT_EQ(cold_quote.certain_no_sale, hot_quote.certain_no_sale);
+    const bool accepted = control.NextUint64(3) != 0;
+    ASSERT_EQ(cold.Observe(cold_quote.ticket, accepted).code(),
+              hot.Observe(hot_quote.ticket, accepted).code());
+  }
+  EXPECT_GT(cold.eviction_count(), 0u);
+  EXPECT_GT(cold.fault_in_count(), names.size() - kCap);
+  for (const std::string& name : names) {
+    SessionSnapshot cold_snap;
+    SessionSnapshot hot_snap;
+    ASSERT_TRUE(cold.Snapshot(name, &cold_snap).ok());
+    ASSERT_TRUE(hot.Snapshot(name, &hot_snap).ok());
+    ASSERT_EQ(EncodeSessionSnapshot(cold_snap), EncodeSessionSnapshot(hot_snap)) << name;
+  }
+}
+
+TEST(BrokerColdTier, UnbuiltProductsLeaveNothingBehind) {
+  // An unbuilt product has no durable state: closing it and ~Broker write
+  // nothing, and a restart on a crash copy of the directory opens it fresh
+  // — unbuilt again when it falls past the cap.
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("unbuilt/gone", 6, 2000, "reserve", 59);
+  WorkloadInfo info = factory.Prepare(spec);
+  std::vector<std::string> names;
+  for (size_t i = 0; i < 6; ++i) names.push_back("unbuilt/g" + std::to_string(i));
+  BrokerConfig config;
+  config.spill_dir = ColdDir("unbuilt_gone");
+  config.max_resident_sessions = 2;
+  const std::string crashed = ColdDir("unbuilt_gone_crash");
+  {
+    Broker broker(config);
+    ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    // g0 and g1 are built; they serve and then spill as one pack.
+    Rng rng(spec.sim_seed);
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+    MarketRound round;
+    for (size_t p = 0; p < 2; ++p) {
+      stream->Next(&rng, &round);
+      Quote quote;
+      ASSERT_TRUE(broker.PostPrice({names[p], round.features, round.reserve}, &quote).ok());
+      ASSERT_TRUE(broker.Observe(quote.ticket, true).ok());
+    }
+    ASSERT_EQ(broker.EvictIdleSessions(0), 2u);
+    const size_t spilled = SpillDirBytes(config.spill_dir);
+    // Closing an unbuilt product touches nothing on disk.
+    ASSERT_TRUE(broker.CloseSession(names[5]).ok());
+    const BrokerStats stats = broker.Stats();
+    EXPECT_EQ(stats.open_sessions, 5u);
+    EXPECT_EQ(stats.evicted_sessions, 5u);
+    EXPECT_EQ(stats.fault_ins, 0u);
+    EXPECT_EQ(SpillDirBytes(config.spill_dir), spilled);
+    EXPECT_EQ(stats.spill_file_bytes, spilled);
+    // The simulated kill -9: the directory as the crash would leave it.
+    std::filesystem::copy(config.spill_dir, crashed);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(config.spill_dir));
+
+  BrokerConfig restart_config = config;
+  restart_config.spill_dir = crashed;
+  restart_config.max_resident_sessions = 1;
+  Broker restarted(restart_config);
+  EXPECT_EQ(restarted.recovery_report().spills_found, 2u);
+  ASSERT_TRUE(restarted.OpenSessions(names, spec, info).ok());
+  // g0 and g1 adopt their records and take no room; g2 fills the cap of
+  // one, and g3..g5 open unbuilt again.
+  EXPECT_EQ(restarted.recovery_report().adopted, 2u);
+  BrokerStats stats = restarted.Stats();
+  EXPECT_EQ(stats.resident_sessions, 1u);
+  EXPECT_EQ(stats.evicted_sessions, 5u);
+  SessionInfo session;
+  ASSERT_TRUE(restarted.GetSessionInfo(names[4], &session).ok());
+  EXPECT_EQ(session.quotes_issued, 0);
+  ASSERT_TRUE(restarted.GetSessionInfo(names[1], &session).ok());
+  EXPECT_EQ(session.quotes_issued, 1);
+  EXPECT_EQ(restarted.Stats().fault_ins, 2u);
 }
 
 // ------------------------------------------------------ metrics (§13)
@@ -1916,6 +2153,9 @@ void ExpectScrapeMatchesStats(const metrics::MetricsDump& dump,
             static_cast<double>(stats.evicted_sessions + stats.quarantined_sessions));
   EXPECT_EQ(GaugeValue(dump, "pdm_broker_spill_bytes"),
             static_cast<double>(stats.spill_bytes));
+  EXPECT_EQ(GaugeValue(dump, "pdm_broker_spill_file_bytes"),
+            static_cast<double>(stats.spill_file_bytes));
+  EXPECT_EQ(dump.CounterValue("pdm_broker_spill_relocations_total"), stats.relocations);
 }
 
 TEST(BrokerMetrics, UnwiredRequestPathWritesNoSharedCell) {

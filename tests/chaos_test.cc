@@ -179,6 +179,23 @@ TEST(FaultInjectorTest, ScriptedTriggersFireOnExactHits) {
   EXPECT_EQ(inj.fires("chaos.step"), 2u);
 }
 
+TEST(FaultInjectorTest, HooksRunOnEveryArmedHitBeforeTheDecision) {
+  FaultGuard guard;
+  FaultInjector& inj = FaultInjector::Global();
+  std::vector<uint64_t> seen;  // the site's hit count as each hook call saw it
+  inj.SetHook("chaos.hooked", [&] { seen.push_back(inj.hits("chaos.hooked")); });
+  inj.TriggerOnHit("chaos.hooked", 2);
+  EXPECT_FALSE(fault::ShouldFail("chaos.hooked"));  // disarmed: no hook either
+  inj.Arm(1);
+  EXPECT_FALSE(fault::ShouldFail("chaos.hooked"));
+  EXPECT_TRUE(fault::ShouldFail("chaos.hooked"));
+  EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1}));
+  inj.Reset();
+  inj.Arm(1);
+  EXPECT_FALSE(fault::ShouldFail("chaos.hooked"));  // Reset dropped the hook
+  EXPECT_EQ(seen.size(), 2u);
+}
+
 TEST(FaultInjectorTest, SeededProbabilityStreamIsReproducible) {
   FaultGuard guard;
   FaultInjector& inj = FaultInjector::Global();
@@ -463,14 +480,13 @@ TEST(BrokerChaosTest, InjectedSpillWriteFailureKeepsSessionResident) {
 
   // Every step of landing a pack can fail, the directory fsync after the
   // rename included; each failure keeps the session resident and leaves
-  // neither the pack nor its tmp behind. (Each round touches the session
-  // first, so the sweep's first pass skips it and the second tries it once.)
+  // neither the pack nor its tmp behind. The failed wave ends its sweep, so
+  // the untouched session is tried once per round.
   const std::vector<std::string> sites{"spill.open",  "spill.short_write",
                                        "spill.write", "spill.fsync",
                                        "spill.rename", "spill.dir_fsync"};
   uint64_t errors = 0;
   for (const std::string& site : sites) {
-    DriveRounds(&broker, &factory, spec, "chaos/w0", 1);
     FaultInjector::Global().Reset();
     FaultInjector::Global().TriggerOnHit(site, 1);
     FaultInjector::Global().Arm(3);
@@ -681,7 +697,9 @@ TEST(BrokerChaosTest, WaveFaultScheduleIsTheSameEveryRun) {
   StreamFactory factory;
   ScenarioSpec spec = LinearSpec("chaos/wave", 6, 2000, "reserve", 33);
   WorkloadInfo info = factory.Prepare(spec);
-  constexpr size_t kProducts = 20;  // waves of 8, 8 and 4
+  constexpr size_t kWave = 64;       // EvictIdleSessions' wave size
+  constexpr size_t kProducts = 160;  // waves of 64, 64 and 32
+  constexpr size_t kLastWave = kProducts - 2 * kWave;
   std::vector<std::string> names;
   for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/wave" + std::to_string(i));
   std::vector<std::string> first_resident;
@@ -695,21 +713,24 @@ TEST(BrokerChaosTest, WaveFaultScheduleIsTheSameEveryRun) {
     ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
     for (const std::string& name : names) DriveRounds(&broker, &factory, spec, name, 5);
 
-    // Three waves; the second one's fsync fails.
-    FaultInjector::Global().TriggerOnHit("spill.fsync", 2);
+    // Three waves; the third one's fsync fails. (A failed wave ends its
+    // sweep, so the last wave is the one whose failure leaves nothing
+    // untried behind it.)
+    FaultInjector::Global().TriggerOnHit("spill.fsync", 3);
     FaultInjector::Global().Arm(3);
-    EXPECT_EQ(broker.EvictIdleSessions(0), kProducts - 8) << "rep " << rep;
+    EXPECT_EQ(broker.EvictIdleSessions(0), 2 * kWave) << "rep " << rep;
     FaultInjector::Global().Disarm();
     EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), 3u);
-    EXPECT_EQ(broker.Stats().resident_sessions, 8u);
-    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(), 8u);
+    EXPECT_EQ(broker.Stats().resident_sessions, kLastWave);
+    EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(),
+              kLastWave);
 
     // Two packs; every spilled product has exactly one live record, which
     // decodes to its own product.
     EXPECT_EQ(CountFiles(config.spill_dir, ".snap"), 2u);
     EXPECT_EQ(CountFiles(config.spill_dir, ".tmp"), 0u);  // the failed pack's tmp too
     const std::map<std::string, LiveSpill> spills = LiveSpills(config.spill_dir);
-    EXPECT_EQ(spills.size(), kProducts - 8);
+    EXPECT_EQ(spills.size(), 2 * kWave);
     std::vector<std::string> resident;
     for (const std::string& name : names) {
       if (spills.count(name) == 0) resident.push_back(name);
@@ -717,10 +738,42 @@ TEST(BrokerChaosTest, WaveFaultScheduleIsTheSameEveryRun) {
     if (rep == 0) first_resident = resident;
     ASSERT_EQ(resident, first_resident) << "rep " << rep;
   }
-  // The CLOCK hand starts at slot 0, so the second wave is slots 8..15.
-  ASSERT_EQ(first_resident.size(), 8u);
-  EXPECT_EQ(first_resident.front(), names[8]);
-  EXPECT_EQ(first_resident.back(), names[15]);
+  // The CLOCK hand starts at slot 0, so the third wave is slots 128..159.
+  ASSERT_EQ(first_resident.size(), kLastWave);
+  EXPECT_EQ(first_resident.front(), names[2 * kWave]);
+  EXPECT_EQ(first_resident.back(), names[kProducts - 1]);
+}
+
+// A disk that fails every pack is written once per sweep: the first failed
+// wave ends the sweep with its victims and every untried candidate resident,
+// and the next sweep starts over.
+TEST(BrokerChaosTest, FailingDiskEndsTheSweepAtItsFirstPack) {
+  FaultGuard guard;
+  StreamFactory factory;
+  metrics::MetricRegistry registry;
+  ScenarioSpec spec = LinearSpec("chaos/dead", 6, 2000, "reserve", 45);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kProducts = 3 * 64 + 8;  // four waves' worth
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/dead" + std::to_string(i));
+  BrokerConfig config;
+  config.spill_dir = ChaosDir("dead");
+  config.metrics = &registry;
+  Broker broker(config);
+  ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+  FaultInjector::Global().SetProbability("spill.fsync", 1.0);
+  FaultInjector::Global().Arm(5);
+  EXPECT_EQ(broker.EvictIdleSessions(0), 0u);
+  EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), 1u);
+  EXPECT_EQ(registry.GetCounter("pdm_broker_spill_write_errors_total", "").value(), 64u);
+  EXPECT_EQ(broker.Stats().resident_sessions, kProducts);
+  EXPECT_TRUE(std::filesystem::is_empty(config.spill_dir));
+  // The next sweep retries, once again.
+  EXPECT_EQ(broker.EvictIdleSessions(0), 0u);
+  EXPECT_EQ(FaultInjector::Global().hits("spill.fsync"), 2u);
+  FaultInjector::Global().Disarm();
+  EXPECT_EQ(broker.EvictIdleSessions(0), kProducts);
+  EXPECT_EQ(broker.Stats().evicted_sessions, kProducts);
 }
 
 // Fault-in tombstones the record it consumed, in place, before the session
@@ -836,6 +889,77 @@ struct CrashCopy {
   std::map<std::string, std::string> durable;
 };
 
+/// Drives one broker through evictions and fault-ins, keeping the model a
+/// crash copy is checked against, and copies the spill directory after
+/// every step.
+class CrashDrill {
+ public:
+  CrashDrill(Broker* broker, StreamFactory* factory, const ScenarioSpec& spec,
+             const std::vector<std::string>& names, std::string dir, std::string tag)
+      : broker_(broker), factory_(factory), spec_(spec), names_(names),
+        dir_(std::move(dir)), tag_(std::move(tag)) {}
+
+  /// Copies the spill directory as a kill -9 would leave it now.
+  void Copy() { copies.push_back({CopyDir(), durable}); }
+
+  /// Copies the spill directory without recording it, for a copy whose
+  /// model is only known later.
+  std::string CopyDir() {
+    const std::string copy = ChaosDir(tag_ + "_copy" + std::to_string(copy_dirs_++));
+    std::filesystem::copy(dir_, copy);
+    return copy;
+  }
+
+  /// Sweeps to `max_resident`, expecting `evicted` victims, and moves them
+  /// into the model. Only resident products are snapshotted first: a
+  /// snapshot of an evicted one would fault it in.
+  void EvictTo(size_t max_resident, size_t evicted) {
+    std::map<std::string, std::string> before;
+    for (const std::string& name : names_) {
+      if (durable.count(name) != 0) continue;
+      SessionSnapshot snap;
+      ASSERT_TRUE(broker_->Snapshot(name, &snap).ok());
+      before[name] = EncodeSessionSnapshot(snap);
+    }
+    ASSERT_EQ(broker_->EvictIdleSessions(max_resident), evicted);
+    const std::map<std::string, LiveSpill> live = LiveSpills(dir_);
+    for (const auto& [name, bytes] : before) {
+      auto it = live.find(name);
+      if (it == live.end()) continue;
+      EXPECT_EQ(it->second.bytes, bytes) << name;
+      durable[name] = bytes;
+    }
+    ASSERT_EQ(live.size(), durable.size());
+    // Every durable record is live on disk with its bytes, relocated or not.
+    for (const auto& [name, bytes] : durable) {
+      auto it = live.find(name);
+      ASSERT_NE(it, live.end()) << name;
+      EXPECT_EQ(it->second.bytes, bytes) << name;
+    }
+    Copy();
+  }
+
+  /// Touches product `i`, which faults it in and moves it past its record.
+  void FaultIn(size_t i) {
+    DriveRounds(broker_, factory_, spec_, names_[i], 2);
+    durable.erase(names_[i]);
+    Copy();
+  }
+
+  std::vector<CrashCopy> copies;
+  /// The model: each product's bytes as of its last eviction, while evicted.
+  std::map<std::string, std::string> durable;
+
+ private:
+  Broker* broker_;
+  StreamFactory* factory_;
+  const ScenarioSpec& spec_;
+  const std::vector<std::string>& names_;
+  const std::string dir_;
+  const std::string tag_;
+  size_t copy_dirs_ = 0;
+};
+
 void RestartOnCrashCopy(const CrashCopy& copy, const std::vector<std::string>& names,
                         const ScenarioSpec& spec, const WorkloadInfo& info) {
   SCOPED_TRACE(copy.dir);
@@ -870,8 +994,6 @@ TEST(BrokerChaosTest, CrashCopiesOfMultiRecordPacksAdoptExactly) {
   for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/pk" + std::to_string(i));
   const std::string dir = ChaosDir("packs");
   std::vector<CrashCopy> copies;
-  // The model: each product's bytes as of its last eviction, while evicted.
-  std::map<std::string, std::string> durable;
   {
     BrokerConfig config;
     config.spill_dir = dir;
@@ -880,52 +1002,22 @@ TEST(BrokerChaosTest, CrashCopiesOfMultiRecordPacksAdoptExactly) {
     for (size_t i = 0; i < kProducts; ++i) {
       DriveRounds(&broker, &factory, spec, names[i], 3 + static_cast<int>(i % 5));
     }
-    auto copy_now = [&] {
-      CrashCopy copy{ChaosDir("packs_copy" + std::to_string(copies.size())), durable};
-      std::filesystem::copy(dir, copy.dir);
-      copies.push_back(std::move(copy));
-    };
-    // Evicts one wave and moves its victims into the model. Only resident
-    // products are snapshotted first: a snapshot of an evicted one would
-    // fault it in.
-    auto evict_to = [&](size_t max_resident, size_t wave) {
-      std::map<std::string, std::string> before;
-      for (const std::string& name : names) {
-        if (durable.count(name) != 0) continue;
-        SessionSnapshot snap;
-        ASSERT_TRUE(broker.Snapshot(name, &snap).ok());
-        before[name] = EncodeSessionSnapshot(snap);
-      }
-      ASSERT_EQ(broker.EvictIdleSessions(max_resident), wave);
-      const std::map<std::string, LiveSpill> live = LiveSpills(dir);
-      for (const auto& [name, bytes] : before) {
-        auto it = live.find(name);
-        if (it == live.end()) continue;
-        EXPECT_EQ(it->second.bytes, bytes) << name;
-        durable[name] = bytes;
-      }
-      ASSERT_EQ(live.size(), durable.size());
-      copy_now();
-    };
-    auto fault_in = [&](size_t i) {
-      DriveRounds(&broker, &factory, spec, names[i], 2);
-      durable.erase(names[i]);
-      copy_now();
-    };
-    evict_to(16, 8);
-    evict_to(8, 8);
-    evict_to(0, 8);
+    CrashDrill drill(&broker, &factory, spec, names, dir, "packs");
+    drill.EvictTo(16, 8);
+    drill.EvictTo(8, 8);
+    drill.EvictTo(0, 8);
     EXPECT_EQ(CountFiles(dir, ".snap"), 3u);
-    fault_in(0);   // first pack
-    fault_in(9);   // second pack
-    evict_to(0, 2);  // both again, into a fourth pack
-    fault_in(0);   // its record in the fourth pack
+    drill.FaultIn(0);     // first pack
+    drill.FaultIn(9);     // second pack
+    drill.EvictTo(0, 2);  // both again, into a fourth pack
+    drill.FaultIn(0);     // its record in the fourth pack
     // Consume the whole third pack: it dies with its eighth fault-in, and
     // the next wave unlinks it.
-    for (size_t i = 16; i < kProducts; ++i) fault_in(i);
+    for (size_t i = 16; i < kProducts; ++i) drill.FaultIn(i);
     EXPECT_EQ(CountFiles(dir, ".snap"), 4u);
-    evict_to(kProducts, 0);
+    drill.EvictTo(kProducts, 0);
     EXPECT_EQ(CountFiles(dir, ".snap"), 3u);
+    copies = std::move(drill.copies);
   }
   ASSERT_EQ(copies.size(), 16u);
   // A restart rewrites its copy (fault-ins tombstone), so the damaged
@@ -971,6 +1063,97 @@ TEST(BrokerChaosTest, CrashCopiesOfMultiRecordPacksAdoptExactly) {
     Broker again(config);
     EXPECT_EQ(again.recovery_report().corrupt_quarantined, 0u);
   }
+}
+
+// The pack cleaner moves a sparse pack's live records, bytes unchanged, into
+// a later wave's pack, and retires each old copy only once that pack has
+// landed. This drill copies the spill directory after every wave and
+// fault-in, and once between a cleaning wave's landing and its first
+// retire (placed through the spill.tombstone site): every restart adopts
+// each product bit-identically, a crash between landing and retiring
+// leaves byte-identical duplicates the startup sweep collapses, and no
+// restart adopts a record its session moved past. A failed retire leaves
+// its slot on the old record and retires the new copy instead.
+TEST(BrokerChaosTest, CrashCopiesOfACleaningRunAdoptExactly) {
+  FaultGuard guard;
+  StreamFactory factory;
+  ScenarioSpec spec = LinearSpec("chaos/clean", 6, 2000, "reserve", 43);
+  WorkloadInfo info = factory.Prepare(spec);
+  constexpr size_t kProducts = 40;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < kProducts; ++i) names.push_back("chaos/cl" + std::to_string(i));
+  const std::string dir = ChaosDir("clean");
+  std::vector<CrashCopy> copies;
+  CrashCopy between;  // taken inside the cleaning wave
+  {
+    BrokerConfig config;
+    config.spill_dir = dir;
+    Broker broker(config);
+    ASSERT_TRUE(broker.OpenSessions(names, spec, info).ok());
+    for (size_t i = 0; i < kProducts; ++i) {
+      DriveRounds(&broker, &factory, spec, names[i], 3 + static_cast<int>(i % 5));
+    }
+    CrashDrill drill(&broker, &factory, spec, names, dir, "clean");
+    drill.EvictTo(0, kProducts);  // one pack of 40
+    const std::string first = LiveSpills(dir).at(names[0]).path;
+    // 35 fault-ins leave 5 of its 40 records live: the pack turns sparse.
+    for (size_t i = 0; i < 35; ++i) drill.FaultIn(i);
+
+    // The cleaning wave: 25 victims (cl0..cl24, from the CLOCK hand at
+    // slot 0) plus the 5 stragglers land as one pack, then the old copies
+    // retire and the first pack dies.
+    FaultInjector::Global().SetHook("spill.tombstone", [&] {
+      if (between.dir.empty()) between.dir = drill.CopyDir();
+    });
+    FaultInjector::Global().Arm(9);
+    drill.EvictTo(10, 25);
+    FaultInjector::Global().Reset();
+    between.durable = drill.durable;  // the landed pack holds the same bytes
+    ASSERT_FALSE(between.dir.empty());
+    EXPECT_EQ(broker.Stats().relocations, 5u);
+    EXPECT_FALSE(std::filesystem::exists(first));
+    EXPECT_EQ(CountFiles(dir, ".snap"), 1u);
+    EXPECT_EQ(broker.Stats().spill_file_bytes, std::filesystem::file_size(
+                                                   LiveSpills(dir).at(names[35]).path));
+
+    // Thin the new pack of 30 down to 3 live records, then fail the first
+    // retire of the next cleaning wave: the 10 products that stayed
+    // resident, untouched since, plus the 3 stragglers.
+    const std::string second = LiveSpills(dir).at(names[35]).path;
+    for (size_t i = 0; i < 25; ++i) drill.FaultIn(i);
+    drill.FaultIn(35);
+    drill.FaultIn(36);
+    const std::vector<std::string> stragglers{names[37], names[38], names[39]};
+    FaultInjector::Global().TriggerOnHit("spill.tombstone", 1);
+    FaultInjector::Global().Arm(9);
+    drill.EvictTo(27, 10);
+    FaultInjector::Global().Reset();
+    EXPECT_EQ(broker.Stats().relocations, 7u);
+    // One straggler still lives in the second pack, on its old record; the
+    // other two moved, and the failed one's new copy is a tombstone.
+    const std::map<std::string, LiveSpill> live = LiveSpills(dir);
+    size_t left = 0;
+    for (const std::string& name : stragglers) left += live.at(name).path == second ? 1 : 0;
+    EXPECT_EQ(left, 1u);
+    EXPECT_EQ(CountFiles(dir, ".snap"), 2u);
+    // A later wave moves it too, and the second pack dies.
+    drill.EvictTo(27, 0);
+    EXPECT_EQ(broker.Stats().relocations, 8u);
+    EXPECT_FALSE(std::filesystem::exists(second));
+    copies = std::move(drill.copies);
+  }
+  EXPECT_TRUE(std::filesystem::is_empty(dir));
+  for (const CrashCopy& copy : copies) RestartOnCrashCopy(copy, names, spec, info);
+  // The copy between landing and retiring holds each straggler twice, byte
+  // for byte; the sweep keeps the newer and reclaims the older.
+  {
+    BrokerConfig config;
+    config.spill_dir = between.dir;
+    Broker restarted(config);
+    EXPECT_EQ(restarted.recovery_report().orphans_reclaimed, 5u);
+    EXPECT_EQ(restarted.recovery_report().spills_found, between.durable.size());
+  }
+  RestartOnCrashCopy(between, names, spec, info);
 }
 
 // ------------------------------------------------------- server chaos

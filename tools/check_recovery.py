@@ -13,9 +13,12 @@ A spill file (*.snap) is a pack: one or more pdm.snap envelopes back to back
 (magic, u32 version, u32 body size, body, u32 CRC). Each live envelope is
 one spilled session, fingerprinted by file, offset, size and SHA-256; an
 envelope whose magic was overwritten with the tombstone magic was consumed
-by a fault-in and is skipped. A drill that spilled nothing proves nothing,
-so a directory without a live record is a hard failure, not a quiet pass,
-and so is a *.snap file that does not split into envelopes.
+by a fault-in and is skipped. Byte-identical live records are one spill: a
+kill between a cleaning wave's landing and its retires leaves a relocated
+record in both its old pack and the new one, and the restart adopts it
+once. A drill that spilled nothing proves nothing, so a directory without a
+live record is a hard failure, not a quiet pass, and so is a *.snap file
+that does not split into envelopes.
 
 `verify-files` runs after the restart and asserts every fingerprinted record
 still exists in the directory *byte-for-byte*. Comparison is by content
@@ -160,25 +163,27 @@ def cmd_snapshot(args):
             "nothing durable to recover proves nothing (lower --max_resident "
             "or drive more products)"
         )
+    # One entry per distinct envelope: the first copy found stands for its
+    # byte-identical duplicates.
+    spills = {}
+    for name, offset, envelope in records:
+        spills.setdefault(hashlib.sha256(envelope).hexdigest(), (name, offset, len(envelope)))
     manifest = {
         "schema": MANIFEST_SCHEMA,
         "spill_dir": str(directory),
         "records": [
-            {
-                "name": name,
-                "offset": offset,
-                "bytes": len(envelope),
-                "sha256": hashlib.sha256(envelope).hexdigest(),
-            }
-            for name, offset, envelope in records
+            {"name": name, "offset": offset, "bytes": size, "sha256": digest}
+            for digest, (name, offset, size) in spills.items()
         ],
     }
     with open(args.out, "w", encoding="utf-8") as fp:
         json.dump(manifest, fp, indent=2)
         fp.write("\n")
+    duplicates = len(records) - len(spills)
     print(
-        f"OK: fingerprinted {len(records)} spill record(s) from {directory} "
+        f"OK: fingerprinted {len(spills)} spill record(s) from {directory} "
         f"into {args.out}"
+        + (f" ({duplicates} byte-identical duplicate(s) counted once)" if duplicates else "")
     )
     return 0
 

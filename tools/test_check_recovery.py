@@ -129,6 +129,35 @@ class CheckRecoveryTest(unittest.TestCase):
         )
         self.assertEqual(code, 1, out)
 
+    def test_snapshot_counts_byte_identical_duplicates_as_one_spill(self):
+        """A kill between a cleaning wave's landing and its retires leaves a
+        relocated record in two packs; the restart adopts it once."""
+        directory = self.spill_dir(
+            "dups",
+            {
+                "pack-3.snap": envelope(b"straggler") + tombstone(b"consumed"),
+                "pack-9.snap": envelope(b"victim") + envelope(b"straggler"),
+            },
+        )
+        doc = json.loads(self.manifest_for(directory).read_text(encoding="utf-8"))
+        self.assertEqual(
+            [(r["name"], r["offset"]) for r in doc["records"]],
+            [("pack-3.snap", 0), ("pack-9.snap", 0)],
+        )
+        manifest = self.root / "dups.manifest.json"
+        scrape = self.write_text("scrape.txt", scrape_text())
+        code, out = run(
+            "verify-scrape", str(manifest), str(scrape),
+            f"--serve-log={self.serve_log(adopted=2, orphans=1)}",
+        )
+        self.assertEqual(code, 0, out)
+        # The restart retired the older copy; the newer still holds the bytes.
+        (directory / "pack-3.snap").write_bytes(
+            tombstone(b"straggler") + tombstone(b"consumed")
+        )
+        code, out = run("verify-files", str(manifest), str(directory))
+        self.assertEqual(code, 0, out)
+
     def test_snapshot_reads_a_legacy_single_record_file(self):
         """The one-file-per-spill layout is a pack of one."""
         directory = self.spill_dir("legacy", {"slot-4.snap": envelope(b"legacy")})
