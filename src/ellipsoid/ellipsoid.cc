@@ -110,8 +110,8 @@ void Ellipsoid::ShapeTimesPanel(const double* panel, int k, double* y) const {
 
 void Ellipsoid::FinishSupport(const double* x, SupportInterval* out) const {
   const size_t n = static_cast<size_t>(dim());
-  out->midpoint = Dot(x, center_.data(), n);
-  double quad = Dot(x, out->direction.data(), n);
+  double quad = 0.0;
+  DotPair(x, center_.data(), out->direction.data(), n, &out->midpoint, &quad);
   if (quad <= 0.0 || !std::isfinite(quad)) {
     // Collapsed (or numerically indefinite) direction: the probe width is
     // treated as zero, which routes the engine to the conservative price.

@@ -3,17 +3,19 @@
 #include <cmath>
 
 #include "common/arch.h"
+#include "linalg/lanes.h"
 
 namespace pdm {
 namespace {
 
 /// One row·vector dot with a reassociated 4-accumulator stride-4 reduction
-/// (see vector_ops.cc's DotKernel for the rationale), shared by the mat-vec
-/// and matrix–panel kernels below so "bit-identical per query" is structural:
-/// both inline literally this op sequence. Must stay inline-only — a separate
-/// compiled copy could be specialized differently per call site.
-inline double RowDot(const double* __restrict row, const double* __restrict x,
-                     int cols) {
+/// (see vector_ops.cc's DotKernel for the rationale): lane l = c mod 4 sums
+/// on its own, the lanes combine as (a0 + a1) + (a2 + a3), and the cols mod 4
+/// tail adds in order. The mat-vec runs it on the rows left over after its
+/// last block; RowBlock and the panel kernel run the same op sequence for
+/// four reductions at once, so "bit-identical per row" is structural.
+[[gnu::always_inline]] inline double RowDot(const double* __restrict row,
+                                            const double* __restrict x, int cols) {
   double acc[4] = {0.0, 0.0, 0.0, 0.0};
   int c = 0;
   for (; c + 4 <= cols; c += 4) {
@@ -27,56 +29,108 @@ inline double RowDot(const double* __restrict row, const double* __restrict x,
   return total;
 }
 
-/// Row-major mat-vec. `x` must not alias `y`.
-PDM_TARGET_CLONES
-void MatVecKernel(const double* __restrict data, int rows, int cols,
-                  const double* __restrict x, double* __restrict y) {
-  for (int r = 0; r < rows; ++r) {
-    y[r] = RowDot(data + static_cast<size_t>(r) * cols, x, cols);
+/// Rows per mat-vec pass. One row's reduction is a single add chain, so a
+/// lone RowDot waits on add latency; four rows give four independent chains
+/// that share each load of x. Eight measured slower end to end.
+constexpr int kBlockRows = 4;
+static_assert(kBlockRows == 4, "CombineFour combines blocks of four rows");
+
+/// y[0..kBlockRows) ← RowDot of the kBlockRows rows starting at `block`, in
+/// one pass over the columns. Each row keeps its own Lanes, so each y[i] is
+/// RowDot's op sequence exactly: lanes, combine, then the tail in order.
+template <int kWidth>
+[[gnu::always_inline]] inline void RowBlock(const double* __restrict block, int cols,
+                                            const double* __restrict x,
+                                            double* __restrict y) {
+  using L = linalg_internal::Lanes<kWidth>;
+  L acc[kBlockRows];
+  for (L& a : acc) a = L::Zero();
+  int c = 0;
+  for (; c + 4 <= cols; c += 4) {
+    const L xc = L::Load(x + c);
+    for (int i = 0; i < kBlockRows; ++i) {
+      acc[i].AddProduct(L::Load(block + static_cast<size_t>(i) * cols + c), xc);
+    }
+  }
+  linalg_internal::CombineFour(acc, y);
+  for (int i = 0; i < kBlockRows; ++i) {
+    const double* __restrict row = block + static_cast<size_t>(i) * cols;
+    for (int t = c; t < cols; ++t) y[i] += row[t] * x[t];
   }
 }
 
+/// Row-major mat-vec in blocks of kBlockRows rows; the rows left over run
+/// RowDot itself. `x` must not alias `y`. A row's four lanes sit in one
+/// 32-byte register on x86-64-v3 and in two 16-byte registers on the
+/// baseline (linalg/lanes.h).
+template <int kWidth>
+[[gnu::always_inline]] inline void MatVecRows(const double* __restrict data, int rows,
+                                              int cols, const double* __restrict x,
+                                              double* __restrict y) {
+  int r = 0;
+  for (; r + kBlockRows <= rows; r += kBlockRows) {
+    RowBlock<kWidth>(data + static_cast<size_t>(r) * cols, cols, x, y + r);
+  }
+  for (; r < rows; ++r) y[r] = RowDot(data + static_cast<size_t>(r) * cols, x, cols);
+}
+
 /// Matrix–panel kernel: Y ← A·X for a query-major packed panel of k vectors,
-/// blocked 4 queries wide so each A row is touched four times back to back —
+/// blocked 4 queries wide so each A row is loaded once for four queries —
 /// one pass over A per block instead of one per query, which keeps the row
-/// in L1 (and, once A outgrows L1, turns k memory sweeps into k/4). Each
-/// query's dot is RowDot itself, so every output column is bit-identical to
-/// a standalone MatVecKernel pass by construction. Remainder queries
-/// (k mod 4) run through MatVecKernel.
-///
-/// Deliberately NOT a fully fused inner loop: a version that interleaved the
-/// four queries' accumulator arrays inside one c-loop defeated GCC's SLP
-/// vectorizer (it serialized the reductions through scalar adds plus lane
-/// shuffles, ~3× slower than this shape at n ≥ 20). Four sequential RowDot
-/// calls vectorize exactly like the mat-vec path while still amortizing the
-/// row traffic. The identity additionally requires that the compiler not
-/// contract mul+add into FMA differently per call site, so this layer builds
-/// with -ffp-contract=off (CMakeLists.txt).
-PDM_TARGET_CLONES
-void MatPanelKernel(const double* __restrict data, int rows, int cols,
-                    const double* __restrict panel, int k, double* __restrict y) {
+/// in L1 (and, once A outgrows L1, turns k memory sweeps into k/4). Within a
+/// block the four queries' dots over one row run as four Lanes chains that
+/// share each load of the row, combined and tailed exactly like RowDot, so
+/// every output column is bit-identical to a standalone mat-vec pass by
+/// construction. Remainder queries (k mod 4) run the blocked mat-vec, so a
+/// panel of one is the mat-vec itself (MatVecInto).
+template <int kWidth>
+[[gnu::always_inline]] inline void MatPanelRows(const double* __restrict data, int rows,
+                                                int cols, const double* __restrict panel,
+                                                int k, double* __restrict y) {
+  using L = linalg_internal::Lanes<kWidth>;
   int j = 0;
   for (; j + 4 <= k; j += 4) {
-    const double* __restrict x0 = panel + static_cast<size_t>(j) * cols;
-    const double* __restrict x1 = panel + static_cast<size_t>(j + 1) * cols;
-    const double* __restrict x2 = panel + static_cast<size_t>(j + 2) * cols;
-    const double* __restrict x3 = panel + static_cast<size_t>(j + 3) * cols;
-    double* __restrict y0 = y + static_cast<size_t>(j) * rows;
-    double* __restrict y1 = y + static_cast<size_t>(j + 1) * rows;
-    double* __restrict y2 = y + static_cast<size_t>(j + 2) * rows;
-    double* __restrict y3 = y + static_cast<size_t>(j + 3) * rows;
+    const double* __restrict x[4];
+    for (int q = 0; q < 4; ++q) x[q] = panel + static_cast<size_t>(j + q) * cols;
     for (int r = 0; r < rows; ++r) {
       const double* __restrict row = data + static_cast<size_t>(r) * cols;
-      y0[r] = RowDot(row, x0, cols);
-      y1[r] = RowDot(row, x1, cols);
-      y2[r] = RowDot(row, x2, cols);
-      y3[r] = RowDot(row, x3, cols);
+      L acc[4];
+      for (L& a : acc) a = L::Zero();
+      int c = 0;
+      for (; c + 4 <= cols; c += 4) {
+        const L a = L::Load(row + c);
+        for (int q = 0; q < 4; ++q) acc[q].AddProduct(a, L::Load(x[q] + c));
+      }
+      double dots[4];
+      linalg_internal::CombineFour(acc, dots);
+      for (int q = 0; q < 4; ++q) {
+        for (int t = c; t < cols; ++t) dots[q] += row[t] * x[q][t];
+        y[static_cast<size_t>(j + q) * rows + r] = dots[q];
+      }
     }
   }
   for (; j < k; ++j) {
-    MatVecKernel(data, rows, cols, panel + static_cast<size_t>(j) * cols,
-                 y + static_cast<size_t>(j) * rows);
+    MatVecRows<kWidth>(data, rows, cols, panel + static_cast<size_t>(j) * cols,
+                       y + static_cast<size_t>(j) * rows);
   }
+}
+
+// One definition per dispatch target (common/arch.h). The identity across
+// panel sizes additionally requires that the compiler not contract mul+add
+// into FMA differently per call site, so this layer builds with
+// -ffp-contract=off (CMakeLists.txt).
+#if PDM_TARGET_VERSIONS
+PDM_TARGET_V3
+void MatPanelKernel(const double* __restrict data, int rows, int cols,
+                    const double* __restrict panel, int k, double* __restrict y) {
+  MatPanelRows<4>(data, rows, cols, panel, k, y);
+}
+#endif
+
+PDM_TARGET_BASELINE
+void MatPanelKernel(const double* __restrict data, int rows, int cols,
+                    const double* __restrict panel, int k, double* __restrict y) {
+  MatPanelRows<2>(data, rows, cols, panel, k, y);
 }
 
 /// A ← factor·(A − coef·b·bᵀ), elementwise — the fused Löwner–John update.
@@ -129,7 +183,7 @@ void Matrix::MatVecInto(const Vector& x, Vector* y) const {
   PDM_CHECK(static_cast<int>(x.size()) == cols_);
   PDM_DCHECK(&x != y);
   y->resize(static_cast<size_t>(rows_));
-  MatVecKernel(data_.data(), rows_, cols_, x.data(), y->data());
+  MatPanelKernel(data_.data(), rows_, cols_, x.data(), 1, y->data());
 }
 
 void Matrix::MatPanelInto(const double* panel, int k, double* y) const {

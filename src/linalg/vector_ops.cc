@@ -4,6 +4,7 @@
 
 #include "common/arch.h"
 #include "common/check.h"
+#include "linalg/lanes.h"
 
 namespace pdm {
 namespace {
@@ -25,6 +26,48 @@ double DotKernel(const double* __restrict a, const double* __restrict b, size_t 
   double total = (acc[0] + acc[1]) + (acc[2] + acc[3]);
   for (; i < n; ++i) total += a[i] * b[i];
   return total;
+}
+
+/// x·a and x·b as two independent chains over one pass of x. Each chain is
+/// DotKernel's op sequence (lanes i mod 4, (l0 + l1) + (l2 + l3), ordered
+/// tail), so each result is bit-identical to Dot.
+template <int kWidth>
+[[gnu::always_inline]] inline void DotPairLanes(const double* __restrict x,
+                                                const double* __restrict a,
+                                                const double* __restrict b, size_t n,
+                                                double* xa, double* xb) {
+  using L = linalg_internal::Lanes<kWidth>;
+  L acc_a = L::Zero();
+  L acc_b = L::Zero();
+  size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const L xi = L::Load(x + i);
+    acc_a.AddProduct(xi, L::Load(a + i));
+    acc_b.AddProduct(xi, L::Load(b + i));
+  }
+  double total_a = acc_a.Combine();
+  double total_b = acc_b.Combine();
+  for (; i < n; ++i) {
+    total_a += x[i] * a[i];
+    total_b += x[i] * b[i];
+  }
+  *xa = total_a;
+  *xb = total_b;
+}
+
+// One definition per dispatch target, as for the mat-vec (matrix.cc).
+#if PDM_TARGET_VERSIONS
+PDM_TARGET_V3
+void DotPairKernel(const double* __restrict x, const double* __restrict a,
+                   const double* __restrict b, size_t n, double* xa, double* xb) {
+  DotPairLanes<4>(x, a, b, n, xa, xb);
+}
+#endif
+
+PDM_TARGET_BASELINE
+void DotPairKernel(const double* __restrict x, const double* __restrict a,
+                   const double* __restrict b, size_t n, double* xa, double* xb) {
+  DotPairLanes<2>(x, a, b, n, xa, xb);
 }
 
 }  // namespace
@@ -54,6 +97,11 @@ double Dot(const Vector& a, const Vector& b) {
 
 double Dot(const double* a, const double* b, size_t n) {
   return DotKernel(a, b, n);
+}
+
+void DotPair(const double* x, const double* a, const double* b, size_t n, double* xa,
+             double* xb) {
+  DotPairKernel(x, a, b, n, xa, xb);
 }
 
 double Norm2(const Vector& a) { return std::sqrt(Dot(a, a)); }

@@ -36,6 +36,12 @@ double Dot(const Vector& a, const Vector& b);
 /// contents.
 double Dot(const double* a, const double* b, size_t n);
 
+/// *xa ← x·a and *xb ← x·b in one pass over x, as two independent reduction
+/// chains; each result is bit-identical to Dot on the same operands
+/// (the support pass's midpoint and quadratic form, DESIGN.md §11).
+void DotPair(const double* x, const double* a, const double* b, size_t n, double* xa,
+             double* xb);
+
 /// Euclidean norm ‖a‖₂.
 double Norm2(const Vector& a);
 

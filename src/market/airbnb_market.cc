@@ -17,6 +17,11 @@ std::vector<int> StandardizedColumns() {
   return cols;
 }
 
+/// log q = ratio · log v: the reserve of a round with log market value z.
+double ReserveAt(double z, double log_reserve_ratio) {
+  return log_reserve_ratio > 0.0 ? std::exp(log_reserve_ratio * z) : 0.0;
+}
+
 }  // namespace
 
 AirbnbMarket BuildAirbnbMarket(const AirbnbMarketConfig& config, Rng* rng) {
@@ -94,11 +99,7 @@ AirbnbMarket BuildAirbnbMarket(const AirbnbMarketConfig& config, Rng* rng) {
     round.features = features.Row(static_cast<int>(r));
     double z = Dot(market.theta, round.features);  // log market value
     round.value = std::exp(z);
-    if (config.log_reserve_ratio > 0.0) {
-      round.reserve = std::exp(config.log_reserve_ratio * z);
-    } else {
-      round.reserve = 0.0;
-    }
+    round.reserve = ReserveAt(z, config.log_reserve_ratio);
     market.feature_norm_bound =
         std::max(market.feature_norm_bound, Norm2(round.features));
     market.rounds.push_back(std::move(round));
@@ -113,10 +114,26 @@ AirbnbMarket BuildAirbnbMarket(const AirbnbMarketConfig& config, Rng* rng) {
   return market;
 }
 
+std::vector<double> AirbnbReserves(const AirbnbMarket& market, double log_reserve_ratio) {
+  std::vector<double> reserves;
+  reserves.reserve(market.rounds.size());
+  for (const MarketRound& round : market.rounds) {
+    reserves.push_back(ReserveAt(Dot(market.theta, round.features), log_reserve_ratio));
+  }
+  return reserves;
+}
+
 ReplayQueryStream::ReplayQueryStream(const std::vector<MarketRound>* rounds)
     : rounds_(rounds) {
   PDM_CHECK(rounds_ != nullptr);
   PDM_CHECK(!rounds_->empty());
+}
+
+ReplayQueryStream::ReplayQueryStream(const std::vector<MarketRound>* rounds,
+                                     const std::vector<double>* reserves)
+    : ReplayQueryStream(rounds) {
+  PDM_CHECK(reserves != nullptr && reserves->size() == rounds_->size());
+  reserves_ = reserves;
 }
 
 void ReplayQueryStream::Next(Rng* rng, MarketRound* round) {
@@ -124,6 +141,7 @@ void ReplayQueryStream::Next(Rng* rng, MarketRound* round) {
   // Copy-assign reuses the caller's feature storage: once the buffer has
   // grown to the workload's dimension, replay rounds allocate nothing.
   *round = (*rounds_)[cursor_];
+  if (reserves_ != nullptr) round->reserve = (*reserves_)[cursor_];
   cursor_ = (cursor_ + 1) % rounds_->size();
 }
 

@@ -49,8 +49,16 @@ struct AirbnbMarket {
   double recommended_radius = 0.0;
 };
 
-/// Builds the offline model and the online round sequence.
+/// Builds the offline model and the online round sequence. Nothing is drawn
+/// from `rng` after the fit, and `log_reserve_ratio` only sets each round's
+/// reserve, so markets that differ only in the ratio share everything else
+/// bit for bit (AirbnbReserves).
 AirbnbMarket BuildAirbnbMarket(const AirbnbMarketConfig& config, Rng* rng);
+
+/// Every round's reserve at `log_reserve_ratio`: exp(ratio · xᵀθ*), or 0 for
+/// ratio ≤ 0 — exactly the `reserve` BuildAirbnbMarket gives each round of
+/// the same market built with that ratio.
+std::vector<double> AirbnbReserves(const AirbnbMarket& market, double log_reserve_ratio);
 
 /// Replays a precomputed round list (Airbnb uses this; any recorded workload
 /// can too). Wraps around if asked for more rounds than recorded.
@@ -58,11 +66,17 @@ class ReplayQueryStream : public QueryStream {
  public:
   explicit ReplayQueryStream(const std::vector<MarketRound>* rounds);
 
+  /// Replays `rounds` with round t's reserve taken from (*reserves)[t]
+  /// instead, so one recorded list serves every reserve ratio.
+  ReplayQueryStream(const std::vector<MarketRound>* rounds,
+                    const std::vector<double>* reserves);
+
   using QueryStream::Next;
   void Next(Rng* rng, MarketRound* round) override;
 
  private:
   const std::vector<MarketRound>* rounds_;
+  const std::vector<double>* reserves_ = nullptr;
   size_t cursor_ = 0;
 };
 

@@ -27,6 +27,14 @@ int64_t EffectiveWorkloadRounds(const ScenarioSpec& spec) {
   return spec.linear.workload_rounds > 0 ? spec.linear.workload_rounds : spec.rounds;
 }
 
+/// A double as a cache-key field: %a keeps every bit, so values that differ
+/// anywhere get different keys (std::to_string keeps 6 decimals).
+std::string ExactKey(double value) {
+  char text[32];
+  std::snprintf(text, sizeof text, "%a", value);
+  return text;
+}
+
 }  // namespace
 
 std::string StreamFactory::LinearKey(const ScenarioSpec& spec) const {
@@ -37,9 +45,9 @@ std::string StreamFactory::LinearKey(const ScenarioSpec& spec) const {
 }
 
 std::string StreamFactory::AirbnbKey(const ScenarioSpec& spec) const {
+  // No ratio: every ratio shares one listings build and fit.
   return "T=" + std::to_string(spec.rounds) +
-         "/ratio=" + std::to_string(spec.airbnb.log_reserve_ratio) +
-         "/train=" + std::to_string(spec.airbnb.train_fraction) +
+         "/train=" + ExactKey(spec.airbnb.train_fraction) +
          "/seed=" + std::to_string(spec.workload_seed);
 }
 
@@ -102,12 +110,16 @@ WorkloadInfo StreamFactory::Prepare(const ScenarioSpec& spec) {
       if (inserted) {
         AirbnbMarketConfig config;
         config.num_listings = spec.rounds;
-        config.log_reserve_ratio = spec.airbnb.log_reserve_ratio;
+        config.log_reserve_ratio = 0.0;
         config.train_fraction = spec.airbnb.train_fraction;
         Rng rng(spec.workload_seed);
-        it->second = BuildAirbnbMarket(config, &rng);
+        it->second.market = BuildAirbnbMarket(config, &rng);
       }
-      const AirbnbMarket& market = it->second;
+      const AirbnbMarket& market = it->second.market;
+      const double ratio = spec.airbnb.log_reserve_ratio;
+      if (ratio > 0.0 && !it->second.reserves.contains(ratio)) {
+        it->second.reserves.emplace(ratio, AirbnbReserves(market, ratio));
+      }
       info.engine_dim = AirbnbFeatureSpace::kDim;
       if (spec.airbnb.oracle_prior_radius > 0.0) {
         info.initial_center = market.theta;
@@ -163,9 +175,14 @@ std::unique_ptr<QueryStream> StreamFactory::CreateStream(const ScenarioSpec& spe
     case StreamKind::kKernel:
       return std::make_unique<KernelQueryStream>(KernelConfigFor(spec), rng);
     case StreamKind::kAirbnb: {
-      const AirbnbMarket* market = FindAirbnbMarket(spec);
-      PDM_CHECK(market != nullptr);
-      return std::make_unique<ReplayQueryStream>(&market->rounds);
+      auto it = airbnb_cache_.find(AirbnbKey(spec));
+      PDM_CHECK(it != airbnb_cache_.end());  // Prepare(spec) must run first
+      const std::vector<MarketRound>* rounds = &it->second.market.rounds;
+      const double ratio = spec.airbnb.log_reserve_ratio;
+      if (ratio > 0.0) {
+        return std::make_unique<ReplayQueryStream>(rounds, &it->second.reserves.at(ratio));
+      }
+      return std::make_unique<ReplayQueryStream>(rounds);
     }
     case StreamKind::kAvazu: {
       auto it = avazu_cache_.find(AvazuKey(spec));
@@ -193,7 +210,7 @@ const LinearWorkload* StreamFactory::FindLinearWorkload(const ScenarioSpec& spec
 
 const AirbnbMarket* StreamFactory::FindAirbnbMarket(const ScenarioSpec& spec) const {
   auto it = airbnb_cache_.find(AirbnbKey(spec));
-  return it == airbnb_cache_.end() ? nullptr : &it->second;
+  return it == airbnb_cache_.end() ? nullptr : &it->second.market;
 }
 
 const AvazuMarket* StreamFactory::FindAvazuMarket(const ScenarioSpec& spec) const {

@@ -4,6 +4,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "data/avazu_like.h"
 #include "market/airbnb_market.h"
@@ -64,10 +65,21 @@ class StreamFactory {
   /// Prepared-artifact accessors (nullptr before Prepare). Benches use them
   /// for offline-phase reporting (test MSE, FTRL log-loss, θ*).
   const LinearWorkload* FindLinearWorkload(const ScenarioSpec& spec) const;
+  /// The Airbnb market's fit and listings. Its rounds carry no reserve; the
+  /// spec's stream applies the reserve table of its ratio.
   const AirbnbMarket* FindAirbnbMarket(const ScenarioSpec& spec) const;
   const AvazuMarket* FindAvazuMarket(const ScenarioSpec& spec) const;
 
  private:
+  struct AirbnbArtifacts {
+    // The listings and offline fit, built once per (T, train fraction,
+    // seed) with no reserve: the ratio only sets each round's reserve.
+    AirbnbMarket market;
+    // One reserve table per log-reserve ratio > 0, keyed by the ratio
+    // itself (exact), built at Prepare.
+    std::map<double, std::vector<double>> reserves;
+  };
+
   struct AvazuArtifacts {
     // The stream replays impressions straight out of the click log, so the
     // log must stay alive alongside the trained market.
@@ -80,7 +92,7 @@ class StreamFactory {
   std::string AvazuKey(const ScenarioSpec& spec) const;
 
   std::map<std::string, LinearWorkload> linear_cache_;
-  std::map<std::string, AirbnbMarket> airbnb_cache_;
+  std::map<std::string, AirbnbArtifacts> airbnb_cache_;
   std::map<std::string, AvazuArtifacts> avazu_cache_;
 };
 

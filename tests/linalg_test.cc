@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "linalg/matrix.h"
 #include "linalg/packed_sym_matrix.h"
@@ -237,6 +238,115 @@ TEST(MatrixPanel, MatPanelIntoMatchesMatVecBitwise) {
         }
       }
     }
+  }
+}
+
+// ------------------------------------------------- reference reduction pins
+//
+// The kernels above may only change how many reductions run at once, never
+// the op sequence of one. These tests pin them to a plain scalar reference of
+// that sequence: lane l = i mod 4 sums the products at i ≡ l on its own, the
+// lanes combine as (l0 + l1) + (l2 + l3), and the n mod 4 tail adds in order.
+// Comparing a kernel with another path of the same build cannot catch a
+// blocking that reassociates every row the same way; a reference can. The
+// Release build runs the x86-64-v3 kernels here and the sanitizer builds the
+// baseline ones (common/arch.h), so both are pinned. This file is compiled
+// for the baseline target, which has no FMA, so the reference's mul and add
+// stay separate too.
+
+double ReferenceDot(const double* a, const double* b, int n) {
+  double lane[4] = {0.0, 0.0, 0.0, 0.0};
+  int i = 0;
+  for (; i + 4 <= n; i += 4) {
+    for (int l = 0; l < 4; ++l) lane[l] += a[i + l] * b[i + l];
+  }
+  double total = (lane[0] + lane[1]) + (lane[2] + lane[3]);
+  for (; i < n; ++i) total += a[i] * b[i];
+  return total;
+}
+
+// Every row remainder mod the kernel's row block and every column tail mod 4
+// runs, on square and rectangular shapes.
+std::vector<int> PinnedExtents() {
+  std::vector<int> extents;
+  for (int d = 1; d <= 19; ++d) extents.push_back(d);
+  for (int d : {20, 32, 55, 100, 128}) extents.push_back(d);
+  return extents;
+}
+
+// Entries spread over several binades, so a reassociated sum rounds
+// differently with high probability.
+double SpreadEntry(Rng* rng) {
+  return rng->NextGaussian() * std::ldexp(1.0, static_cast<int>(rng->NextUint64(17)) - 8);
+}
+
+TEST(ReferencePins, MatVecIntoMatchesScalarReferenceBitwise) {
+  Rng rng(606);
+  for (int rows : PinnedExtents()) {
+    for (int cols : PinnedExtents()) {
+      Matrix m(rows, cols);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) m(r, c) = SpreadEntry(&rng);
+      }
+      Vector x(static_cast<size_t>(cols));
+      for (double& v : x) v = SpreadEntry(&rng);
+      Vector y;
+      m.MatVecInto(x, &y);
+      for (int r = 0; r < rows; ++r) {
+        ASSERT_EQ(y[static_cast<size_t>(r)],
+                  ReferenceDot(m.data() + static_cast<size_t>(r) * cols, x.data(), cols))
+            << rows << "x" << cols << " row " << r;
+      }
+    }
+  }
+}
+
+TEST(ReferencePins, MatPanelIntoMatchesScalarReferenceBitwise) {
+  constexpr int kMaxQueries = 9;  // two 4-query blocks plus every remainder
+  Rng rng(707);
+  for (int rows : PinnedExtents()) {
+    for (int cols : PinnedExtents()) {
+      Matrix m(rows, cols);
+      for (int r = 0; r < rows; ++r) {
+        for (int c = 0; c < cols; ++c) m(r, c) = SpreadEntry(&rng);
+      }
+      Vector panel(static_cast<size_t>(kMaxQueries) * cols);
+      for (double& v : panel) v = SpreadEntry(&rng);
+      Vector expected(static_cast<size_t>(kMaxQueries) * rows);
+      for (int j = 0; j < kMaxQueries; ++j) {
+        for (int r = 0; r < rows; ++r) {
+          expected[static_cast<size_t>(j) * rows + r] =
+              ReferenceDot(m.data() + static_cast<size_t>(r) * cols,
+                           panel.data() + static_cast<size_t>(j) * cols, cols);
+        }
+      }
+      for (int k = 1; k <= kMaxQueries; ++k) {
+        Vector y(static_cast<size_t>(k) * rows, 99.0);
+        m.MatPanelInto(panel.data(), k, y.data());
+        for (size_t i = 0; i < y.size(); ++i) {
+          ASSERT_EQ(y[i], expected[i]) << rows << "x" << cols << " k=" << k << " query "
+                                       << i / rows << " row " << i % rows;
+        }
+      }
+    }
+  }
+}
+
+TEST(ReferencePins, DotPairMatchesScalarReferenceAndDotBitwise) {
+  // The support pass's midpoint x·c and quadratic form x·(Ax) run as one
+  // DotPair (Ellipsoid::FinishSupport); each half must stay Dot's sequence.
+  Rng rng(808);
+  for (int n : PinnedExtents()) {
+    Vector x(static_cast<size_t>(n)), a(static_cast<size_t>(n)), b(static_cast<size_t>(n));
+    for (Vector* v : {&x, &a, &b}) {
+      for (double& e : *v) e = SpreadEntry(&rng);
+    }
+    double xa = 0.0, xb = 0.0;
+    DotPair(x.data(), a.data(), b.data(), x.size(), &xa, &xb);
+    EXPECT_EQ(xa, ReferenceDot(x.data(), a.data(), n)) << "n=" << n;
+    EXPECT_EQ(xb, ReferenceDot(x.data(), b.data(), n)) << "n=" << n;
+    EXPECT_EQ(xa, Dot(x, a)) << "n=" << n;
+    EXPECT_EQ(xb, Dot(x, b)) << "n=" << n;
   }
 }
 

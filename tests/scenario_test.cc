@@ -14,7 +14,9 @@
 #include <string>
 #include <vector>
 
+#include "features/airbnb_features.h"
 #include "market/adversarial.h"
+#include "market/airbnb_market.h"
 #include "market/kernel_market.h"
 #include "market/simulator.h"
 #include "pricing/feature_maps.h"
@@ -306,6 +308,79 @@ TEST(StreamFactory, SpecsRoundTripThroughTheFactories) {
   }
 }
 
+/// Bitwise equality of two doubles (EXPECT_EQ would equate +0.0 and -0.0).
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
+
+ScenarioSpec AirbnbSpec(double ratio) {
+  ScenarioSpec spec;
+  spec.name = "airbnb/ratio";
+  spec.stream = StreamKind::kAirbnb;
+  spec.mechanism = ratio > 0.0 ? "reserve" : "pure";
+  spec.link = LinkKind::kExp;
+  spec.n = AirbnbFeatureSpace::kDim;
+  spec.rounds = 300;
+  spec.airbnb.log_reserve_ratio = ratio;
+  spec.workload_seed = 17;
+  return spec;
+}
+
+std::vector<MarketRound> StreamRounds(const StreamFactory& factory, const ScenarioSpec& spec,
+                                      int64_t count) {
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  std::vector<MarketRound> rounds(static_cast<size_t>(count));
+  for (MarketRound& round : rounds) stream->Next(&rng, &round);
+  return rounds;
+}
+
+TEST(StreamFactory, AirbnbRatiosShareOneFitAndReplayTheirOwnMarket) {
+  // The reserve ratio only sets each round's reserve, so every ratio shares
+  // one listings build and fit, and its stream must replay exactly the
+  // market a direct build with that ratio produces.
+  StreamFactory factory;
+  const AirbnbMarket* shared = nullptr;
+  for (double ratio : {0.0, 0.4, 0.8}) {
+    const ScenarioSpec spec = AirbnbSpec(ratio);
+    factory.Prepare(spec);
+    if (shared == nullptr) shared = factory.FindAirbnbMarket(spec);
+    EXPECT_EQ(factory.FindAirbnbMarket(spec), shared) << "ratio " << ratio;
+
+    AirbnbMarketConfig config;
+    config.num_listings = spec.rounds;
+    config.log_reserve_ratio = ratio;
+    config.train_fraction = spec.airbnb.train_fraction;
+    Rng rng(spec.workload_seed);
+    const AirbnbMarket direct = BuildAirbnbMarket(config, &rng);
+    const std::vector<MarketRound> replayed = StreamRounds(factory, spec, spec.rounds);
+    for (size_t t = 0; t < replayed.size(); ++t) {
+      ASSERT_TRUE(SameBits(replayed[t].reserve, direct.rounds[t].reserve))
+          << "ratio " << ratio << " round " << t;
+      ASSERT_TRUE(SameBits(replayed[t].value, direct.rounds[t].value)) << "round " << t;
+      ASSERT_EQ(replayed[t].features, direct.rounds[t].features) << "round " << t;
+    }
+  }
+}
+
+TEST(StreamFactory, AirbnbKeysTellApartDoublesThatDifferInAnyBit) {
+  // Two ratios a hair apart are two markets: the second must not replay
+  // the first one's reserves. Likewise for the train fraction.
+  StreamFactory factory;
+  const ScenarioSpec a = AirbnbSpec(0.6);
+  const ScenarioSpec b = AirbnbSpec(0.6 + 1e-9);
+  factory.Prepare(a);
+  factory.Prepare(b);
+  const std::vector<MarketRound> ra = StreamRounds(factory, a, 50);
+  const std::vector<MarketRound> rb = StreamRounds(factory, b, 50);
+  int differing = 0;
+  for (size_t t = 0; t < ra.size(); ++t) differing += ra[t].reserve != rb[t].reserve;
+  EXPECT_GT(differing, 0);
+
+  ScenarioSpec c = a;
+  c.airbnb.train_fraction = a.airbnb.train_fraction + 1e-9;
+  factory.Prepare(c);
+  EXPECT_NE(factory.FindAirbnbMarket(c), factory.FindAirbnbMarket(a));
+}
+
 TEST(StreamFactory, RejectsInvalidSpecs) {
   StreamFactory factory;
   ScenarioSpec spec;
@@ -322,9 +397,6 @@ TEST(StreamFactory, RejectsInvalidSpecs) {
 }
 
 // ------------------------------------------------------- linear workload
-
-/// Bitwise equality of two doubles (EXPECT_EQ would equate +0.0 and -0.0).
-bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof(double)) == 0; }
 
 TEST(LinearWorkload, MatchesTheSerialStreamRoundForRound) {
   struct Case {
