@@ -51,10 +51,12 @@ Ellipsoid Ellipsoid::PackedBall(int dim, double radius) {
 }
 
 Matrix Ellipsoid::DenseShape() const {
+  ApplyPendingCut();
   return packed_mode_ ? packed_shape_.ToDense() : shape_;
 }
 
 double Ellipsoid::ShapeQuadraticForm(const Vector& x) const {
+  ApplyPendingCut();
   return packed_mode_ ? packed_shape_.QuadraticForm(x) : shape_.QuadraticForm(x);
 }
 
@@ -100,11 +102,27 @@ void Ellipsoid::SupportBatch(const double* panel, int k,
 
 void Ellipsoid::ShapeTimesPanel(const double* panel, int k, double* y) const {
   // Per query the panel kernels reduce in exactly the mat-vec order, so a
-  // column of a k-query pass is bit-identical to the k = 1 pass.
+  // column of a k-query pass is bit-identical to the k = 1 pass; the fused
+  // dense pass stores and reads exactly what the update alone would leave.
   if (packed_mode_) {
+    ApplyPendingCut();
     packed_shape_.MatPanelInto(panel, k, y);
+  } else if (cut_pending_) {
+    cut_pending_ = false;
+    shape_.ScaleRankOneThenMatPanelInto(pending_factor_, pending_coef_, pending_ax_, panel,
+                                        k, y);
   } else {
     shape_.MatPanelInto(panel, k, y);
+  }
+}
+
+void Ellipsoid::ApplyPendingCut() const {
+  if (!cut_pending_) return;
+  cut_pending_ = false;
+  if (packed_mode_) {
+    packed_shape_.FusedScaleRankOne(pending_factor_, pending_coef_, pending_ax_);
+  } else {
+    shape_.FusedScaleRankOne(pending_factor_, pending_coef_, pending_ax_);
   }
 }
 
@@ -155,19 +173,20 @@ void Ellipsoid::Cut(const Vector& ax, double half_width, double alpha, double si
   // With b = ax/half_width: A ← factor · (A − coef · b·bᵀ) becomes
   // factor · (A − (coef/half_width²) · ax·axᵀ), and c ← c − sign·step·b
   // becomes c − (sign·step/half_width)·ax — the normalized direction is
-  // never materialized.
-  if (packed_mode_) {
-    packed_shape_.FusedScaleRankOne(factor, coef / (half_width * half_width), ax);
-    // Packed storage is symmetric by construction — nothing to re-average —
-    // but the counter keeps the dense schedule so snapshots stay
-    // mode-agnostic (and so the dense/packed control flow never diverges).
-    if (++cuts_since_symmetrize_ >= 32) cuts_since_symmetrize_ = 0;
-  } else {
-    shape_.FusedScaleRankOne(factor, coef / (half_width * half_width), ax);
-    if (++cuts_since_symmetrize_ >= 32) {
-      shape_.Symmetrize();
-      cuts_since_symmetrize_ = 0;
-    }
+  // never materialized. The shape update waits for the next pass over A.
+  ApplyPendingCut();
+  pending_factor_ = factor;
+  pending_coef_ = coef / (half_width * half_width);
+  pending_ax_.assign(ax.begin(), ax.end());
+  cut_pending_ = true;
+  if (++cuts_since_symmetrize_ >= 32) {
+    // Symmetrize must see this cut's update, so it cannot wait. Packed
+    // storage is symmetric by construction — nothing to re-average — but
+    // keeps the same schedule, so snapshots stay mode-agnostic and the
+    // dense/packed control flow never diverges.
+    ApplyPendingCut();
+    if (!packed_mode_) shape_.Symmetrize();
+    cuts_since_symmetrize_ = 0;
   }
   AxpyInPlace(-sign * step / half_width, ax, &center_);
 }
@@ -229,6 +248,7 @@ bool Ellipsoid::LooksHealthy() const {
   for (double v : center_) {
     if (!std::isfinite(v)) return false;
   }
+  ApplyPendingCut();
   if (packed_mode_) {
     // Asymmetry is structurally zero; check finiteness of the whole packed
     // triangle and positivity of the diagonal.
@@ -242,8 +262,13 @@ bool Ellipsoid::LooksHealthy() const {
     }
     return true;
   }
+  // Every entry, as in packed mode: a NaN or ±Inf off the diagonal would
+  // slip through MaxAsymmetry, whose std::max drops a NaN difference.
   for (int r = 0; r < shape_.rows(); ++r) {
-    if (shape_(r, r) <= 0.0 || !std::isfinite(shape_(r, r))) return false;
+    if (shape_(r, r) <= 0.0) return false;
+    for (int c = 0; c < shape_.cols(); ++c) {
+      if (!std::isfinite(shape_(r, c))) return false;
+    }
   }
   double scale = std::max(1.0, shape_.FrobeniusNorm());
   return shape_.MaxAsymmetry() <= 1e-8 * scale;

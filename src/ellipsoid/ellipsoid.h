@@ -21,6 +21,18 @@
 /// Grötschel–Lovász–Schrijver rank-1 modifications quoted in Algorithm 1
 /// (Lines 17 and 21). They are singular at n = 1 (factor n²/(n²−1)), which is
 /// why the one-dimensional engine uses an interval instead.
+///
+/// A cut moves the center at once but leaves its O(n²) shape update pending
+/// for the next SupportBatch. In dense mode that pass applies it to each row
+/// of A as it loads the row, so an exploratory round sweeps the shape once
+/// instead of twice (DESIGN.md §11); packed mode applies it just before.
+/// Every other reader of A applies the pending cut first, and the fused pass
+/// is bit-identical to the two passes, so no reader can tell.
+///
+/// Thread safety: a const reader may apply the pending cut, and SupportBatch
+/// reuses a workspace, so one thread at a time per Ellipsoid, const calls
+/// included. Engines own their ellipsoids, and the broker holds the
+/// session's slot lock around every call into its engine.
 
 namespace pdm {
 
@@ -68,18 +80,25 @@ class Ellipsoid {
   int dim() const { return static_cast<int>(center_.size()); }
   const Vector& center() const { return center_; }
   /// Dense-mode shape accessor; misuse in packed mode is a programming
-  /// error (PDM_CHECK). Mode-agnostic callers use DenseShape().
+  /// error (PDM_CHECK). Mode-agnostic callers use DenseShape(). Applies the
+  /// pending cut first; the reference is valid until the next cut.
   const Matrix& shape() const {
     PDM_CHECK(!packed_mode_);
+    ApplyPendingCut();
     return shape_;
   }
   /// True when the shape matrix is stored packed.
   bool packed() const { return packed_mode_; }
-  /// Packed-mode shape accessor (PDM_CHECKs in dense mode).
+  /// Packed-mode shape accessor (PDM_CHECKs in dense mode); applies the
+  /// pending cut first, like shape().
   const PackedSymMatrix& packed_shape() const {
     PDM_CHECK(packed_mode_);
+    ApplyPendingCut();
     return packed_shape_;
   }
+  /// True while the last cut's shape update waits for the next pass over A
+  /// (diagnostic; no reader can observe the difference).
+  bool has_pending_cut() const { return cut_pending_; }
   /// The shape matrix as a dense copy in either mode. In packed mode the
   /// mirror is exact (both triangles are the same stored doubles), so
   /// packed → dense → packed round trips bit-identically — the property the
@@ -107,7 +126,9 @@ class Ellipsoid {
   /// because the matrix–panel pass keeps each query's reduction order equal
   /// to the mat-vec pass (Matrix::MatPanelInto) and every query then runs the
   /// same midpoint/quadratic-form code. One streamed O(k·n²) pass over A
-  /// replaces k cold O(n²) passes (DESIGN.md §11). At k = 1, A·x is written
+  /// replaces k cold O(n²) passes (DESIGN.md §11); in dense mode the same
+  /// pass first applies a pending cut to each row it loads
+  /// (Matrix::ScaleRankOneThenMatPanelInto). At k = 1, A·x is written
   /// straight into `out[0]->direction`; larger panels go through an A·X
   /// workspace that is a mutable member reused across calls (steady-state
   /// calls allocate nothing once the out[j]->direction buffers reach capacity),
@@ -125,7 +146,10 @@ class Ellipsoid {
   /// i.e. keeps the *lower* halfspace; this is the rejection branch of the
   /// posted-price feedback (price too high ⇒ θ* lies below the cut).
   /// Requires α ∈ (−1/n, 1) for a volume-reducing, well-defined update; the
-  /// caller enforces the paper's validity window.
+  /// caller enforces the paper's validity window. The shape update is left
+  /// pending (see the file comment); a cut applies the one before it first,
+  /// and every 32nd cut applies its own at once, because the drift-control
+  /// Symmetrize must run between that update and the next read.
   void CutKeepBelow(const Vector& x, double alpha);
 
   /// Keeps the *upper* halfspace E ∩ {θ : xᵀθ ≥ ...}: the acceptance branch.
@@ -151,7 +175,8 @@ class Ellipsoid {
   /// Widths 2√γᵢ(A) of all axes, descending (Definition 1 discussion).
   Vector AxisWidths() const;
 
-  /// Numerical health checks: symmetric, finite, positive diagonal.
+  /// Numerical health checks: every entry finite, positive diagonal, and in
+  /// dense mode symmetric within 1e-8 of the Frobenius norm (or of 1).
   bool LooksHealthy() const;
 
   /// Cuts applied since the last drift-control re-symmetrization. Part of
@@ -170,8 +195,13 @@ class Ellipsoid {
                                      bool packed = false);
 
  private:
-  /// y ← A·X for a query-major panel of k vectors, in either storage mode.
+  /// y ← A·X for a query-major panel of k vectors, in either storage mode,
+  /// applying the pending cut on the way: dense mode in the same pass over
+  /// A, packed mode as the packed update followed by the packed panel pass.
   void ShapeTimesPanel(const double* panel, int k, double* y) const;
+
+  /// Applies the pending cut's shape update, if any, as a pass of its own.
+  void ApplyPendingCut() const;
 
   /// The per-query tail of SupportBatch: with A·x already in
   /// `out->direction`, fills the midpoint, half-width and bounds (or the
@@ -185,12 +215,22 @@ class Ellipsoid {
   void Cut(const Vector& ax, double half_width, double alpha, double sign);
 
   Vector center_;
-  /// Dense storage (empty 0×0 in packed mode).
-  Matrix shape_;
+  /// Dense storage (empty 0×0 in packed mode). Mutable, like packed_shape_,
+  /// because const readers apply the pending cut before they read.
+  mutable Matrix shape_;
   /// Packed storage (empty in dense mode). Exactly one of shape_ /
   /// packed_shape_ is populated, selected by packed_mode_.
-  PackedSymMatrix packed_shape_;
+  mutable PackedSymMatrix packed_shape_;
   bool packed_mode_ = false;
+  /// The pending cut: A ← pending_factor_·(A − pending_coef_·ax·axᵀ) with
+  /// ax = pending_ax_, not yet applied to the stored shape. At most one.
+  mutable bool cut_pending_ = false;
+  double pending_factor_ = 0.0;
+  double pending_coef_ = 0.0;
+  /// The pending cut's raw A·x, copied (8n bytes, grow-only): the caller's
+  /// SupportInterval may be the very target of the support pass that
+  /// applies the cut.
+  Vector pending_ax_;
   /// Cuts since the last explicit symmetrization (floating-point drift in
   /// the fused update is ~1 ulp per cut; re-symmetrizing every few dozen
   /// cuts keeps it far below tolerance without paying O(n²) every round).

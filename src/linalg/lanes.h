@@ -12,7 +12,9 @@
 /// n mod 4 tail in order. `Lanes` holds one reduction's four lanes, so a
 /// kernel can keep several reductions in flight as independent add chains
 /// (a block of rows, four queries over one row, or two dots over one
-/// operand) while each one performs exactly that op sequence.
+/// operand) while each one performs exactly that op sequence. The same
+/// values carry four entries of A through the cut's rank-one update
+/// (ScaleRankOne, Store) on their way into a dot.
 ///
 /// kWidth is the number of doubles per vector value, chosen per dispatch
 /// target (common/arch.h): 4 — one 32-byte register — on x86-64-v3, and 2 —
@@ -20,7 +22,8 @@
 /// register on the baseline target; it lives on the stack, and a kernel
 /// built on it ran 0.5–0.8× as fast as the scalar loop it replaces. The
 /// lanes are the same at either width, and so are the bits. Loads go through
-/// std::memcpy (an unaligned vector load), never through a pointer cast.
+/// std::memcpy (an unaligned vector load), never through a pointer cast, and
+/// so do stores.
 ///
 /// Every function here is always_inline: a helper compiled out of line
 /// would be compiled once, for the baseline target, and a v3 caller would
@@ -49,9 +52,21 @@ struct Lanes {
     return v;
   }
 
+  /// p[0..3] ← lanes 0..3.
+  [[gnu::always_inline]] void Store(double* p) const {
+    for (int i = 0; i < kParts; ++i) std::memcpy(p + i * kWidth, &part[i], sizeof(V));
+  }
+
   /// Lane-wise this += a·b: four independent multiply-then-add steps.
   [[gnu::always_inline]] void AddProduct(const Lanes& a, const Lanes& b) {
     for (int i = 0; i < kParts; ++i) part[i] += a.part[i] * b.part[i];
+  }
+
+  /// Lane-wise this ← factor·(this − s·b): one entry of the rank-one cut
+  /// update per lane, multiply, subtract, multiply, as the scalar
+  /// expression.
+  [[gnu::always_inline]] void ScaleRankOne(double factor, double s, const Lanes& b) {
+    for (int i = 0; i < kParts; ++i) part[i] = factor * (part[i] - s * b.part[i]);
   }
 
   [[gnu::always_inline]] double Lane(int l) const { return part[l / kWidth][l % kWidth]; }

@@ -1523,6 +1523,77 @@ TEST(BrokerColdTier, RandomizedEvictFaultInMatchesNeverEvictedTwinBitwise) {
   }
 }
 
+TEST(BrokerColdTier, EvictionsAndSnapshotsWhileACutIsPendingMatchATwinBitwise) {
+  // An Observe that cuts leaves the shape update pending until the
+  // product's next quote (DESIGN.md §11). Here every eviction and every
+  // snapshot lands in that window, in both shape layouts: the spill, the
+  // fault-in and the snapshot bytes must all see the cut, so every quote and
+  // snapshot must match a twin broker that never evicts and whose pending
+  // cuts ride its next quote's support pass.
+  StreamFactory factory;
+  for (bool packed : {false, true}) {
+    const std::string tag = packed ? "pending_packed" : "pending_dense";
+    ScenarioSpec spec = LinearSpec("cold/" + tag, 13, 4000, "pure", 23);
+    spec.packed_shape = packed;
+    WorkloadInfo info = factory.Prepare(spec);
+    const std::vector<std::string> names = {"cold/" + tag + "/a", "cold/" + tag + "/b"};
+    BrokerConfig cold_config;
+    cold_config.spill_dir = ColdDir(tag);
+    Broker cold(cold_config);
+    Broker hot;
+    ASSERT_TRUE(cold.OpenSessions(names, spec, info).ok());
+    for (const std::string& name : names) ASSERT_TRUE(hot.OpenSession(name, spec, info).ok());
+
+    Rng rng(spec.sim_seed);
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+    MarketRound round;
+    Rng control(20261020);
+    for (int step = 0; step < 240; ++step) {
+      const std::string& name = names[static_cast<size_t>(step) % names.size()];
+      stream->Next(&rng, &round);
+      Quote cold_quote;
+      Quote hot_quote;
+      ASSERT_TRUE(cold.PostPrice({name, round.features, round.reserve}, &cold_quote).ok());
+      ASSERT_TRUE(hot.PostPrice({name, round.features, round.reserve}, &hot_quote).ok());
+      ASSERT_EQ(cold_quote.ticket, hot_quote.ticket) << tag << " step " << step;
+      ASSERT_EQ(cold_quote.price, hot_quote.price) << tag << " step " << step;
+      const bool accepted = control.NextUint64(2) == 0;
+      ASSERT_TRUE(cold.Observe(cold_quote.ticket, accepted).ok());
+      ASSERT_TRUE(hot.Observe(hot_quote.ticket, accepted).ok());
+      switch (step % 3) {
+        case 0:  // spill every product, pending cut included; the twin keeps its cut
+          cold.EvictIdleSessions(0);
+          break;
+        case 1: {  // snapshot with the cut pending on both sides
+          SessionSnapshot cold_snap;
+          SessionSnapshot hot_snap;
+          ASSERT_TRUE(cold.Snapshot(name, &cold_snap).ok());
+          ASSERT_TRUE(hot.Snapshot(name, &hot_snap).ok());
+          ASSERT_EQ(EncodeSessionSnapshot(cold_snap), EncodeSessionSnapshot(hot_snap))
+              << tag << " step " << step;
+          break;
+        }
+        default:  // the cut rides the next quote on both sides
+          break;
+      }
+    }
+    EXPECT_GT(cold.Stats().evictions, 0u) << tag;
+    for (const std::string& name : names) {
+      SessionInfo cold_info;
+      SessionInfo hot_info;
+      ASSERT_TRUE(cold.GetSessionInfo(name, &cold_info).ok());
+      ASSERT_TRUE(hot.GetSessionInfo(name, &hot_info).ok());
+      EXPECT_GT(hot_info.counters.cuts_applied, 40) << name;
+      EXPECT_EQ(cold_info.counters.cuts_applied, hot_info.counters.cuts_applied) << name;
+      SessionSnapshot cold_snap;
+      SessionSnapshot hot_snap;
+      ASSERT_TRUE(cold.Snapshot(name, &cold_snap).ok());
+      ASSERT_TRUE(hot.Snapshot(name, &hot_snap).ok());
+      EXPECT_EQ(EncodeSessionSnapshot(cold_snap), EncodeSessionSnapshot(hot_snap)) << name;
+    }
+  }
+}
+
 /// Bytes held by the `*.snap` pack files in `dir`.
 size_t SpillDirBytes(const std::string& dir) {
   size_t bytes = 0;

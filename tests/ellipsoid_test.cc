@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "ellipsoid/ellipsoid.h"
 #include "linalg/vector_ops.h"
@@ -459,6 +463,219 @@ TEST(EllipsoidPacked, SnapshotRoundTripIsBitExact) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------- deferred cuts
+//
+// A cut leaves its shape update pending until the next pass over A. These
+// tests drive a deferred ellipsoid beside an eager twin, flushed after
+// every cut, and require every reader to return the same bits from both.
+
+bool SameBits(double a, double b) { return std::memcmp(&a, &b, sizeof a) == 0; }
+
+void ExpectSameDoubles(const double* a, const double* b, size_t n, const std::string& what) {
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_TRUE(SameBits(a[i], b[i])) << what << " [" << i << "]: " << a[i] << " vs " << b[i];
+  }
+}
+
+void ExpectSameShape(const Ellipsoid& a, const Ellipsoid& b, const std::string& what) {
+  const Matrix da = a.DenseShape();
+  const Matrix db = b.DenseShape();
+  ExpectSameDoubles(da.data(), db.data(), static_cast<size_t>(da.rows()) * da.cols(), what);
+  ExpectSameDoubles(a.center().data(), b.center().data(), a.center().size(), what + " center");
+}
+
+void ExpectSameInterval(const SupportInterval& a, const SupportInterval& b,
+                        const std::string& what) {
+  ASSERT_TRUE(SameBits(a.lower, b.lower)) << what;
+  ASSERT_TRUE(SameBits(a.upper, b.upper)) << what;
+  ASSERT_TRUE(SameBits(a.half_width, b.half_width)) << what;
+  ASSERT_TRUE(SameBits(a.midpoint, b.midpoint)) << what;
+  ASSERT_EQ(a.direction.size(), b.direction.size()) << what;
+  ExpectSameDoubles(a.direction.data(), b.direction.data(), a.direction.size(), what);
+}
+
+/// An α inside the window of the chosen side (CutKeepBelow: α ∈ [−1/n, 1);
+/// CutKeepAbove: −α in it), shallow or moderately deep.
+double DrawAlpha(Rng* rng, int n, bool keep_below) {
+  const double a = rng->NextUniform(-0.5 / n, 0.3);
+  return keep_below ? a : -a;
+}
+
+void Cut(Ellipsoid* e, const SupportInterval& s, double alpha, bool keep_below) {
+  if (keep_below) {
+    e->CutKeepBelow(s, alpha);
+  } else {
+    e->CutKeepAbove(s, alpha);
+  }
+}
+
+/// Every reader of A, each on its own copy of `deferred` (a reader applies
+/// the pending cut, so one copy would show the cut pending to the first
+/// reader only), against the eager twin.
+void ExpectEveryReaderMatches(const Ellipsoid& deferred, const Ellipsoid& eager, Rng* rng,
+                              const std::string& where) {
+  ASSERT_FALSE(eager.has_pending_cut()) << where;
+  const int n = eager.dim();
+  const size_t dim = static_cast<size_t>(n);
+  {
+    Ellipsoid probe = deferred;
+    ExpectSameShape(probe, eager, where + " DenseShape");
+  }
+  {
+    Ellipsoid probe = deferred;
+    if (eager.packed()) {
+      const PackedSymMatrix& a = probe.packed_shape();
+      const PackedSymMatrix& b = eager.packed_shape();
+      ExpectSameDoubles(a.data(), b.data(), a.packed_size(), where + " packed_shape()");
+    } else {
+      const Matrix& a = probe.shape();
+      const Matrix& b = eager.shape();
+      ExpectSameDoubles(a.data(), b.data(), dim * dim, where + " shape()");
+    }
+  }
+  const Vector x = rng->GaussianVector(n);
+  {
+    Ellipsoid probe = deferred;
+    ASSERT_TRUE(SameBits(probe.ShapeQuadraticForm(x), eager.ShapeQuadraticForm(x))) << where;
+  }
+  {
+    Ellipsoid probe = deferred;
+    Vector theta = eager.center();
+    for (double& v : theta) v += 0.05 * rng->NextGaussian();
+    ASSERT_EQ(probe.Contains(theta), eager.Contains(theta)) << where;
+  }
+  {
+    Ellipsoid probe = deferred;
+    ASSERT_TRUE(SameBits(probe.LogVolumeUnnormalized(), eager.LogVolumeUnnormalized()))
+        << where;
+  }
+  {
+    Ellipsoid probe = deferred;
+    const Vector a = probe.AxisWidths();
+    const Vector b = eager.AxisWidths();
+    ExpectSameDoubles(a.data(), b.data(), dim, where + " AxisWidths");
+  }
+  {
+    Ellipsoid probe = deferred;
+    ASSERT_TRUE(SameBits(probe.SmallestShapeEigenvalue(), eager.SmallestShapeEigenvalue()))
+        << where;
+  }
+  {
+    Ellipsoid probe = deferred;
+    ASSERT_EQ(probe.LooksHealthy(), eager.LooksHealthy()) << where;
+  }
+  {
+    // A second cut on the pending one, with no support pass between.
+    Ellipsoid probe = deferred;
+    Ellipsoid twin = eager;
+    SupportInterval s = twin.Support(x);
+    if (s.half_width > 0.0) {
+      const bool below = rng->NextUint64(2) == 0;
+      const double alpha = DrawAlpha(rng, n, below);
+      Cut(&probe, s, alpha, below);
+      Cut(&twin, s, alpha, below);
+      ExpectSameShape(probe, twin, where + " second cut");
+    }
+  }
+  for (int k : {1, 2, 5, 9}) {
+    Ellipsoid probe = deferred;
+    Vector panel(static_cast<size_t>(k) * dim);
+    for (double& v : panel) v = rng->NextGaussian();
+    std::vector<SupportInterval> got(static_cast<size_t>(k)), want(static_cast<size_t>(k));
+    std::vector<SupportInterval*> got_out, want_out;
+    for (int j = 0; j < k; ++j) {
+      got_out.push_back(&got[static_cast<size_t>(j)]);
+      want_out.push_back(&want[static_cast<size_t>(j)]);
+    }
+    probe.SupportBatch(panel.data(), k, got_out.data());
+    eager.SupportBatch(panel.data(), k, want_out.data());
+    for (int j = 0; j < k; ++j) {
+      ExpectSameInterval(got[static_cast<size_t>(j)], want[static_cast<size_t>(j)],
+                         where + " SupportBatch k=" + std::to_string(k) + " j=" +
+                             std::to_string(j));
+    }
+    ExpectSameShape(probe, eager, where + " after SupportBatch");
+  }
+}
+
+TEST(EllipsoidDeferredCut, EveryReaderMatchesAnEagerTwinBitwise) {
+  Rng rng(2626);
+  for (bool packed : {false, true}) {
+    for (int n : {2, 5, 13}) {
+      Ellipsoid deferred = packed ? Ellipsoid::PackedBall(n, 2.0) : Ellipsoid::Ball(n, 2.0);
+      Ellipsoid eager = deferred;
+      int pending_seen = 0;
+      for (int step = 0; step < 70; ++step) {  // crosses the 32nd and 64th cuts
+        const std::string where = std::string(packed ? "packed" : "dense") +
+                                  " n=" + std::to_string(n) + " step " +
+                                  std::to_string(step);
+        // The round's support pass: a panel of 1, 2, 5 or 9 whose first query
+        // is the cut direction, so both the one-query and the query-block
+        // fused passes run.
+        constexpr int kPanels[] = {1, 2, 5, 9};
+        const int k = kPanels[rng.NextUint64(4)];
+        Vector panel(static_cast<size_t>(k) * n);
+        for (double& v : panel) v = rng.NextGaussian();
+        std::vector<SupportInterval> ds(static_cast<size_t>(k)), es(static_cast<size_t>(k));
+        std::vector<SupportInterval*> d_out, e_out;
+        for (int j = 0; j < k; ++j) {
+          d_out.push_back(&ds[static_cast<size_t>(j)]);
+          e_out.push_back(&es[static_cast<size_t>(j)]);
+        }
+        deferred.SupportBatch(panel.data(), k, d_out.data());
+        eager.SupportBatch(panel.data(), k, e_out.data());
+        for (size_t j = 0; j < ds.size(); ++j) {
+          ASSERT_NO_FATAL_FAILURE(ExpectSameInterval(ds[j], es[j], where + " round support"));
+        }
+        ASSERT_FALSE(deferred.has_pending_cut()) << where;
+        if (ds[0].half_width <= 0.0) continue;
+        const bool below = rng.NextUint64(2) == 0;
+        const double alpha = DrawAlpha(&rng, n, below);
+        Cut(&deferred, ds[0], alpha, below);
+        Cut(&eager, es[0], alpha, below);
+        ASSERT_EQ(deferred.cuts_since_symmetrize(), eager.cuts_since_symmetrize()) << where;
+        // Pending after every cut but the one that re-symmetrizes.
+        ASSERT_EQ(deferred.has_pending_cut(), deferred.cuts_since_symmetrize() != 0) << where;
+        pending_seen += deferred.has_pending_cut() ? 1 : 0;
+        ASSERT_TRUE(eager.LooksHealthy()) << where;  // applies eager's cut now
+        ASSERT_NO_FATAL_FAILURE(ExpectEveryReaderMatches(deferred, eager, &rng, where));
+        ASSERT_TRUE(deferred.has_pending_cut() || deferred.cuts_since_symmetrize() == 0)
+            << where << ": the readers ran on copies";
+      }
+      EXPECT_GT(pending_seen, 60) << (packed ? "packed" : "dense") << " n=" << n;
+    }
+  }
+}
+
+TEST(EllipsoidDeferredCut, ThirtySecondCutAppliesAtOnceAndSymmetrizes) {
+  Rng rng(2727);
+  Ellipsoid e = Ellipsoid::Ball(6, 1.5);
+  for (int cut = 1; cut <= 32; ++cut) {
+    SupportInterval s = e.Support(rng.GaussianVector(6));
+    ASSERT_GT(s.half_width, 0.0);
+    e.CutKeepBelow(s, 0.02);
+    ASSERT_EQ(e.has_pending_cut(), cut < 32) << cut;
+  }
+  EXPECT_EQ(e.cuts_since_symmetrize(), 0);
+  EXPECT_EQ(e.shape().MaxAsymmetry(), 0.0);
+}
+
+TEST(Ellipsoid, LooksHealthyRejectsNonFiniteOffDiagonalsInBothLayouts) {
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(),
+                     std::numeric_limits<double>::infinity(),
+                     -std::numeric_limits<double>::infinity()}) {
+    Matrix dense = Matrix::ScaledIdentity(3, 1.0);
+    dense(0, 1) = bad;
+    dense(1, 0) = bad;
+    EXPECT_FALSE(Ellipsoid(Zeros(3), dense).LooksHealthy()) << "dense " << bad;
+    PackedSymMatrix packed = PackedSymMatrix::ScaledIdentity(3, 1.0);
+    packed.At(0, 1) = bad;
+    EXPECT_FALSE(Ellipsoid(Zeros(3), packed).LooksHealthy()) << "packed " << bad;
+  }
+  EXPECT_TRUE(Ellipsoid(Zeros(3), Matrix::ScaledIdentity(3, 1.0)).LooksHealthy());
+  EXPECT_TRUE(Ellipsoid(Zeros(3), PackedSymMatrix::ScaledIdentity(3, 1.0)).LooksHealthy());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "linalg/matrix.h"
@@ -348,6 +350,105 @@ TEST(ReferencePins, DotPairMatchesScalarReferenceAndDotBitwise) {
     EXPECT_EQ(xa, Dot(x, a)) << "n=" << n;
     EXPECT_EQ(xb, Dot(x, b)) << "n=" << n;
   }
+}
+
+// The fused pass: the rank-one cut update carried by the first sweep of the
+// panel product. Reference: the update as a pass of its own, entry
+// factor·(a − (coef·b_r)·b_c), then every product in RowDot order.
+TEST(ReferencePins, ScaleRankOneThenMatPanelMatchesTwoPassReferenceBitwise) {
+  constexpr int kMaxQueries = 9;
+  Rng rng(909);
+  for (int n : PinnedExtents()) {
+    Matrix start(n, n);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < n; ++c) start(r, c) = SpreadEntry(&rng);
+    }
+    Vector b(static_cast<size_t>(n));
+    for (double& v : b) v = SpreadEntry(&rng);
+    const double factor = 1.0 + rng.NextUniform(-0.25, 0.25);
+    const double coef = rng.NextUniform(0.01, 2.0);
+    Matrix updated = start;
+    for (int r = 0; r < n; ++r) {
+      const double cr = coef * b[static_cast<size_t>(r)];
+      for (int c = 0; c < n; ++c) {
+        updated(r, c) = factor * (updated(r, c) - cr * b[static_cast<size_t>(c)]);
+      }
+    }
+    Vector panel(static_cast<size_t>(kMaxQueries) * n);
+    for (double& v : panel) v = SpreadEntry(&rng);
+    for (int k = 0; k <= kMaxQueries; ++k) {
+      Matrix m = start;
+      Vector y(static_cast<size_t>(k) * n, 99.0);
+      m.ScaleRankOneThenMatPanelInto(factor, coef, b, panel.data(), k, y.data());
+      for (int i = 0; i < n * n; ++i) {
+        ASSERT_EQ(m.data()[i], updated.data()[i])
+            << "n=" << n << " k=" << k << " entry " << i / n << "," << i % n;
+      }
+      for (int j = 0; j < k; ++j) {
+        for (int r = 0; r < n; ++r) {
+          ASSERT_EQ(y[static_cast<size_t>(j) * n + r],
+                    ReferenceDot(updated.data() + static_cast<size_t>(r) * n,
+                                 panel.data() + static_cast<size_t>(j) * n, n))
+              << "n=" << n << " k=" << k << " query " << j << " row " << r;
+        }
+      }
+    }
+    Matrix flushed = start;  // FusedScaleRankOne is the zero-query pass
+    flushed.FusedScaleRankOne(factor, coef, b);
+    for (int i = 0; i < n * n; ++i) ASSERT_EQ(flushed.data()[i], updated.data()[i]) << n;
+  }
+}
+
+TEST(ReferencePins, TiledSymmetrizeMatchesPairwiseLoopBitwise) {
+  // Sizes on both sides of the 16-wide tile, and off its multiples.
+  Rng rng(1010);
+  for (int n : {1, 2, 3, 15, 16, 17, 31, 33, 47, 55, 100, 128, 129}) {
+    Matrix m(n, n);
+    for (int r = 0; r < n; ++r) {
+      for (int c = 0; c < n; ++c) m(r, c) = SpreadEntry(&rng);
+    }
+    Matrix expected = m;
+    for (int r = 0; r < n; ++r) {
+      for (int c = r + 1; c < n; ++c) {
+        const double avg = 0.5 * (expected(r, c) + expected(c, r));
+        expected(r, c) = avg;
+        expected(c, r) = avg;
+      }
+    }
+    m.Symmetrize();
+    for (int i = 0; i < n * n; ++i) {
+      ASSERT_EQ(m.data()[i], expected.data()[i]) << "n=" << n << " entry " << i;
+    }
+  }
+}
+
+TEST(Matrix, StorageStartsOnACacheLineThroughCopiesAndMoves) {
+  const auto on_line = [](const Matrix& m) {
+    return reinterpret_cast<uintptr_t>(m.data()) % 64 == 0;
+  };
+  std::vector<Matrix> kept;  // keeps allocations live so the heap moves on
+  for (int n : {2, 3, 5, 20, 32, 55, 100, 128}) {
+    Matrix m = Matrix::ScaledIdentity(n, 2.0);
+    m(0, n - 1) = 3.0;
+    ASSERT_TRUE(on_line(m)) << n;
+    Matrix copy = m;
+    ASSERT_TRUE(on_line(copy)) << n;
+    ASSERT_EQ(copy(0, n - 1), 3.0);
+    ASSERT_EQ(copy(n - 1, n - 1), 2.0);
+    Matrix assigned(n + 1, n);
+    assigned = m;
+    ASSERT_TRUE(on_line(assigned)) << n;
+    ASSERT_EQ(assigned.rows(), n);
+    ASSERT_EQ(assigned(0, n - 1), 3.0);
+    Matrix moved = std::move(copy);
+    ASSERT_TRUE(on_line(moved)) << n;
+    ASSERT_EQ(moved(0, n - 1), 3.0);
+    EXPECT_EQ(copy.rows(), 0);  // NOLINT(bugprone-use-after-move): 0×0 by contract
+    kept.push_back(std::move(m));
+    kept.push_back(std::move(assigned));
+    kept.push_back(std::move(moved));
+  }
+  for (const Matrix& m : kept) EXPECT_TRUE(on_line(m));
 }
 
 TEST(MatrixPanel, ZeroQueriesIsANoOp) {
