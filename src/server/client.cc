@@ -143,45 +143,68 @@ Status Client::ReadFrame(std::string* payload) {
       pending_.erase(0, next);
       return Status::Ok();
     }
-    if (bounded) {
-      // Bounded wait. On expiry the connection is dropped, not kept: the
-      // response may still arrive later, and reading it against the *next*
-      // request would hand the caller someone else's answer.
-      auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      deadline - std::chrono::steady_clock::now())
-                      .count();
-      if (left <= 0) {
-        Disconnect();
-        return Status::DeadlineExceeded("response deadline exceeded");
-      }
-      pollfd p{fd_.get(), POLLIN, 0};
-      int ready = ::poll(&p, 1, static_cast<int>(left));
-      if (ready == 0) {
-        Disconnect();
-        return Status::DeadlineExceeded("response deadline exceeded");
-      }
-      if (ready < 0) {
-        if (errno == EINTR) continue;
-        int saved = errno;
-        Disconnect();
-        return Status::Unavailable(std::string("poll: ") + std::strerror(saved));
-      }
-    }
-    char chunk[16 << 10];
-    ssize_t n = ::recv(fd_.get(), chunk, sizeof chunk, 0);
-    if (n > 0) {
-      pending_.append(chunk, static_cast<size_t>(n));
-      continue;
-    }
-    if (n == 0) {
-      Disconnect();
-      return Status::Unavailable("connection closed by server");
-    }
-    if (errno == EINTR) continue;
-    int saved = errno;
-    Disconnect();
-    return Status::Unavailable(std::string("recv: ") + std::strerror(saved));
+    Status s = Receive(bounded, deadline);
+    if (!s.ok()) return s;
   }
+}
+
+Status Client::Receive(bool bounded, std::chrono::steady_clock::time_point deadline) {
+  using Clock = std::chrono::steady_clock;
+  char chunk[16 << 10];
+  // Spin first (DESIGN.md §10): a reply that lands inside the window is read
+  // without paying a blocked thread's wake-up. The window ends at the
+  // deadline, so the spin counts against it.
+  Clock::time_point spin_end = Clock::now() + kSpinWindow;
+  if (bounded) spin_end = std::min(spin_end, deadline);
+  ssize_t n;
+  bool would_block;
+  do {
+    n = ::recv(fd_.get(), chunk, sizeof chunk, MSG_DONTWAIT);
+    would_block = n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR);
+  } while (would_block && Clock::now() < spin_end);
+
+  if (!would_block) {
+    ++waits_spun_;
+  } else {
+    ++waits_blocked_;
+    for (;;) {
+      if (bounded) {
+        // Bounded wait. On expiry the connection is dropped, not kept: the
+        // response may still arrive later, and reading it against the *next*
+        // request would hand the caller someone else's answer. The call
+        // expires only once the deadline has passed, and the poll timeout
+        // rounds up: truncated, under 1 ms left would expire without waiting.
+        const Clock::time_point now = Clock::now();
+        if (now > deadline) {
+          Disconnect();
+          return Status::DeadlineExceeded("response deadline exceeded");
+        }
+        pollfd p{fd_.get(), POLLIN, 0};
+        const auto left = std::chrono::ceil<std::chrono::milliseconds>(deadline - now);
+        int ready = ::poll(&p, 1, static_cast<int>(left.count()));
+        if (ready == 0 || (ready < 0 && errno == EINTR)) continue;
+        if (ready < 0) {
+          int saved = errno;
+          Disconnect();
+          return Status::Unavailable(std::string("poll: ") + std::strerror(saved));
+        }
+      }
+      n = ::recv(fd_.get(), chunk, sizeof chunk, 0);
+      if (n >= 0 || errno != EINTR) break;
+    }
+  }
+
+  if (n > 0) {
+    pending_.append(chunk, static_cast<size_t>(n));
+    return Status::Ok();
+  }
+  if (n == 0) {
+    Disconnect();
+    return Status::Unavailable("connection closed by server");
+  }
+  int saved = errno;
+  Disconnect();
+  return Status::Unavailable(std::string("recv: ") + std::strerror(saved));
 }
 
 Status Client::ReadResponse(Response* out) {

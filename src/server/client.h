@@ -1,6 +1,7 @@
 #ifndef PDM_SERVER_CLIENT_H_
 #define PDM_SERVER_CLIENT_H_
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -49,9 +50,10 @@ namespace pdm::server {
 /// the pre-§14 behavior: block forever, never retry.
 struct ClientConfig {
   /// Per-call bound on each response wait, enforced with poll() before
-  /// every read. On expiry the call returns DeadlineExceeded and the
-  /// connection is dropped (the stream is desynced — a late response would
-  /// be mis-matched to the next request). 0: wait forever.
+  /// every blocking read; the spin before it counts against the bound. On
+  /// expiry the call returns DeadlineExceeded and the connection is dropped
+  /// (the stream is desynced — a late response would be mis-matched to the
+  /// next request). 0: wait forever.
   int deadline_ms = 0;
   /// Extra attempts for idempotent calls after a transient (`Unavailable`)
   /// transport failure; each retry reconnects first. 0: no retries.
@@ -102,6 +104,11 @@ class Client {
   int64_t retries() const { return retries_; }
   /// Successful re-dials, both explicit and automatic.
   int64_t reconnects() const { return reconnects_; }
+  /// Response waits by how they ended (DESIGN.md §10): bytes arrived while
+  /// spinning, or the spin window closed and the wait fell through to a
+  /// blocking recv (or, under a deadline, poll).
+  int64_t waits_spun() const { return waits_spun_; }
+  int64_t waits_blocked() const { return waits_blocked_; }
 
   // ------------------------------------------------- synchronous calls
 
@@ -148,6 +155,11 @@ class Client {
   /// Reads until `pending_` holds one complete frame; yields its payload.
   /// Honors `config_.deadline_ms`; transport failures poison the connection.
   Status ReadFrame(std::string* payload);
+  /// One wait for response bytes, appended to `pending_`: a nonblocking recv
+  /// retried for up to `kSpinWindow` (never past `deadline` when `bounded`),
+  /// then a blocking one. Expiry and transport failures poison the
+  /// connection.
+  Status Receive(bool bounded, std::chrono::steady_clock::time_point deadline);
   /// One request/response exchange for the synchronous surface. Reconnects
   /// a dropped connection before sending; when `idempotent`, retries
   /// Unavailable transport failures up to `config_.max_retries` times with
@@ -167,6 +179,8 @@ class Client {
   int prev_backoff_ms_ = 0;
   int64_t retries_ = 0;
   int64_t reconnects_ = 0;
+  int64_t waits_spun_ = 0;
+  int64_t waits_blocked_ = 0;
 };
 
 }  // namespace pdm::server

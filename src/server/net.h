@@ -1,6 +1,7 @@
 #ifndef PDM_SERVER_NET_H_
 #define PDM_SERVER_NET_H_
 
+#include <chrono>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -15,6 +16,14 @@
 /// (DESIGN.md §10); nothing here is Windows-portable by design.
 
 namespace pdm::server {
+
+/// How long a waiting end of the wire re-checks its socket without
+/// blocking before it falls through to a blocking call (DESIGN.md §10). A
+/// blocked thread on a virtual machine runs again about 8 µs after its data
+/// arrives; a reply inside the window skips that cost. The event loop
+/// spins only within this long of serving its last frame, and the client
+/// for at most this long per response wait.
+inline constexpr std::chrono::microseconds kSpinWindow{50};
 
 /// Owning file descriptor (closes on destruction, move-only).
 class UniqueFd {

@@ -179,6 +179,13 @@ TcpServer::TcpServer(broker::Broker* broker, const ServerConfig& config)
   metrics_.idle_reaped = gw.GetCounter(
       "pdm_server_idle_reaped_total",
       "Connections closed by the idle reaper.");
+  static constexpr const char* kWaitsHelp =
+      "Event-loop waits, by how they ended: an fd was ready while the loop "
+      "spun, or the loop blocked in poll.";
+  metrics_.waits_spun =
+      gw.GetCounter("pdm_server_waits_total", kWaitsHelp, {{"outcome", "spun"}});
+  metrics_.waits_blocked =
+      gw.GetCounter("pdm_server_waits_total", kWaitsHelp, {{"outcome", "blocked"}});
   metrics_.active_connections = gw.GetGauge(
       "pdm_server_active_connections",
       "Connections currently held by the event loop (wire and scrape).");
@@ -246,6 +253,8 @@ ServerStats TcpServer::stats() const {
   s.protocol_errors = static_cast<int64_t>(metrics_.protocol_errors.value());
   s.shed_frames = static_cast<int64_t>(metrics_.shed_frames.value());
   s.idle_reaped = static_cast<int64_t>(metrics_.idle_reaped.value());
+  s.waits_spun = static_cast<int64_t>(metrics_.waits_spun.value());
+  s.waits_blocked = static_cast<int64_t>(metrics_.waits_blocked.value());
   return s;
 }
 
@@ -343,7 +352,24 @@ void TcpServer::EventLoop() {
           drain_deadline - std::chrono::steady_clock::now());
       timeout_ms = static_cast<int>(std::max<int64_t>(0, left.count()));
     }
-    int ready = ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+    // The waiting rule (DESIGN.md §10): within kSpinWindow of the last
+    // served frame the peer's next request is likely in flight, so the loop
+    // re-polls without blocking until an fd is ready or the window closes,
+    // and only then blocks. An idle or draining loop never spins.
+    const nfds_t nfds = static_cast<nfds_t>(fds.size());
+    const auto spin_end = last_served_ + kSpinWindow;
+    int ready = 0;
+    if (!draining) {
+      while (std::chrono::steady_clock::now() < spin_end &&
+             (ready = ::poll(fds.data(), nfds, 0)) == 0) {
+      }
+    }
+    if (ready == 0) {
+      metrics_.waits_blocked.Increment();
+      ready = ::poll(fds.data(), nfds, timeout_ms);
+    } else if (ready > 0) {
+      metrics_.waits_spun.Increment();
+    }
     if (ready < 0) {
       if (errno == EINTR) continue;
       break;  // poll failure is unrecoverable for the loop
@@ -532,6 +558,7 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
             std::chrono::steady_clock::now() - run_start)
             .count()));
   }
+  if (!frames.empty()) last_served_ = std::chrono::steady_clock::now();
 
   conn->in_offset = offset;
   if (conn->in_offset == conn->in.size()) {

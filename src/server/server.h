@@ -2,6 +2,7 @@
 #define PDM_SERVER_SERVER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -108,6 +109,10 @@ struct ServerStats {
   int64_t shed_frames = 0;
   /// Connections closed by the idle reaper (`idle_timeout_ms`).
   int64_t idle_reaped = 0;
+  /// Event-loop waits by how they ended (DESIGN.md §10): an fd was ready
+  /// while the loop spun, or the loop blocked in poll().
+  int64_t waits_spun = 0;
+  int64_t waits_blocked = 0;
 };
 
 class TcpServer {
@@ -186,6 +191,9 @@ class TcpServer {
   std::atomic<bool> stop_{false};
 
   std::vector<std::unique_ptr<Connection>> connections_;
+  /// When the loop last served a frame: it spins before blocking only within
+  /// `kSpinWindow` of it (DESIGN.md §10). Loop thread only.
+  std::chrono::steady_clock::time_point last_served_{};
 
   /// Instrument handles, resolved once in the constructor (DESIGN.md §13).
   /// `frames_by_op[op]` covers opcodes 1..kGetMetrics; index 0 counts
@@ -199,6 +207,8 @@ class TcpServer {
     metrics::Counter protocol_errors;
     metrics::Counter shed_frames;
     metrics::Counter idle_reaped;
+    metrics::Counter waits_spun;
+    metrics::Counter waits_blocked;
     metrics::Gauge active_connections;
     metrics::Histogram request_ns;
   };

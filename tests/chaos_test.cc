@@ -1341,19 +1341,25 @@ TEST(ClientChaosTest, DeadlineExpiresAgainstASilentServer) {
   uint16_t port = 0;
   ASSERT_TRUE(server::ListenTcp("127.0.0.1", 0, &listener, &port).ok());
 
-  server::ClientConfig config;
-  config.deadline_ms = 100;
-  server::Client client(config);
-  ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
-  const auto before = std::chrono::steady_clock::now();
-  Status s = client.Ping();
-  const auto waited = std::chrono::steady_clock::now() - before;
-  EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
-  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(),
-            5000);
-  // The connection is poisoned: a late response must never be matched to
-  // the next request.
-  EXPECT_FALSE(client.connected());
+  // The call waits out its whole deadline, even one under the 1 ms poll
+  // granularity.
+  for (int deadline_ms : {100, 1}) {
+    SCOPED_TRACE(deadline_ms);
+    server::ClientConfig config;
+    config.deadline_ms = deadline_ms;
+    server::Client client(config);
+    ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+    const auto before = std::chrono::steady_clock::now();
+    Status s = client.Ping();
+    const auto waited = std::chrono::steady_clock::now() - before;
+    EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
+    EXPECT_GE(waited, std::chrono::milliseconds(deadline_ms));
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(waited).count(),
+              5000);
+    // The connection is poisoned: a late response must never be matched to
+    // the next request.
+    EXPECT_FALSE(client.connected());
+  }
 }
 
 TEST(ClientChaosTest, RetriesReconnectAcrossAServerRestart) {

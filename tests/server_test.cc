@@ -2,7 +2,8 @@
 // loopback replay pin (a scenario driven through the TCP server is
 // bit-identical to driving the broker in-process), pipelined-run coalescing
 // equivalence, wire batch-op parity, malformed-frame handling, concurrent
-// clients (the TSan target), and graceful drain.
+// clients (the TSan target), the spin-then-block waiting rule at both ends,
+// client deadlines, and graceful drain.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <memory>
 #include <string>
@@ -282,97 +284,113 @@ TEST(TcpServer, ScenarioThroughTcpIsBitIdenticalToInProcess) {
 // ------------------------------------------------------- coalescing
 
 // Pipelined single-op frames are coalesced into batched broker calls —
-// and that rewrite must be invisible: same quotes, same final engine state
-// as the same requests issued sequentially.
+// and that rewrite must be invisible: same quotes, in request order, and the
+// same final engine state as the same requests issued sequentially. The
+// second pass pauses 1 ms before every flush, so the event loop's spin
+// window (DESIGN.md §10) closes each time and its blocking poll meets every
+// run: nothing a client sees may change.
 TEST(TcpServer, PipelinedRunsCoalesceAndMatchSequential) {
   ScenarioSpec spec = LinearSpec("wire/pipeline", 6, 4000, "reserve", 44);
   constexpr int kRounds = 120;
   constexpr int kBatch = 8;
+  for (int pause_ms : {0, 1}) {
+    SCOPED_TRACE(pause_ms);
+    // Twin A: pipelined through TCP.
+    StreamFactory factory_a;
+    Broker broker_a;
+    OpenSpec(&broker_a, &factory_a, spec);
+    // Twin B: sequential in-process calls.
+    StreamFactory factory_b;
+    Broker broker_b;
+    OpenSpec(&broker_b, &factory_b, spec);
+    ProductHandle handle_b;
+    ASSERT_TRUE(broker_b.Resolve(spec.name, &handle_b).ok());
 
-  // Twin A: pipelined through TCP.
-  StreamFactory factory_a;
-  Broker broker_a;
-  OpenSpec(&broker_a, &factory_a, spec);
-  // Twin B: sequential in-process calls.
-  StreamFactory factory_b;
-  Broker broker_b;
-  OpenSpec(&broker_b, &factory_b, spec);
-  ProductHandle handle_b;
-  ASSERT_TRUE(broker_b.Resolve(spec.name, &handle_b).ok());
+    TcpServer server(&broker_a);
+    ASSERT_TRUE(server.Start().ok());
+    Client client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    ProductHandle handle_a;
+    ASSERT_TRUE(client.Resolve(spec.name, &handle_a).ok());
 
-  TcpServer server(&broker_a);
-  ASSERT_TRUE(server.Start().ok());
-  Client client;
-  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
-  ProductHandle handle_a;
-  ASSERT_TRUE(client.Resolve(spec.name, &handle_a).ok());
+    // Shared deterministic query sequence.
+    Rng rng(spec.sim_seed);
+    std::unique_ptr<QueryStream> stream = factory_a.CreateStream(spec, &rng);
+    std::vector<MarketRound> rounds(kRounds);
+    for (MarketRound& round : rounds) stream->Next(&rng, &round);
 
-  // Shared deterministic query sequence.
-  Rng rng(spec.sim_seed);
-  std::unique_ptr<QueryStream> stream = factory_a.CreateStream(spec, &rng);
-  std::vector<MarketRound> rounds(kRounds);
-  for (MarketRound& round : rounds) stream->Next(&rng, &round);
+    const int64_t blocked_before = server.stats().waits_blocked;
+    for (int base = 0; base < kRounds; base += kBatch) {
+      // Pipeline a run of kBatch PostPrice frames in ONE flush.
+      uint64_t ids[kBatch];
+      for (int k = 0; k < kBatch; ++k) {
+        const MarketRound& round = rounds[base + k];
+        ids[k] = client.QueuePostPrice(handle_a, round.features, round.reserve);
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
+      ASSERT_TRUE(client.Flush().ok());
+      std::vector<Quote> wire_quotes(kBatch);
+      for (int k = 0; k < kBatch; ++k) {
+        Response resp;
+        ASSERT_TRUE(client.ReadResponse(&resp).ok());
+        ASSERT_TRUE(resp.status.ok());
+        EXPECT_EQ(resp.id, ids[k]);
+        wire_quotes[k] = resp.quote;
+      }
+      // Sequential twin must produce bit-identical quotes.
+      for (int k = 0; k < kBatch; ++k) {
+        const MarketRound& round = rounds[base + k];
+        Quote seq_quote;
+        ASSERT_TRUE(
+            broker_b.PostPrice(handle_b, round.features, round.reserve, &seq_quote).ok());
+        EXPECT_EQ(wire_quotes[k].ticket, seq_quote.ticket);
+        EXPECT_EQ(wire_quotes[k].price, seq_quote.price);
+        EXPECT_EQ(wire_quotes[k].exploratory, seq_quote.exploratory);
+        EXPECT_EQ(wire_quotes[k].certain_no_sale, seq_quote.certain_no_sale);
+      }
+      // Feedback: a pipelined Observe run for A, sequential for B.
+      for (int k = 0; k < kBatch; ++k) {
+        const MarketRound& round = rounds[base + k];
+        bool accepted =
+            !wire_quotes[k].certain_no_sale && wire_quotes[k].price <= round.value;
+        ids[k] = client.QueueObserve(wire_quotes[k].ticket, accepted);
+        ASSERT_TRUE(broker_b.Observe(wire_quotes[k].ticket, accepted).ok());
+      }
+      std::this_thread::sleep_for(std::chrono::milliseconds(pause_ms));
+      ASSERT_TRUE(client.Flush().ok());
+      for (int k = 0; k < kBatch; ++k) {
+        Response resp;
+        ASSERT_TRUE(client.ReadResponse(&resp).ok());
+        EXPECT_TRUE(resp.status.ok());
+        EXPECT_EQ(resp.id, ids[k]);
+      }
+    }
 
-  for (int base = 0; base < kRounds; base += kBatch) {
-    // Pipeline a run of kBatch PostPrice frames in ONE flush.
-    for (int k = 0; k < kBatch; ++k) {
-      const MarketRound& round = rounds[base + k];
-      client.QueuePostPrice(handle_a, round.features, round.reserve);
+    // The server must actually have taken the coalesced path.
+    ServerStats stats = server.stats();
+    EXPECT_GT(stats.coalesced_runs, 0);
+    EXPECT_GT(stats.frames_coalesced, 0);
+    if (pause_ms > 0) {
+      // At least one blocking poll per pause; the first pause's may have
+      // begun before the baseline was read.
+      EXPECT_GE(stats.waits_blocked - blocked_before, 2 * kRounds / kBatch - 1);
     }
-    ASSERT_TRUE(client.Flush().ok());
-    std::vector<Quote> wire_quotes(kBatch);
-    for (int k = 0; k < kBatch; ++k) {
-      Response resp;
-      ASSERT_TRUE(client.ReadResponse(&resp).ok());
-      ASSERT_TRUE(resp.status.ok());
-      wire_quotes[k] = resp.quote;
-    }
-    // Sequential twin must produce bit-identical quotes.
-    for (int k = 0; k < kBatch; ++k) {
-      const MarketRound& round = rounds[base + k];
-      Quote seq_quote;
-      ASSERT_TRUE(
-          broker_b.PostPrice(handle_b, round.features, round.reserve, &seq_quote).ok());
-      EXPECT_EQ(wire_quotes[k].ticket, seq_quote.ticket);
-      EXPECT_EQ(wire_quotes[k].price, seq_quote.price);
-      EXPECT_EQ(wire_quotes[k].exploratory, seq_quote.exploratory);
-      EXPECT_EQ(wire_quotes[k].certain_no_sale, seq_quote.certain_no_sale);
-    }
-    // Feedback: a pipelined Observe run for A, sequential for B.
-    for (int k = 0; k < kBatch; ++k) {
-      const MarketRound& round = rounds[base + k];
-      bool accepted =
-          !wire_quotes[k].certain_no_sale && wire_quotes[k].price <= round.value;
-      client.QueueObserve(wire_quotes[k].ticket, accepted);
-      ASSERT_TRUE(broker_b.Observe(wire_quotes[k].ticket, accepted).ok());
-    }
-    ASSERT_TRUE(client.Flush().ok());
-    for (int k = 0; k < kBatch; ++k) {
-      Response resp;
-      ASSERT_TRUE(client.ReadResponse(&resp).ok());
-      EXPECT_TRUE(resp.status.ok());
-    }
+    // The memory-engine occupancy lives on Broker::Stats() (the duplicated
+    // ServerStats block moved to the shared metric registry): one open,
+    // resident, never-evicted session in one live slab slot.
+    pdm::broker::BrokerStats occupancy = broker_a.Stats();
+    EXPECT_EQ(occupancy.open_sessions, 1u);
+    EXPECT_EQ(occupancy.resident_sessions, 1u);
+    EXPECT_EQ(occupancy.evicted_sessions, 0u);
+    EXPECT_EQ(occupancy.slab_live_slots, 1u);
+    EXPECT_EQ(occupancy.slab_tombstoned_slots, 0u);
+    EXPECT_EQ(occupancy.evictions, 0u);
+    EXPECT_EQ(occupancy.fault_ins, 0u);
+    EXPECT_EQ(occupancy.spill_bytes, 0u);
+    server.Stop();
+
+    EXPECT_EQ(SnapshotBytes(broker_a, spec.name), SnapshotBytes(broker_b, spec.name));
   }
-
-  // The server must actually have taken the coalesced path.
-  ServerStats stats = server.stats();
-  EXPECT_GT(stats.coalesced_runs, 0);
-  EXPECT_GT(stats.frames_coalesced, 0);
-  // The memory-engine occupancy lives on Broker::Stats() (the duplicated
-  // ServerStats block moved to the shared metric registry): one open,
-  // resident, never-evicted session in one live slab slot.
-  pdm::broker::BrokerStats occupancy = broker_a.Stats();
-  EXPECT_EQ(occupancy.open_sessions, 1u);
-  EXPECT_EQ(occupancy.resident_sessions, 1u);
-  EXPECT_EQ(occupancy.evicted_sessions, 0u);
-  EXPECT_EQ(occupancy.slab_live_slots, 1u);
-  EXPECT_EQ(occupancy.slab_tombstoned_slots, 0u);
-  EXPECT_EQ(occupancy.evictions, 0u);
-  EXPECT_EQ(occupancy.fault_ins, 0u);
-  EXPECT_EQ(occupancy.spill_bytes, 0u);
-  server.Stop();
-
-  EXPECT_EQ(SnapshotBytes(broker_a, spec.name), SnapshotBytes(broker_b, spec.name));
 }
 
 // ------------------------------------------------------ wire batch ops
@@ -605,6 +623,155 @@ TEST(TcpServer, ConcurrentClientsServeCleanly) {
     EXPECT_EQ(info.pending, 0) << specs[c].name;
     EXPECT_EQ(info.quotes_issued, kRounds) << specs[c].name;
   }
+}
+
+// ------------------------------------------------------ the waiting rule
+
+// Both ends spin for kSpinWindow before they block (DESIGN.md §10). The
+// client's fallback to its blocking call is pinned here, the server's by the
+// paused pass of PipelinedRunsCoalesceAndMatchSequential.
+
+TEST(TcpServer, ClientSpinsThenBlocksForALateReply) {
+  // A raw peer answers each Ping 2 ms late, far past the spin window: the
+  // client's wait must fall through to its blocking call (recv without a
+  // deadline, poll under one) and still read its own response.
+  UniqueFd listener;
+  uint16_t port = 0;
+  ASSERT_TRUE(ListenTcp("127.0.0.1", 0, &listener, &port).ok());
+  const int kDeadlines[] = {0, 1000};
+  std::thread peer([&] {
+    for (size_t c = 0; c < std::size(kDeadlines); ++c) {
+      UniqueFd conn(::accept(listener.get(), nullptr, nullptr));
+      if (!conn.valid()) return;
+      std::string in;
+      char chunk[512];
+      std::string_view payload;
+      size_t next = 0;
+      while (NextFrame(in, 0, &payload, &next) != FrameResult::kFrame) {
+        ssize_t n = ::recv(conn.get(), chunk, sizeof chunk, 0);
+        if (n <= 0) return;
+        in.append(chunk, static_cast<size_t>(n));
+      }
+      ByteReader r(payload);
+      uint8_t op = 0;
+      uint64_t id = 0;
+      r.GetU8(&op);
+      r.GetU64(&id);
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      std::string out;
+      ByteWriter w(&out);
+      size_t frame = w.BeginLength();
+      PutResponseHeader(&w, static_cast<Opcode>(op), id, StatusCode::kOk);
+      w.EndLength(frame);
+      (void)::send(conn.get(), out.data(), out.size(), MSG_NOSIGNAL);
+    }
+  });
+
+  for (int deadline_ms : kDeadlines) {
+    SCOPED_TRACE(deadline_ms);
+    ClientConfig config;
+    config.deadline_ms = deadline_ms;
+    Client client(config);
+    ASSERT_TRUE(client.Connect("127.0.0.1", port).ok());
+    const uint64_t id = client.QueuePing();
+    ASSERT_TRUE(client.Flush().ok());
+    Response resp;
+    ASSERT_TRUE(client.ReadResponse(&resp).ok());
+    EXPECT_EQ(resp.op, Opcode::kPing);
+    EXPECT_EQ(resp.id, id);
+    EXPECT_TRUE(resp.status.ok());
+    EXPECT_EQ(client.waits_blocked(), 1);
+    EXPECT_EQ(client.waits_spun(), 0);
+  }
+  peer.join();
+}
+
+TEST(TcpServer, PipelinedClosedLoopSpinsAtBothEnds) {
+  // Back-to-back pipelined ticks keep each end's next frame inside the
+  // other's spin window: both ends must take waits that end while spinning,
+  // and the scrape family must carry the server's. The loop runs until both
+  // have, within a cap that a slow sanitizer build still meets.
+  ScenarioSpec spec = LinearSpec("wire/spin", 6, 4000, "pure", 48);
+  constexpr int kMaxTicks = 5000;
+  constexpr int kBatch = 8;
+  StreamFactory factory;
+  Broker broker;
+  OpenSpec(&broker, &factory, spec);
+  TcpServer server(&broker);
+  ASSERT_TRUE(server.Start().ok());
+  Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  ProductHandle handle;
+  ASSERT_TRUE(client.Resolve(spec.name, &handle).ok());
+
+  Rng rng(spec.sim_seed);
+  std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+  std::vector<MarketRound> ring(64);
+  for (MarketRound& round : ring) stream->Next(&rng, &round);
+  for (int t = 0;
+       t < kMaxTicks && (client.waits_spun() == 0 || server.stats().waits_spun == 0);
+       ++t) {
+    for (int k = 0; k < kBatch; ++k) {
+      const MarketRound& round = ring[(t * kBatch + k) % ring.size()];
+      client.QueuePostPrice(handle, round.features, round.reserve);
+    }
+    ASSERT_TRUE(client.Flush().ok());
+    uint64_t tickets[kBatch];
+    for (uint64_t& ticket : tickets) {
+      Response resp;
+      ASSERT_TRUE(client.ReadResponse(&resp).ok());
+      ASSERT_TRUE(resp.status.ok());
+      ticket = resp.quote.ticket;
+    }
+    for (uint64_t ticket : tickets) client.QueueObserve(ticket, false);
+    ASSERT_TRUE(client.Flush().ok());
+    for (int k = 0; k < kBatch; ++k) {
+      Response resp;
+      ASSERT_TRUE(client.ReadResponse(&resp).ok());
+      ASSERT_TRUE(resp.status.ok());
+    }
+  }
+  EXPECT_GT(client.waits_spun(), 0);
+  EXPECT_GT(server.stats().waits_spun, 0);
+
+  metrics::MetricsDump dump;
+  ASSERT_TRUE(client.GetMetrics(&dump).ok());
+  const metrics::DumpInstrument* spun =
+      dump.Find("pdm_server_waits_total", "outcome", "spun");
+  const metrics::DumpInstrument* blocked =
+      dump.Find("pdm_server_waits_total", "outcome", "blocked");
+  ASSERT_NE(spun, nullptr);
+  ASSERT_NE(blocked, nullptr);
+  EXPECT_GT(spun->counter, 0u);
+  server.Stop();
+}
+
+TEST(TcpServer, OneMillisecondDeadlinePingSucceeds) {
+  // A deadline under 1 ms away used to truncate to a 0 ms poll and expire
+  // without waiting, so no 1 ms call ever succeeded.
+  Broker broker;
+  TcpServer server(&broker);
+  ASSERT_TRUE(server.Start().ok());
+  ClientConfig config;
+  config.deadline_ms = 1;
+  Client client(config);
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  constexpr int kPings = 20;
+  int answered = 0;
+  for (int i = 0; i < kPings; ++i) {
+    // A Ping may still miss 1 ms on a loaded host, but only after waiting
+    // it out; the next Ping redials the dropped connection.
+    const auto before = std::chrono::steady_clock::now();
+    Status s = client.Ping();
+    if (s.ok()) {
+      ++answered;
+      continue;
+    }
+    EXPECT_EQ(s.code(), StatusCode::kDeadlineExceeded) << s.ToString();
+    EXPECT_GE(std::chrono::steady_clock::now() - before, std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(answered, kPings / 2);
+  server.Stop();
 }
 
 // --------------------------------------------------------- observability

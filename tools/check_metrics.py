@@ -23,6 +23,9 @@ Checks (exit 1 on any failure):
   * accepts + rejects == quotes within the scrape itself (every issued
     ticket was retired by feedback; nothing leaked).
   * pdm_server_protocol_errors_total == 0.
+  * pdm_server_waits_total (the event loop's waits, by outcome "spun" or
+    "blocked") is present, and its series sum to more than 0: a loop that
+    served the load waited for it.
 
 Stdlib only; no third-party dependencies.
 """
@@ -65,6 +68,20 @@ def scrape_counter(text, name):
             except ValueError:
                 sys.exit(f"check_metrics: bad value for {name}: {token!r}")
     return None
+
+
+def scrape_family_sum(text, name):
+    """The sum of every labeled series of family `name`, or None when the
+    family has no series in the scrape."""
+    total = None
+    for line in text.splitlines():
+        if line.startswith(name + "{"):
+            token = line[line.index("}") + 1 :].split()[0]
+            try:
+                total = (total or 0) + int(float(token))
+            except ValueError:
+                sys.exit(f"check_metrics: bad value for {name}: {token!r}")
+    return total
 
 
 def load_serving(path):
@@ -143,6 +160,15 @@ def main():
             "during the load run"
         )
 
+    waits = scrape_family_sum(text, "pdm_server_waits_total")
+    if waits is None:
+        failures.append("  pdm_server_waits_total: missing from the scrape")
+    elif waits == 0:
+        failures.append(
+            "  pdm_server_waits_total: 0 event-loop waits although the server "
+            "served the load"
+        )
+
     if failures:
         print(
             f"FAIL: {len(failures)} metrics reconciliation failure(s) "
@@ -153,7 +179,8 @@ def main():
     print(
         f"OK: scrape reconciles with client tallies exactly "
         f"(quotes={tallies['quotes']}, accepts={tallies['accepts']}, "
-        f"rejects={tallies['rejects']}; 0 protocol errors)"
+        f"rejects={tallies['rejects']}; 0 protocol errors; {waits} event-loop "
+        "waits)"
     )
     return 0
 

@@ -70,7 +70,7 @@ def serving_doc(p50=100000, p99=500000, p999=900000, rps=8000.0, hw=4, errors=0,
 
 
 def scrape_text(quotes=1000, accepts=600, rejects=400, protocol_errors=0,
-                omit=()):
+                waits_spun=700, waits_blocked=300, omit=()):
     """A minimal pdm_serve exposition document for check_metrics tests."""
     lines = []
     for name, value in (
@@ -84,6 +84,11 @@ def scrape_text(quotes=1000, accepts=600, rejects=400, protocol_errors=0,
         lines.append(f"# HELP {name} test counter.")
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {value}")
+    if "pdm_server_waits_total" not in omit:
+        lines.append("# HELP pdm_server_waits_total test counter.")
+        lines.append("# TYPE pdm_server_waits_total counter")
+        lines.append(f'pdm_server_waits_total{{outcome="spun"}} {waits_spun}')
+        lines.append(f'pdm_server_waits_total{{outcome="blocked"}} {waits_blocked}')
     return "\n".join(lines) + "\n"
 
 
@@ -435,6 +440,34 @@ class CompareScriptTest(unittest.TestCase):
         code, out = run(CHECK_METRICS, scrape, serving)
         self.assertEqual(code, 1, out)
         self.assertIn("protocol errors", out)
+
+    def test_check_metrics_missing_waits_family_fails(self):
+        scrape = self.write_text(
+            "scrape.txt", scrape_text(omit=("pdm_server_waits_total",))
+        )
+        serving = self.write("serving.json", serving_doc())
+        code, out = run(CHECK_METRICS, scrape, serving)
+        self.assertEqual(code, 1, out)
+        self.assertIn("pdm_server_waits_total: missing", out)
+
+    def test_check_metrics_zero_waits_fail(self):
+        scrape = self.write_text(
+            "scrape.txt", scrape_text(waits_spun=0, waits_blocked=0)
+        )
+        serving = self.write("serving.json", serving_doc())
+        code, out = run(CHECK_METRICS, scrape, serving)
+        self.assertEqual(code, 1, out)
+        self.assertIn("0 event-loop waits", out)
+
+    def test_check_metrics_sums_waits_over_outcomes(self):
+        # Either outcome alone is a healthy loop: an idle one only blocks.
+        scrape = self.write_text(
+            "scrape.txt", scrape_text(waits_spun=0, waits_blocked=5)
+        )
+        serving = self.write("serving.json", serving_doc())
+        code, out = run(CHECK_METRICS, scrape, serving)
+        self.assertEqual(code, 0, out)
+        self.assertIn("5 event-loop waits", out)
 
     def test_check_metrics_old_loadgen_without_tallies_fails_loudly(self):
         scrape = self.write_text("scrape.txt", scrape_text())
