@@ -18,7 +18,7 @@ Status StaleHandleError() {
   return Status::NotFound("stale, closed, or foreign product handle");
 }
 
-/// Per-thread scratch for the batched entry points. Reaching into a
+/// Per-thread scratch for name-keyed and mixed batches. Reaching into a
 /// thread_local keeps the batch paths allocation-free in steady state (the
 /// vectors retain their high-water capacity) without putting scratch in the
 /// shared Broker object, where it would need locking.
@@ -27,12 +27,12 @@ struct BatchScratch {
   std::vector<uint64_t> done;
   /// Name-keyed batches lowered onto the handle path.
   std::vector<HandleRequest> handle_requests;
-  /// One session's share of a mixed batch, gathered for the session-level
-  /// batched entry point: the contiguous request/quote views handed to
-  /// PricingSession::PostPrices plus each item's original batch position
-  /// for the scatter back.
-  std::vector<SessionRequest> session_requests;
-  std::vector<Quote> session_quotes;
+  /// One session's share of a mixed batch, gathered for the group body,
+  /// plus each item's original batch position for the scatter back.
+  std::vector<HandleRequest> group_requests;
+  std::vector<Quote> group_quotes;
+  std::vector<FeedbackRequest> group_feedback;
+  std::vector<StatusCode> group_codes;
   std::vector<size_t> positions;
 
   void ResetDone(size_t batch_size) {
@@ -45,15 +45,6 @@ struct BatchScratch {
 BatchScratch& Scratch() {
   thread_local BatchScratch scratch;
   return scratch;
-}
-
-/// The calling thread's stripe number: threads draw consecutive numbers on
-/// first use, so up to `stripes` concurrent request threads get a stripe of
-/// their own. One shared RMW per thread lifetime, none per request.
-size_t ThreadStripe(size_t stripes) {
-  static std::atomic<size_t> next{0};
-  thread_local const size_t number = next.fetch_add(1, std::memory_order_relaxed);
-  return number % stripes;
 }
 
 /// Eviction waves (DESIGN.md §12): a residency cap gets one wave victim per
@@ -91,8 +82,7 @@ void Broker::PoolDeleter::operator()(PricingSession* session) const {
   broker->session_pool_.Destroy(session);
 }
 
-Broker::Broker(const BrokerConfig& config)
-    : config_(config), stripes_(std::make_unique<Stripe[]>(kStripes)) {
+Broker::Broker(const BrokerConfig& config) : config_(config) {
   if (!config_.spill_dir.empty()) {
     spill_store_ = std::make_unique<SpillStore>(config_.spill_dir);
   }
@@ -858,14 +848,8 @@ void Broker::Collect() {
   collected_.spill.Add(gauge_delta(now.spill_bytes, reported_.spill_bytes));
   collected_.spill_files.Add(gauge_delta(now.spill_file_bytes, reported_.spill_file_bytes));
   collected_.relocations.Add(now.relocations - reported_.relocations);
-  for (size_t i = 0; i < kStripes; ++i) {
-    collected_.batch_size.DrainFrom(&stripes_[i].batch_size);
-  }
+  batch_sizes_.CollectInto(&collected_.batch_size);
   reported_ = now;
-}
-
-void Broker::RecordBatchSize(size_t requests) {
-  stripes_[ThreadStripe(kStripes)].batch_size.Record(requests);
 }
 
 BrokerStats Broker::Stats() const {
@@ -917,70 +901,74 @@ Status Broker::PostPrice(const PriceRequest& request, Quote* quote) {
   return PostPrice(handle, request.features, request.reserve, quote);
 }
 
+Status Broker::PostGroup(std::span<const HandleRequest> group, std::span<Quote> quotes,
+                         size_t* error_index) {
+  LockedSlot acquired = AcquireHandle(group.front().handle);
+  if (!acquired) {
+    for (Quote& quote : quotes) {
+      quote.ticket = 0;
+      quote.status = acquired.error.code();
+    }
+    *error_index = 0;
+    return std::move(acquired.error);
+  }
+  // The session prices the group through its batched entry point: batched
+  // engines then spend one matrix–panel pass per kQuoteTile-sized run
+  // (DESIGN.md §11) instead of one mat-vec per request, still under the
+  // single lock acquisition.
+  Status status = acquired.session()->PostPrices(group, quotes, error_index);
+  uint64_t issued = 0;
+  for (const Quote& quote : quotes) issued += quote.status == StatusCode::kOk ? 1 : 0;
+  // Counted on the slot this group holds locked: no shared line touched.
+  acquired.slot->quotes.Add(issued);
+  return status;
+}
+
 Status Broker::PostPricesGrouped(std::span<const HandleRequest> requests,
                                  std::span<Quote> quotes, size_t* error_index) {
-  Status first_error;
+  batch_sizes_.Record(requests.size());
   *error_index = requests.size();
+  if (requests.empty()) return Status::Ok();
+  // One session (every single PostPrice, and a client's per-product batch):
+  // the batch is its own group, handed over in place.
+  const ProductHandle leader = requests.front().handle;
+  if (std::all_of(requests.begin(), requests.end(),
+                  [leader](const HandleRequest& r) { return r.handle == leader; })) {
+    return PostGroup(requests, quotes, error_index);
+  }
+  // Group by session: the first unprocessed request opens its session's
+  // group and gathers every later request for the same session in batch
+  // order. O(batch × groups) scans, zero allocations, and — crucially — one
+  // lock acquisition per session per batch instead of one per request.
+  // Groups execute in leader order, not batch order, so "first failure" is
+  // tracked by batch position: `positions` is increasing, so a group's
+  // lowest failing position is its first.
+  Status first_error;
   BatchScratch& scratch = Scratch();
   scratch.ResetDone(requests.size());
-  // Group by session: the first unprocessed request opens its session's
-  // group, takes that session's lock exactly once, and drains every later
-  // request for the same session in batch order. O(batch × groups) scans,
-  // zero allocations, and — crucially — one lock acquisition per session
-  // per batch instead of one per request. Groups execute in leader order,
-  // not batch order, so "first failure" is tracked by batch position.
-  auto record = [&](size_t j, Status status) {
-    if (!status.ok() && j < *error_index) {
-      *error_index = j;
-      first_error = std::move(status);
-    }
-  };
   for (size_t i = 0; i < requests.size(); ++i) {
     if (scratch.Done(i)) continue;
     const ProductHandle handle = requests[i].handle;
-    LockedSlot acquired = AcquireHandle(handle);
     scratch.positions.clear();
+    scratch.group_requests.clear();
+    scratch.group_quotes.clear();
     for (size_t j = i; j < requests.size(); ++j) {
       if (scratch.Done(j) || requests[j].handle != handle) continue;
       scratch.MarkDone(j);
-      if (!acquired) {
-        quotes[j].ticket = 0;
-        quotes[j].status = acquired.error.code();
-        record(j, acquired.error);
-        continue;
-      }
       scratch.positions.push_back(j);
+      scratch.group_requests.push_back(requests[j]);
+      scratch.group_quotes.push_back(quotes[j]);
     }
-    if (scratch.positions.empty()) continue;
-    // Gather the group into the session's batched entry point: batched
-    // engines then spend one matrix–panel pass per kQuoteTile-sized run
-    // (DESIGN.md §11) instead of one mat-vec per request, still under the
-    // single lock acquisition. Quotes are scattered back to their original
-    // batch positions; per-request failures already sit in each quote's
-    // status, and the group's first failure maps back through `positions`
-    // (which is increasing, so lowest group position = lowest batch
-    // position).
-    scratch.session_requests.clear();
-    for (size_t j : scratch.positions) {
-      scratch.session_requests.push_back({requests[j].features, requests[j].reserve});
-    }
-    scratch.session_quotes.resize(scratch.positions.size());
-    size_t group_error = scratch.positions.size();
-    Status group_status = acquired.session()->PostPrices(
-        std::span<const SessionRequest>(scratch.session_requests),
-        std::span<Quote>(scratch.session_quotes), &group_error);
-    uint64_t issued = 0;
+    size_t group_error = 0;
+    Status status = PostGroup(scratch.group_requests, scratch.group_quotes, &group_error);
     for (size_t g = 0; g < scratch.positions.size(); ++g) {
-      quotes[scratch.positions[g]] = scratch.session_quotes[g];
-      issued += scratch.session_quotes[g].status == StatusCode::kOk ? 1 : 0;
+      quotes[scratch.positions[g]] = scratch.group_quotes[g];
     }
-    // Counted on the slot this group holds locked: no shared line touched.
-    acquired.slot->quotes.Add(issued);
-    if (!group_status.ok() && group_error < scratch.positions.size()) {
-      record(scratch.positions[group_error], std::move(group_status));
+    if (!status.ok() && scratch.positions[group_error] < *error_index) {
+      *error_index = scratch.positions[group_error];
+      first_error = std::move(status);
     }
   }
-  RecordBatchSize(requests.size());
   return first_error;
 }
 
@@ -1055,59 +1043,91 @@ Status Broker::Observes(std::span<const FeedbackRequest> feedback,
         " vs " + std::to_string(codes.size()));
   }
   EnforceResidencyLimit();
+  batch_sizes_.Record(feedback.size());
+  if (feedback.empty()) return Status::Ok();
+  // One session (every single Observe, and a client's per-product batch):
+  // the batch is its own group, handed over in place.
+  const uint64_t leader = feedback.front().ticket >> 40;
+  if (std::all_of(feedback.begin(), feedback.end(), [leader](const FeedbackRequest& f) {
+        return (f.ticket >> 40) == leader;
+      })) {
+    size_t group_error = 0;
+    return ObserveGroup(feedback, codes, &group_error);
+  }
+  // Same grouping discipline as the batched PostPrices: one session lock
+  // acquisition per distinct ticket base per batch, items in batch order,
+  // and the first failure by batch position.
   Status first_error;
   size_t error_index = feedback.size();
   BatchScratch& scratch = Scratch();
   scratch.ResetDone(feedback.size());
-  // Groups execute in leader order, so "first failure" is by batch position.
-  auto record = [&](size_t i, const Status& status) {
-    if (!codes.empty()) codes[i] = status.code();
-    if (!status.ok() && i < error_index) {
-      error_index = i;
-      first_error = status;
-    }
-  };
-  // Same grouping discipline as the batched PostPrices: one session lock
-  // acquisition per distinct ticket base per batch, items in batch order.
-  // Outcomes are tallied per group and added to the group's slot while its
-  // lock is still held — no shared line touched.
-  uint64_t retired = 0;
   for (size_t i = 0; i < feedback.size(); ++i) {
     if (scratch.Done(i)) continue;
     const uint64_t base = feedback[i].ticket >> 40;
-    LockedSlot acquired = AcquireTicket(feedback[i].ticket);
-    uint64_t accepts = 0;
-    uint64_t rejects = 0;
-    double rejected_value = 0.0;
+    scratch.positions.clear();
+    scratch.group_feedback.clear();
     for (size_t j = i; j < feedback.size(); ++j) {
       if (scratch.Done(j) || (feedback[j].ticket >> 40) != base) continue;
       scratch.MarkDone(j);
-      if (!acquired) {
-        record(j, acquired.error);
-        continue;
-      }
-      ObserveResult result;
-      Status status =
-          acquired.session()->Observe(feedback[j].ticket, feedback[j].accepted, &result);
-      if (status.ok()) {
-        if (result.accepted) {
-          ++accepts;
-        } else {
-          ++rejects;
-          rejected_value += result.price;
-        }
-        if (result.slot_retired) ++retired;
-      }
-      record(j, status);
+      scratch.positions.push_back(j);
+      scratch.group_feedback.push_back(feedback[j]);
     }
-    if (!acquired) continue;
-    acquired.slot->accepts.Add(accepts);
-    acquired.slot->rejects.Add(rejects);
-    acquired.slot->rejected_value.Add(rejected_value);
+    scratch.group_codes.resize(scratch.positions.size());
+    size_t group_error = 0;
+    Status status = ObserveGroup(scratch.group_feedback, scratch.group_codes, &group_error);
+    if (!codes.empty()) {
+      for (size_t g = 0; g < scratch.positions.size(); ++g) {
+        codes[scratch.positions[g]] = scratch.group_codes[g];
+      }
+    }
+    if (!status.ok() && scratch.positions[group_error] < error_index) {
+      error_index = scratch.positions[group_error];
+      first_error = std::move(status);
+    }
   }
+  return first_error;
+}
+
+Status Broker::ObserveGroup(std::span<const FeedbackRequest> group,
+                            std::span<StatusCode> codes, size_t* error_index) {
+  LockedSlot acquired = AcquireTicket(group.front().ticket);
+  if (!acquired) {
+    for (StatusCode& code : codes) code = acquired.error.code();
+    *error_index = 0;
+    return std::move(acquired.error);
+  }
+  // Outcomes are tallied here and added to the slot while its lock is still
+  // held — no shared line touched.
+  Status first_error;
+  *error_index = group.size();
+  uint64_t accepts = 0;
+  uint64_t rejects = 0;
+  uint64_t retired = 0;
+  double rejected_value = 0.0;
+  for (size_t g = 0; g < group.size(); ++g) {
+    ObserveResult result;
+    Status status = acquired.session()->Observe(group[g].ticket, group[g].accepted, &result);
+    if (!codes.empty()) codes[g] = status.code();
+    if (!status.ok()) {
+      if (*error_index == group.size()) {
+        *error_index = g;
+        first_error = std::move(status);
+      }
+      continue;
+    }
+    if (result.accepted) {
+      ++accepts;
+    } else {
+      ++rejects;
+      rejected_value += result.price;
+    }
+    if (result.slot_retired) ++retired;
+  }
+  acquired.slot->accepts.Add(accepts);
+  acquired.slot->rejects.Add(rejects);
+  acquired.slot->rejected_value.Add(rejected_value);
   // About once per 2^20 tickets on a slot: rare enough to push.
   if (retired != 0) metrics_.retirements.Add(retired);
-  RecordBatchSize(feedback.size());
   return first_error;
 }
 

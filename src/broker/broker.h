@@ -91,7 +91,7 @@ struct BrokerConfig {
   /// Telemetry gateway (DESIGN.md §13). The broker resolves its instruments
   /// and registers its scrape-time collector in the constructor. The request
   /// path is the same with or without a gateway: it writes only the slot it
-  /// holds locked and the calling thread's stripe. Null leaves the few
+  /// holds locked and the calling thread's batch-size cell. Null leaves the few
   /// cold-path push instruments on the default sink handles. The gateway
   /// must outlive the broker.
   metrics::MetricGateway* metrics = nullptr;
@@ -620,7 +620,8 @@ class Broker : private metrics::MetricCollector {
   };
 
   /// Pull instruments (DESIGN.md §13): written only by Collect(), which
-  /// adds what SumTotals and the stripes gained since the previous scrape.
+  /// adds what SumTotals and the batch-size cells gained since the previous
+  /// scrape.
   struct Collected {
     metrics::Counter quotes;
     metrics::Counter accepts;
@@ -637,21 +638,6 @@ class Broker : private metrics::MetricCollector {
     metrics::Histogram batch_size;
   };
 
-  /// Per-thread batch-size stripes: each request thread records the size of
-  /// its PostPrices/Observes calls into its own stripe, padded so that
-  /// neighbouring stripes never share a line, and Collect() drains them
-  /// into the registry histogram. Threads take stripes round-robin on
-  /// first use; beyond kStripes concurrent threads, stripes are shared
-  /// (still exact — recording is atomic — only no longer uncontended).
-  static constexpr size_t kStripes = 8;
-  struct alignas(kCacheLineSize) Stripe {
-    metrics::HistogramCell batch_size;
-  };
-
-  /// Records one request-path call of `requests` items into the calling
-  /// thread's stripe.
-  void RecordBatchSize(size_t requests);
-
   /// The one summation behind both the scrape and Stats(), all lock-free
   /// reads: the slot request counters over every slot in the directory
   /// (tombstones included), the directory size, and the control-plane
@@ -662,17 +648,37 @@ class Broker : private metrics::MetricCollector {
   /// O(slots ever opened) per call.
   void SumTotals(BrokerStats* stats) const;
 
-  /// metrics::MetricCollector: adds what SumTotals and the stripes gained
-  /// since the previous call to the `Collected` handles. The gateway
+  /// metrics::MetricCollector: adds what SumTotals and the batch-size cells
+  /// gained since the previous call to the `Collected` handles. The gateway
   /// serializes calls, which is what guards `reported_`.
   void Collect() override;
 
   /// The grouped batch core behind both PostPrices overloads. `*error_index`
   /// receives the batch position of the returned failure (`requests.size()`
   /// when everything succeeded), letting the name-keyed wrapper merge
-  /// resolution failures by position.
+  /// resolution failures by position. A batch whose requests all name one
+  /// handle goes to PostGroup as it is; a mixed batch is split into
+  /// per-session groups, each gathered, run through PostGroup and scattered
+  /// back.
   Status PostPricesGrouped(std::span<const HandleRequest> requests,
                            std::span<Quote> quotes, size_t* error_index);
+
+  /// The group body of both PostPrices paths: prices `group`, whose
+  /// requests all name one handle, into `quotes` under one acquisition of
+  /// that session's slot, and counts the quotes issued on the slot. Each
+  /// failure sits in its quote's status (a failed acquisition fails every
+  /// request); the returned Status is the group's first failure and
+  /// `*error_index` its group position (`group.size()` when none).
+  Status PostGroup(std::span<const HandleRequest> group, std::span<Quote> quotes,
+                   size_t* error_index);
+
+  /// The group body of both Observes paths: applies `group`, whose tickets
+  /// all share one session, under one acquisition of that session's slot,
+  /// and tallies the outcomes on the slot. `codes`, when non-empty, receives
+  /// each item's outcome; the returned Status and `*error_index` are the
+  /// group's first failure and its group position, as for PostGroup.
+  Status ObserveGroup(std::span<const FeedbackRequest> group, std::span<StatusCode> codes,
+                      size_t* error_index);
 
   BrokerConfig config_;
 
@@ -732,7 +738,10 @@ class Broker : private metrics::MetricCollector {
   /// What Collect() has added to `collected_` so far. Its `evicted_sessions`
   /// holds the evicted gauge's value, which counts quarantined sessions too.
   BrokerStats reported_;
-  std::unique_ptr<Stripe[]> stripes_;
+  /// The size of every PostPrices/Observes call, recorded by the calling
+  /// thread into a cell no other thread writes (DESIGN.md §13); Collect()
+  /// adds what the cells gained to `collected_.batch_size`.
+  metrics::PerThreadHistogram batch_sizes_;
 };
 
 /// The ticket base a broker assigns to its i-th session (index+1 in the

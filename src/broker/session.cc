@@ -79,89 +79,60 @@ void PricingSession::FinishIssue(size_t index, const PostedPrice& posted, Quote*
   quote->certain_no_sale = posted.certain_no_sale;
 }
 
-Status PricingSession::PostPrices(std::span<const SessionRequest> requests,
-                                  std::span<Quote> quotes, size_t* error_index) {
-  if (requests.size() != quotes.size()) {
-    if (error_index != nullptr) *error_index = 0;
-    return Status::InvalidArgument(
-        "request/quote span size mismatch: " + std::to_string(requests.size()) +
-        " vs " + std::to_string(quotes.size()));
+void PricingSession::Admit(std::span<const double> features, double reserve,
+                           size_t position, Quote* quote, Tile* tile, FirstError* error) {
+  quote->ticket = 0;
+  quote->status = StatusCode::kOk;
+  if (features.size() != tile->dim) {
+    quote->status = StatusCode::kInvalidArgument;
+    error->Record(position, Status::InvalidArgument(
+                                "dimension mismatch for product '" + product_ +
+                                "': got " + std::to_string(features.size()) +
+                                " features, engine expects " +
+                                std::to_string(tile->dim)));
+    return;
   }
-  Status first_error;
-  size_t first_error_index = requests.size();
-  auto record = [&](size_t i, Status status) {
-    if (!status.ok() && i < first_error_index) {
-      first_error_index = i;
-      first_error = std::move(status);
-    }
-  };
+  size_t index = 0;
+  Status alloc = AllocateSlot(&index);
+  if (!alloc.ok()) {
+    quote->status = alloc.code();
+    error->Record(position, std::move(alloc));
+    return;
+  }
+  const size_t m = tile->size++;
+  tile->features[m] = features.data();
+  tile->reserves[m] = reserve;
+  tile->slots[m] = index;
+  tile->positions[m] = position;
+}
 
-  const int want = engine_->input_dim();
-  for (size_t start = 0; start < requests.size();
-       start += static_cast<size_t>(kQuoteTile)) {
-    const size_t end =
-        std::min(requests.size(), start + static_cast<size_t>(kQuoteTile));
-    // Pass 1: validate and allocate ticket slots in request order — the same
-    // free-list pops one-at-a-time calls would perform, so the issued ticket
-    // ids are identical.
-    reserve_buf_.resize(end - start);
-    tile_slots_.clear();
-    tile_positions_.clear();
-    size_t m = 0;
-    for (size_t i = start; i < end; ++i) {
-      Quote& quote = quotes[i];
-      quote.ticket = 0;
-      quote.status = StatusCode::kOk;
-      if (static_cast<int>(requests[i].features.size()) != want) {
-        quote.status = StatusCode::kInvalidArgument;
-        record(i, Status::InvalidArgument(
-                      "dimension mismatch for product '" + product_ + "': got " +
-                      std::to_string(requests[i].features.size()) +
-                      " features, engine expects " + std::to_string(want)));
-        continue;
-      }
-      size_t index = 0;
-      Status alloc = AllocateSlot(&index);
-      if (!alloc.ok()) {
-        quote.status = alloc.code();
-        record(i, std::move(alloc));
-        continue;
-      }
-      reserve_buf_[m] = requests[i].reserve;
-      tile_slots_.push_back(index);
-      tile_positions_.push_back(i);
-      ++m;
-    }
-    if (m == 0) continue;
-
-    // Pass 2: one engine pass for the whole tile. A lone query's features
-    // are its own panel; more are packed query-major. The cut pointers are
-    // collected only now — every allocation is done, so `slots_` can no
-    // longer reallocate under them. The engine writes each cut context
-    // straight into its ticket slot.
-    const double* panel = requests[tile_positions_[0]].features.data();
-    if (m > 1) {
-      panel_buf_.resize(m * static_cast<size_t>(want));
-      for (size_t j = 0; j < m; ++j) {
-        const std::span<const double> x = requests[tile_positions_[j]].features;
-        std::copy(x.begin(), x.end(), panel_buf_.begin() + j * static_cast<size_t>(want));
-      }
-      panel = panel_buf_.data();
-    }
-    posted_buf_.resize(m);
-    cut_buf_.resize(m);
-    for (size_t j = 0; j < m; ++j) cut_buf_[j] = &slots_[tile_slots_[j]].cut;
-    engine_->PostPriceBatch(panel, static_cast<int>(m), reserve_buf_.data(),
-                            posted_buf_.data(), cut_buf_.data());
-
-    // Pass 3: issue tickets in request order (generation bumps, issue-order
-    // stamps, and counters land exactly as one-at-a-time calls would).
+void PricingSession::PriceTile(const Tile& tile, std::span<Quote> quotes) {
+  const size_t m = tile.size;
+  if (m == 0) return;
+  // A lone query's features are its own panel and its price needs no
+  // table; more are packed query-major into the workspaces.
+  const double* panel = tile.features[0];
+  PostedPrice lone;
+  PostedPrice* posted = &lone;
+  if (m > 1) {
+    panel_buf_.resize(m * tile.dim);
     for (size_t j = 0; j < m; ++j) {
-      FinishIssue(tile_slots_[j], posted_buf_[j], &quotes[tile_positions_[j]]);
+      std::copy(tile.features[j], tile.features[j] + tile.dim,
+                panel_buf_.begin() + j * tile.dim);
     }
+    panel = panel_buf_.data();
+    posted_buf_.resize(m);
+    posted = posted_buf_.data();
   }
-  if (error_index != nullptr) *error_index = first_error_index;
-  return first_error;
+  // The cut pointers are taken only now: every allocation is done, so
+  // `slots_` can no longer reallocate under them. The engine writes each
+  // cut context straight into its ticket slot.
+  PendingCut* cuts[kQuoteTile];
+  for (size_t j = 0; j < m; ++j) cuts[j] = &slots_[tile.slots[j]].cut;
+  engine_->PostPriceBatch(panel, static_cast<int>(m), tile.reserves, posted, cuts);
+  for (size_t j = 0; j < m; ++j) {
+    FinishIssue(tile.slots[j], posted[j], &quotes[tile.positions[j]]);
+  }
 }
 
 Status PricingSession::Observe(uint64_t ticket, bool accepted,

@@ -1,10 +1,12 @@
 #ifndef PDM_BROKER_SESSION_H_
 #define PDM_BROKER_SESSION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "broker/snapshot.h"
@@ -123,18 +125,21 @@ class PricingSession {
   /// a batch a client sends.
   static constexpr int kQuoteTile = 32;
 
-  /// Prices `requests[i]` into `quotes[i]` in batch order. Each
-  /// kQuoteTile-sized run is priced with one PricingEngine::PostPriceBatch
-  /// call (a lone valid request is passed as its own panel, larger runs are
-  /// packed) — bit-identical to sequential PostPrice calls, including the
-  /// issued ticket ids (slots are allocated in request order, exactly as
-  /// one-at-a-time calls would). Individual request failures do not abort
-  /// the batch: each failed quote carries its status (and ticket 0), the
-  /// returned Status is the failure at the lowest batch position, and
-  /// `*error_index` (when non-null) receives that position
-  /// (`requests.size()` when everything succeeded). Errors: InvalidArgument
-  /// when the spans' sizes differ.
-  Status PostPrices(std::span<const SessionRequest> requests, std::span<Quote> quotes,
+  /// Prices `requests[i]` into `quotes[i]` in batch order. `Request` is any
+  /// type with `features` and `reserve` members: `SessionRequest`, or the
+  /// broker's `HandleRequest`, which a one-session batch hands over in
+  /// place. Each kQuoteTile-sized run is priced with one
+  /// PricingEngine::PostPriceBatch call (a lone valid request is passed as
+  /// its own panel, larger runs are packed) — bit-identical to sequential
+  /// PostPrice calls, including the issued ticket ids (slots are allocated
+  /// in request order, exactly as one-at-a-time calls would). Individual
+  /// request failures do not abort the batch: each failed quote carries its
+  /// status (and ticket 0), the returned Status is the failure at the
+  /// lowest batch position, and `*error_index` (when non-null) receives
+  /// that position (`requests.size()` when everything succeeded). Errors:
+  /// InvalidArgument when the spans' sizes differ.
+  template <typename Request>
+  Status PostPrices(std::span<const Request> requests, std::span<Quote> quotes,
                     size_t* error_index = nullptr);
 
   /// Applies accept/reject feedback for `ticket` and retires it — O(1), the
@@ -201,6 +206,47 @@ class PricingSession {
     PendingCut cut;
   };
 
+  /// The first failure of a batch, by batch position.
+  struct FirstError {
+    Status status;
+    size_t index;
+    void Record(size_t i, Status s) {
+      if (i < index) {
+        index = i;
+        status = std::move(s);
+      }
+    }
+  };
+
+  /// One kQuoteTile-sized run's valid requests, in request order: where
+  /// each one's features and reserve are, the ticket slot it was given and
+  /// its batch position. Lives on PostPrices' stack. The arrays are left
+  /// uninitialized, because clearing 1 KiB would cost a lone request more
+  /// than the rest of its bookkeeping; Admit fills them front to back and
+  /// only the first `size` entries are read.
+  struct Tile {
+    explicit Tile(size_t input_dim) : dim(input_dim) {}
+    const size_t dim;
+    size_t size = 0;
+    const double* features[kQuoteTile];
+    double reserves[kQuoteTile];
+    size_t slots[kQuoteTile];
+    size_t positions[kQuoteTile];
+  };
+
+  /// PostPrices' first pass over one request: resets `*quote`, validates
+  /// the dimension and allocates a ticket slot — the same free-list pops
+  /// one-at-a-time calls would perform, so the issued ticket ids are
+  /// identical — and appends the request to `tile`. A failure goes into the
+  /// quote's status and `*error` instead.
+  void Admit(std::span<const double> features, double reserve, size_t position,
+             Quote* quote, Tile* tile, FirstError* error);
+
+  /// One engine pass for the tile's requests, then their tickets in request
+  /// order (generation bumps, issue-order stamps and counters land exactly
+  /// as one-at-a-time calls would).
+  void PriceTile(const Tile& tile, std::span<Quote> quotes);
+
   /// Pops (or grows) a free ticket slot, retiring generation-saturated
   /// candidates along the way. Fails with FailedPrecondition when the slot
   /// space is exhausted. Runs *before* the engine is consulted, so a failed
@@ -228,19 +274,39 @@ class PricingSession {
   std::vector<TicketSlot> slots_;
   std::vector<size_t> free_slots_;
 
-  // PostPrices tile workspaces, bounded by kQuoteTile and reused across
-  // batches so quoting is allocation-free in steady state: the packed
-  // feature panel (tiles of two or more) and reserves handed to the engine,
-  // the per-tile
-  // posted-price and cut-pointer tables, and the slot/batch-position maps
-  // that tie engine outputs back to tickets and caller quotes.
+  /// A tile of two or more packs its features into this panel (bounded by
+  /// kQuoteTile × input dim) and takes its posted prices in this table,
+  /// both reused across batches so quoting is allocation-free in steady
+  /// state. A lone request needs neither, and every other per-tile table
+  /// lives on the stack (Tile).
   Vector panel_buf_;
-  Vector reserve_buf_;
   std::vector<PostedPrice> posted_buf_;
-  std::vector<PendingCut*> cut_buf_;
-  std::vector<size_t> tile_slots_;
-  std::vector<size_t> tile_positions_;
 };
+
+template <typename Request>
+Status PricingSession::PostPrices(std::span<const Request> requests,
+                                  std::span<Quote> quotes, size_t* error_index) {
+  if (requests.size() != quotes.size()) {
+    if (error_index != nullptr) *error_index = 0;
+    return Status::InvalidArgument(
+        "request/quote span size mismatch: " + std::to_string(requests.size()) +
+        " vs " + std::to_string(quotes.size()));
+  }
+  FirstError error{Status(), requests.size()};
+  const size_t dim = static_cast<size_t>(engine_->input_dim());
+  for (size_t start = 0; start < requests.size();
+       start += static_cast<size_t>(kQuoteTile)) {
+    const size_t end =
+        std::min(requests.size(), start + static_cast<size_t>(kQuoteTile));
+    Tile tile(dim);
+    for (size_t i = start; i < end; ++i) {
+      Admit(requests[i].features, requests[i].reserve, i, &quotes[i], &tile, &error);
+    }
+    PriceTile(tile, quotes);
+  }
+  if (error_index != nullptr) *error_index = error.index;
+  return std::move(error.status);
+}
 
 }  // namespace pdm::broker
 

@@ -1,6 +1,7 @@
 #include "metrics/metrics.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "common/check.h"
@@ -44,19 +45,73 @@ uint64_t Histogram::Quantile(double q) const {
   return floor;  // count raced ahead of buckets; report the highest seen
 }
 
-void Histogram::DrainFrom(HistogramCell* stripe) {
+namespace {
+
+/// Adds `now - seen` to `target` and moves `seen` up to `now`.
+template <typename T>
+void AddFieldGain(T now, std::atomic<T>* seen, std::atomic<T>* target) {
+  const T before = seen->load(std::memory_order_relaxed);
+  if (now == before) return;
+  target->fetch_add(now - before, std::memory_order_relaxed);
+  seen->store(now, std::memory_order_relaxed);
+}
+
+}  // namespace
+
+void Histogram::AddGain(std::span<const HistogramCell> sources, HistogramCell* seen) {
   for (size_t i = 0; i < LatencyHistogram::kBucketCount; ++i) {
-    // Load first: most buckets are empty, and an exchange on each would
-    // write all ~2.5k of them on every scrape.
-    if (stripe->buckets[i].load(std::memory_order_relaxed) == 0) continue;
-    cell_->buckets[i].fetch_add(
-        stripe->buckets[i].exchange(0, std::memory_order_relaxed),
-        std::memory_order_relaxed);
+    uint64_t now = 0;
+    for (const HistogramCell& source : sources) {
+      now += source.buckets[i].load(std::memory_order_relaxed);
+    }
+    AddFieldGain(now, &seen->buckets[i], &cell_->buckets[i]);
   }
-  cell_->count.fetch_add(stripe->count.exchange(0, std::memory_order_relaxed),
-                         std::memory_order_relaxed);
-  cell_->sum.fetch_add(stripe->sum.exchange(0, std::memory_order_relaxed),
-                       std::memory_order_relaxed);
+  int64_t count = 0;
+  uint64_t sum = 0;
+  for (const HistogramCell& source : sources) {
+    count += source.count.load(std::memory_order_relaxed);
+    sum += source.sum.load(std::memory_order_relaxed);
+  }
+  AddFieldGain(count, &seen->count, &cell_->count);
+  AddFieldGain(sum, &seen->sum, &cell_->sum);
+}
+
+namespace internal {
+namespace {
+
+static_assert(PerThreadHistogram::kExclusiveCells <= 64);
+/// Bit i set: some live thread holds cell number i.
+std::atomic<uint64_t> cell_claims{0};
+
+}  // namespace
+
+CellClaim::CellClaim() : cell_(PerThreadHistogram::kExclusiveCells) {
+  constexpr uint64_t kAll = (uint64_t{1} << PerThreadHistogram::kExclusiveCells) - 1;
+  uint64_t claimed = cell_claims.load(std::memory_order_relaxed);
+  while ((claimed & kAll) != kAll) {
+    const size_t lowest_free = static_cast<size_t>(std::countr_one(claimed));
+    if (cell_claims.compare_exchange_weak(claimed, claimed | (uint64_t{1} << lowest_free),
+                                          std::memory_order_acquire,
+                                          std::memory_order_relaxed)) {
+      cell_ = lowest_free;
+      return;
+    }
+  }
+}
+
+CellClaim::~CellClaim() {
+  if (cell_ == PerThreadHistogram::kExclusiveCells) return;
+  cell_claims.fetch_and(~(uint64_t{1} << cell_), std::memory_order_release);
+}
+
+}  // namespace internal
+
+PerThreadHistogram::PerThreadHistogram()
+    : cells_(std::make_unique<HistogramCell[]>(kExclusiveCells + 2)) {}
+
+void PerThreadHistogram::CollectInto(Histogram* target) {
+  target->AddGain(std::span<const HistogramCell>(cells_.get(), kExclusiveCells + 1),
+                  &cells_[kExclusiveCells + 1]);
 }
 
 MetricGateway* MetricGateway::Noop() {

@@ -5,7 +5,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -24,6 +26,8 @@
 ///     `HistogramCell`) that hold the actual state. A histogram cell reuses
 ///     `LatencyHistogram`'s log-linear bucket geometry so scraped quantiles
 ///     line up with the bench JSON quantiles bit for bit.
+///     `PerThreadHistogram` gives each recording thread a cell of its own,
+///     recorded without read-modify-writes.
 ///   * **Handles** — `Counter` / `Gauge` / `Histogram` are one-pointer
 ///     wrappers resolved once at wiring time. `Increment`/`Add`/`Record` on
 ///     the hot path are single relaxed atomic RMWs: no allocation, no lock,
@@ -76,7 +80,7 @@ struct alignas(kCacheLineSize) GaugeCell {
 /// relaxed, so a concurrent scrape sees a consistent-enough snapshot (counts
 /// may trail the buckets by in-flight samples, never the reverse by more
 /// than the same in-flight window).
-struct HistogramCell {
+struct alignas(kCacheLineSize) HistogramCell {
   std::atomic<uint64_t> buckets[LatencyHistogram::kBucketCount];
   std::atomic<int64_t> count{0};
   std::atomic<uint64_t> sum{0};
@@ -90,6 +94,17 @@ struct HistogramCell {
         1, std::memory_order_relaxed);
     count.fetch_add(1, std::memory_order_relaxed);
     sum.fetch_add(nanos, std::memory_order_relaxed);
+  }
+
+  /// Record for a cell that one thread at a time writes: a relaxed load
+  /// plus a store per field, never a read-modify-write (the
+  /// `SingleWriterCounter` contract). A later writer must be ordered after
+  /// the earlier one's last record, as PerThreadHistogram's claims are.
+  void RecordSingleWriter(uint64_t nanos) {
+    std::atomic<uint64_t>& bucket = buckets[LatencyHistogram::BucketIndex(nanos)];
+    bucket.store(bucket.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    count.store(count.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    sum.store(sum.load(std::memory_order_relaxed) + nanos, std::memory_order_relaxed);
   }
 };
 
@@ -141,12 +156,15 @@ class Histogram {
   explicit Histogram(HistogramCell* cell) : cell_(cell) {}
 
   void Record(uint64_t nanos) { cell_->Record(nanos); }
-  /// Moves every sample recorded in `stripe` into this histogram and leaves
-  /// the stripe empty: the scrape-time merge of a per-thread stripe that
-  /// its owner keeps recording into. Each field moves with one exchange, so
-  /// a sample recorded concurrently lands in this drain or the next one,
-  /// never in both and never in neither.
-  void DrainFrom(HistogramCell* stripe);
+  /// Adds to this histogram what the `sources` gained, together, since the
+  /// previous call that passed `seen`, and leaves their current sum in
+  /// `seen`: the scrape-time merge of cells their writers keep recording
+  /// into. The sources are only read, never reset, so a single-writer
+  /// record is never raced by a second writer. Every field of a source only
+  /// grows, so each call adds a non-negative amount, and a field a writer
+  /// bumps concurrently lands in this call or the next, exactly once.
+  /// Calls that share `seen` must be serialized.
+  void AddGain(std::span<const HistogramCell> sources, HistogramCell* seen);
   int64_t count() const { return cell_->count.load(std::memory_order_relaxed); }
   uint64_t sum() const { return cell_->sum.load(std::memory_order_relaxed); }
   /// Conservative q-quantile over the relaxed bucket snapshot (same contract
@@ -158,6 +176,68 @@ class Histogram {
 };
 
 using HistogramMetric = Histogram;
+
+namespace internal {
+/// One thread's process-wide claim on a PerThreadHistogram cell number:
+/// taken on the thread's first record, given back when the thread exits.
+/// Taking a number acquires and giving it back releases, so a number's next
+/// holder starts after its previous holder's last record.
+class CellClaim {
+ public:
+  CellClaim();
+  ~CellClaim();
+  CellClaim(const CellClaim&) = delete;
+  CellClaim& operator=(const CellClaim&) = delete;
+  size_t cell() const { return cell_; }
+
+ private:
+  size_t cell_;
+};
+}  // namespace internal
+
+/// A histogram that many threads record into without a read-modify-write
+/// (DESIGN.md §13): the broker's batch sizes. A thread claims one of
+/// kExclusiveCells cell numbers on its first Record and holds it until it
+/// exits. Claims are process-wide, so while a thread lives no other thread
+/// writes its cell of any PerThreadHistogram, and its Record is a relaxed
+/// load plus a store per field. Threads that find every number claimed
+/// share one overflow cell, which records with atomic adds, so the
+/// histogram stays exact with any number of threads. The owner's collector
+/// merges the cells into a registry histogram with CollectInto.
+class PerThreadHistogram {
+ public:
+  static constexpr size_t kExclusiveCells = 8;
+
+  PerThreadHistogram();
+  PerThreadHistogram(const PerThreadHistogram&) = delete;
+  PerThreadHistogram& operator=(const PerThreadHistogram&) = delete;
+
+  void Record(uint64_t value) {
+    const size_t cell = CallingThreadCell();
+    if (cell < kExclusiveCells) {
+      cells_[cell].RecordSingleWriter(value);
+    } else {
+      cells_[kExclusiveCells].Record(value);
+    }
+  }
+
+  /// Adds what the cells gained since the previous call to `target`.
+  /// Calls must be serialized (a registry runs its collectors under one
+  /// lock).
+  void CollectInto(Histogram* target);
+
+  /// The calling thread's cell number: its own claim below kExclusiveCells,
+  /// or kExclusiveCells for the overflow cell. The first call claims.
+  static size_t CallingThreadCell() {
+    thread_local const internal::CellClaim claim;
+    return claim.cell();
+  }
+
+ private:
+  /// kExclusiveCells claimable cells, the overflow cell, then the cells'
+  /// sum as of the previous CollectInto.
+  std::unique_ptr<HistogramCell[]> cells_;
+};
 
 // ---------------------------------------------------------------------------
 // Gateway

@@ -126,7 +126,7 @@ Status Client::Flush() {
   return Status::Ok();
 }
 
-Status Client::ReadFrame(std::string* payload) {
+Status Client::ReadFrame(std::string_view* payload, size_t* frame_bytes) {
   const bool bounded = config_.deadline_ms > 0;
   const auto deadline = std::chrono::steady_clock::now() +
                         std::chrono::milliseconds(config_.deadline_ms);
@@ -139,8 +139,8 @@ Status Client::ReadFrame(std::string* payload) {
       return Status::FailedPrecondition("oversized response frame");
     }
     if (r == FrameResult::kFrame) {
-      payload->assign(view);
-      pending_.erase(0, next);
+      *payload = view;
+      *frame_bytes = next;
       return Status::Ok();
     }
     Status s = Receive(bounded, deadline);
@@ -209,10 +209,19 @@ Status Client::Receive(bool bounded, std::chrono::steady_clock::time_point deadl
 
 Status Client::ReadResponse(Response* out) {
   if (!fd_.valid()) return Status::FailedPrecondition("client not connected");
-  std::string payload;
-  Status s = ReadFrame(&payload);
+  // Decoded in place: a steady-state response copies nothing out of
+  // `pending_` and allocates nothing.
+  std::string_view payload;
+  size_t frame_bytes = 0;
+  Status s = ReadFrame(&payload, &frame_bytes);
   if (!s.ok()) return s;
+  s = DecodeResponse(payload, out);
+  // A no-op when an error frame dropped the connection (and `pending_`).
+  pending_.erase(0, frame_bytes);
+  return s;
+}
 
+Status Client::DecodeResponse(std::string_view payload, Response* out) {
   ByteReader r(payload);
   uint8_t op_byte, code_byte;
   if (!r.GetU8(&op_byte) || !r.GetU64(&out->id) || !r.GetU8(&code_byte)) {
@@ -231,10 +240,12 @@ Status Client::ReadResponse(Response* out) {
   // returned Status), not as an op outcome, and the connection is dropped.
   if (op_byte == 0) {
     std::string_view message;
+    Status error = r.GetString(&message)
+                       ? Status(code, std::string("server error frame: ") +
+                                          std::string(message))
+                       : decode_error();
     Disconnect();
-    if (!r.GetString(&message)) return decode_error();
-    return Status(code,
-                  std::string("server error frame: ") + std::string(message));
+    return error;
   }
 
   // Batch ops always carry message + per-item results regardless of status.

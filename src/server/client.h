@@ -152,9 +152,14 @@ class Client {
 
  private:
   uint64_t NextId() { return next_id_++; }
-  /// Reads until `pending_` holds one complete frame; yields its payload.
-  /// Honors `config_.deadline_ms`; transport failures poison the connection.
-  Status ReadFrame(std::string* payload);
+  /// Reads until `pending_` holds one complete frame; yields its payload as
+  /// a view into `pending_` and the frame's length there, which the caller
+  /// erases once it has decoded the payload. Honors `config_.deadline_ms`;
+  /// transport failures poison the connection.
+  Status ReadFrame(std::string_view* payload, size_t* frame_bytes);
+  /// Decodes one response payload into `*out`. A connection-level error
+  /// frame drops the connection after its message is read.
+  Status DecodeResponse(std::string_view payload, Response* out);
   /// One wait for response bytes, appended to `pending_`: a nonblocking recv
   /// retried for up to `kSpinWindow` (never past `deadline` when `bounded`),
   /// then a blocking one. Expiry and transport failures poison the

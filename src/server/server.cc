@@ -128,10 +128,11 @@ struct TcpServer::Connection {
   bool output_pending() const { return out_offset < out.size(); }
 };
 
-/// ServeRun's decode and broker-call buffers. Only the event loop serves
-/// frames, so one set is cleared and reused run after run: steady-state runs
-/// allocate nothing.
+/// ServeBufferedFrames' frame list and ServeRun's decode and broker-call
+/// buffers. Only the event loop serves frames, so one set is cleared and
+/// reused wakeup after wakeup: steady-state runs allocate nothing.
 struct TcpServer::RunBuffers {
+  std::vector<std::string_view> frames;
   std::vector<double> features;
   std::vector<PriceFrame> prices;
   std::vector<HandleRequest> requests;
@@ -417,6 +418,9 @@ void TcpServer::EventLoop() {
             }
             conn->in.append(chunk, static_cast<size_t>(n));
             conn->last_activity = std::chrono::steady_clock::now();
+            // A short read emptied the socket: what arrives later, a FIN
+            // included, is the next poll's readable event.
+            if (static_cast<size_t>(n) < sizeof chunk) break;
             continue;
           }
           if (n == 0) {
@@ -508,7 +512,8 @@ bool TcpServer::ServeBufferedFrames(Connection* conn) {
 
   // Split out every complete frame first: coalescing needs to see the whole
   // pipelined run, not one frame at a time.
-  std::vector<std::string_view> frames;
+  std::vector<std::string_view>& frames = run_->frames;
+  frames.clear();
   size_t offset = conn->in_offset;
   for (;;) {
     std::string_view payload;

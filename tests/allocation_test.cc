@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -36,24 +37,32 @@
 #include "pricing/link_functions.h"
 #include "scenario/mechanism_registry.h"
 #include "scenario/stream_factory.h"
+#include "server/client.h"
+#include "server/server.h"
 
 // ---------------------------------------------------------------------------
 // Replaceable operator new/delete hooks. Every allocation in this binary
-// (gtest included) bumps the counter; the tests only read deltas around the
-// measured loops. Aligned variants are required since C++17 for
-// over-aligned types.
+// (gtest included) bumps the calling thread's counter and the process-wide
+// one; the tests only read deltas around the measured loops. Aligned
+// variants are required since C++17 for over-aligned types.
 // ---------------------------------------------------------------------------
 
 namespace {
 
+/// Every thread's allocations, for paths that span threads (a TcpServer's
+/// event loop runs on its own).
+std::atomic<int64_t> process_allocations{0};
+
 void* CountedAlloc(std::size_t size) {
   pdm::NoteAllocation();
+  process_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
 
 void* CountedAlignedAlloc(std::size_t size, std::size_t alignment) {
   pdm::NoteAllocation();
+  process_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::aligned_alloc(alignment, ((size + alignment - 1) / alignment) * alignment)) {
     return p;
   }
@@ -273,7 +282,7 @@ TEST(SteadyStateAllocations, MetricInstrumentOpsAreAllocationFree) {
 TEST(SteadyStateAllocations, BrokerRoundTripsWithLiveMetricsRegistry) {
   // The serving hot path with a LIVE registry wired: the per-round metric
   // writes (the slot's quote/accept/reject/regret counters, the thread's
-  // batch-size stripe) must not reintroduce heap traffic. Registration
+  // batch-size cell) must not reintroduce heap traffic. Registration
   // allocates at wiring time only — before the measured window opens.
   scenario::StreamFactory factory;
   scenario::ScenarioSpec spec;
@@ -339,6 +348,87 @@ TEST(SteadyStateAllocations, BrokerRoundTripsWithLiveMetricsRegistry) {
   EXPECT_EQ(dump.CounterValue("pdm_broker_quotes_total"),
             static_cast<uint64_t>((kWarmupRounds / kWindow) * kWindow +
                                   (kMeasuredRounds / kWindow) * kWindow));
+}
+
+TEST(SteadyStateAllocations, ServeTcpTicksThroughLoopbackServerAndClient) {
+  // The wire path end to end, in perfbench serve-tcp's tick shape: 8
+  // pipelined PostPrice frames (two per product, one product per
+  // mechanism), their responses, then the 8 Observe frames and theirs,
+  // through a loopback TcpServer and Client. The event loop runs on its own
+  // thread, so this counts every thread's allocations: once warm, neither
+  // end of the wire may touch the heap.
+  constexpr int kProducts = 4;
+  constexpr int kTickQuotes = 2 * kProducts;
+  constexpr size_t kRing = 256;
+  constexpr int kWarmupTicks = 200;
+  constexpr int kMeasuredTicks = 500;
+  const char* const kMechanisms[kProducts] = {"pure", "uncertainty", "reserve",
+                                              "reserve+uncertainty"};
+  scenario::StreamFactory factory;
+  broker::Broker broker;
+  server::TcpServer tcp(&broker);
+  ASSERT_TRUE(tcp.Start().ok());
+  server::Client client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", tcp.port()).ok());
+  std::vector<std::vector<MarketRound>> rings(kProducts);
+  broker::ProductHandle handles[kProducts];
+  for (int p = 0; p < kProducts; ++p) {
+    scenario::ScenarioSpec spec;
+    spec.name = std::string("alloc/wire/") + kMechanisms[p];
+    spec.stream = scenario::StreamKind::kLinear;
+    spec.mechanism = kMechanisms[p];
+    spec.n = 8;
+    spec.rounds = kRing;
+    spec.delta = 0.01;
+    spec.linear.num_owners = 120;
+    spec.workload_seed = 41 + static_cast<uint64_t>(p);
+    scenario::WorkloadInfo info = factory.Prepare(spec);
+    ASSERT_TRUE(broker.OpenSession(spec.name, spec, info).ok());
+    Rng rng(51 + static_cast<uint64_t>(p));
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(spec, &rng);
+    rings[p].resize(kRing);
+    for (MarketRound& round : rings[p]) stream->Next(&rng, &round);
+    ASSERT_TRUE(client.Resolve(spec.name, &handles[p]).ok());
+  }
+
+  size_t cursor = 0;
+  auto drive = [&](int ticks) {
+    for (int t = 0; t < ticks; ++t) {
+      const MarketRound* rounds[kTickQuotes];
+      for (int k = 0; k < kTickQuotes; ++k) {
+        const int p = k % kProducts;
+        rounds[k] = &rings[p][cursor++ % kRing];
+        client.QueuePostPrice(handles[p], rounds[k]->features, rounds[k]->reserve);
+      }
+      ASSERT_TRUE(client.Flush().ok());
+      uint64_t tickets[kTickQuotes];
+      bool accepted[kTickQuotes];
+      for (int k = 0; k < kTickQuotes; ++k) {
+        server::Response resp;
+        ASSERT_TRUE(client.ReadResponse(&resp).ok());
+        ASSERT_TRUE(resp.status.ok());
+        tickets[k] = resp.quote.ticket;
+        accepted[k] =
+            !resp.quote.certain_no_sale && resp.quote.price <= rounds[k]->value;
+      }
+      for (int k = 0; k < kTickQuotes; ++k) client.QueueObserve(tickets[k], accepted[k]);
+      ASSERT_TRUE(client.Flush().ok());
+      for (int k = 0; k < kTickQuotes; ++k) {
+        server::Response resp;
+        ASSERT_TRUE(client.ReadResponse(&resp).ok());
+        ASSERT_TRUE(resp.status.ok());
+      }
+    }
+  };
+
+  drive(kWarmupTicks);
+  const int64_t before = process_allocations.load(std::memory_order_relaxed);
+  drive(kMeasuredTicks);
+  const int64_t after = process_allocations.load(std::memory_order_relaxed);
+  EXPECT_EQ(after - before, 0) << (after - before) << " allocations in " << kMeasuredTicks
+                               << " steady-state serve-tcp ticks";
+  client.Disconnect();
+  tcp.Stop();
 }
 
 TEST(SteadyStateAllocations, BrokerTicketedRoundTrips) {

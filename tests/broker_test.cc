@@ -2378,8 +2378,8 @@ TEST(BrokerMetrics, TwoBrokersOnOneRegistryReportTheirSum) {
 TEST(BrokerMetrics, WritersRacingScrapesSeeMonotoneThenExactTotals) {
   // TSan target: three threads drive batched round trips on their own
   // products while this thread scrapes in a loop. Slot counters are written
-  // under the slot lock and read lock-free by the collector; stripes are
-  // recorded by their thread and drained by the collector. Every scrape is
+  // under the slot lock and read lock-free by the collector; batch-size
+  // cells are recorded by their thread and read by the collector. Every scrape is
   // monotone, and the one after the writers finish is exact.
   constexpr int kThreads = 3;
   constexpr int kIterations = 300;
@@ -2457,6 +2457,105 @@ TEST(BrokerMetrics, WritersRacingScrapesSeeMonotoneThenExactTotals) {
   EXPECT_EQ(batches->hist_count, int64_t{kThreads} * kIterations * 2);
   EXPECT_EQ(batches->hist_sum, expected * 2);
   ExpectScrapeMatchesStats(dump, broker.Stats());
+}
+
+TEST(BrokerMetrics, ThreadChurnKeepsTheBatchSizeHistogramExact) {
+  // TSan target. Request threads come and go while this thread scrapes:
+  // waves of short-lived writers, more than 4× as many over the broker's
+  // life as there are exclusive batch-size cells, then one wave wider than
+  // the cell count, whose extra threads share the overflow cell. A thread
+  // gives its cell back when it exits, so every short wave records into
+  // cells of its own. Every scrape is monotone, and after the joins the
+  // histogram holds exactly the calls made and the requests sent.
+  constexpr int kCells = static_cast<int>(metrics::PerThreadHistogram::kExclusiveCells);
+  constexpr int kShortWaves = 8;
+  constexpr int kShortWaveThreads = 4;
+  constexpr int kWideWaveThreads = kCells + 4;
+  static_assert(kShortWaves * kShortWaveThreads + kWideWaveThreads >= 4 * kCells);
+  constexpr int kIterations = 60;
+  constexpr size_t kBatchSizes[] = {1, 3, 8};
+  constexpr size_t kMaxBatch = 8;
+  StreamFactory factory;
+  metrics::MetricRegistry registry;
+  BrokerConfig config;
+  config.metrics = &registry;
+  Broker broker(config);
+  std::vector<ScenarioSpec> specs;
+  for (int i = 0; i < kWideWaveThreads; ++i) {
+    specs.push_back(LinearSpec("churn/p" + std::to_string(i), 6, 4000, "reserve", 80 + i));
+    ASSERT_TRUE(broker.OpenSession(specs[i].name, specs[i], factory.Prepare(specs[i])).ok());
+  }
+
+  std::atomic<uint64_t> calls{0};
+  std::atomic<uint64_t> requests_sent{0};
+  // One short-lived writer: round trips on its own product, cycling
+  // through the batch sizes.
+  auto writer = [&](int product, uint64_t seed) {
+    Rng rng(seed);
+    std::unique_ptr<QueryStream> stream = factory.CreateStream(specs[product], &rng);
+    ProductHandle handle;
+    PDM_CHECK(broker.Resolve(specs[product].name, &handle).ok());
+    std::array<MarketRound, kMaxBatch> rounds;
+    std::array<HandleRequest, kMaxBatch> requests;
+    std::array<Quote, kMaxBatch> quotes;
+    std::array<FeedbackRequest, kMaxBatch> feedback;
+    for (int it = 0; it < kIterations; ++it) {
+      const size_t batch = kBatchSizes[static_cast<size_t>(product + it) % 3];
+      for (size_t k = 0; k < batch; ++k) {
+        stream->Next(&rng, &rounds[k]);
+        requests[k] = {handle, rounds[k].features, rounds[k].reserve};
+      }
+      PDM_CHECK(broker
+                    .PostPrices(std::span<const HandleRequest>(requests.data(), batch),
+                                std::span<Quote>(quotes.data(), batch))
+                    .ok());
+      for (size_t k = 0; k < batch; ++k) {
+        feedback[k] = {quotes[k].ticket,
+                       !quotes[k].certain_no_sale && quotes[k].price <= rounds[k].value};
+      }
+      PDM_CHECK(
+          broker.Observes(std::span<const FeedbackRequest>(feedback.data(), batch)).ok());
+      calls.fetch_add(2, std::memory_order_relaxed);
+      requests_sent.fetch_add(2 * batch, std::memory_order_relaxed);
+    }
+  };
+  std::atomic<bool> finished{false};
+  std::thread waves([&] {
+    uint64_t seed = 300;
+    auto run_wave = [&](int threads) {
+      std::vector<std::thread> wave;
+      for (int t = 0; t < threads; ++t) wave.emplace_back(writer, t, ++seed);
+      for (std::thread& thread : wave) thread.join();
+    };
+    for (int w = 0; w < kShortWaves; ++w) run_wave(kShortWaveThreads);
+    run_wave(kWideWaveThreads);
+    finished.store(true, std::memory_order_release);
+  });
+
+  int64_t last_count = 0;
+  uint64_t last_sum = 0;
+  int scrapes = 0;
+  do {
+    const metrics::MetricsDump dump = Scrape(registry);
+    const metrics::DumpInstrument* batches = dump.Find("pdm_broker_batch_size");
+    const int64_t count = batches != nullptr ? batches->hist_count : -1;
+    const uint64_t sum = batches != nullptr ? batches->hist_sum : 0;
+    EXPECT_GE(count, last_count);
+    EXPECT_GE(sum, last_sum);
+    last_count = count;
+    last_sum = sum;
+    ++scrapes;
+  } while (!finished.load(std::memory_order_acquire));
+  waves.join();
+  EXPECT_GT(scrapes, 0);
+
+  const metrics::MetricsDump dump = Scrape(registry);
+  const metrics::DumpInstrument* batches = dump.Find("pdm_broker_batch_size");
+  ASSERT_NE(batches, nullptr);
+  EXPECT_EQ(batches->hist_count, static_cast<int64_t>(calls.load()));
+  EXPECT_EQ(batches->hist_sum, requests_sent.load());
+  // Half the requests were price requests, and every one of them was quoted.
+  EXPECT_EQ(dump.CounterValue("pdm_broker_quotes_total"), requests_sent.load() / 2);
 }
 
 TEST(BrokerMetrics, BrokerDestroyedWhileAnotherThreadScrapesIsSafe) {

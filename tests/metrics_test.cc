@@ -101,22 +101,91 @@ TEST(NoopGateway, SinkHandlesAcceptWritesAndRenderNothing) {
   EXPECT_GE(c.value(), 6u);  // both writes landed in the shared sink
 }
 
-TEST(MetricHandles, HistogramDrainMovesStripeSamples) {
+TEST(MetricHandles, HistogramAddGainAddsWhatSourcesGainedSinceTheLastCall) {
   MetricRegistry registry;
-  Histogram h = registry.GetHistogram("drain_ns", "help");
+  Histogram h = registry.GetHistogram("gain_ns", "help");
   h.Record(5);
-  HistogramCell stripe;
-  stripe.Record(5);
-  stripe.Record(100);
-  h.DrainFrom(&stripe);
+  std::vector<HistogramCell> sources(2);
+  HistogramCell seen;
+  sources[0].RecordSingleWriter(5);
+  sources[1].Record(100);
+  h.AddGain(sources, &seen);
   EXPECT_EQ(h.count(), 3);
   EXPECT_EQ(h.sum(), 110u);
-  EXPECT_EQ(stripe.count.load(), 0);
-  EXPECT_EQ(stripe.sum.load(), 0u);
-  for (const auto& bucket : stripe.buckets) ASSERT_EQ(bucket.load(), 0u);
-  h.DrainFrom(&stripe);  // an empty stripe moves nothing
+  // The sources keep their samples; `seen` holds their sum.
+  EXPECT_EQ(sources[0].count.load(), 1);
+  EXPECT_EQ(sources[1].sum.load(), 100u);
+  EXPECT_EQ(seen.count.load(), 2);
+  EXPECT_EQ(seen.sum.load(), 105u);
+  h.AddGain(sources, &seen);  // nothing gained, nothing added
   EXPECT_EQ(h.count(), 3);
-  EXPECT_EQ(h.Quantile(1.0), registry.GetHistogram("drain_ns", "help").Quantile(1.0));
+  sources[1].RecordSingleWriter(7);
+  h.AddGain(sources, &seen);
+  EXPECT_EQ(h.count(), 4);
+  EXPECT_EQ(h.sum(), 117u);
+  EXPECT_EQ(h.Quantile(1.0), 100u);
+  EXPECT_EQ(h.Quantile(0.25), 5u);
+}
+
+TEST(PerThreadHistogram, ExitedThreadsReleaseTheirCells) {
+  // Every predecessor gave its claim back on exit, so each of these
+  // short-lived threads finds a cell of its own.
+  constexpr size_t kCells = PerThreadHistogram::kExclusiveCells;
+  for (size_t i = 0; i < 4 * kCells; ++i) {
+    size_t cell = kCells;
+    std::thread([&cell] { cell = PerThreadHistogram::CallingThreadCell(); }).join();
+    EXPECT_LT(cell, kCells) << "thread " << i;
+  }
+}
+
+TEST(PerThreadHistogram, AWaveWiderThanTheCellsSharesTheOverflowCellExactly) {
+  // TSan target. The threads hold their claims while they record, so the
+  // ones past kExclusiveCells share the overflow cell; a scrape loop races
+  // them, and every count it sees is monotone and the last one exact.
+  constexpr size_t kCells = PerThreadHistogram::kExclusiveCells;
+  constexpr size_t kThreads = kCells + 4;
+  constexpr uint64_t kRecords = 2000;
+  MetricRegistry registry;
+  Histogram target = registry.GetHistogram("wave", "help");
+  PerThreadHistogram histogram;
+  std::vector<size_t> cells(kThreads);
+  std::atomic<size_t> claimed{0};
+  std::atomic<size_t> running{kThreads};
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      cells[t] = PerThreadHistogram::CallingThreadCell();
+      claimed.fetch_add(1);
+      while (claimed.load() < kThreads) std::this_thread::yield();
+      for (uint64_t k = 0; k < kRecords; ++k) histogram.Record(k % 7 + 1);
+      running.fetch_sub(1);
+    });
+  }
+  int64_t last = 0;
+  while (running.load() > 0) {
+    histogram.CollectInto(&target);
+    EXPECT_GE(target.count(), last);
+    last = target.count();
+  }
+  for (std::thread& thread : threads) thread.join();
+  histogram.CollectInto(&target);
+
+  size_t overflow = 0;
+  std::vector<bool> taken(kCells, false);
+  for (size_t cell : cells) {
+    if (cell == kCells) {
+      ++overflow;
+      continue;
+    }
+    ASSERT_LT(cell, kCells);
+    EXPECT_FALSE(taken[cell]) << "two live threads hold cell " << cell;
+    taken[cell] = true;
+  }
+  EXPECT_GE(overflow, kThreads - kCells);
+  EXPECT_EQ(target.count(), static_cast<int64_t>(kThreads * kRecords));
+  uint64_t per_thread_sum = 0;
+  for (uint64_t k = 0; k < kRecords; ++k) per_thread_sum += k % 7 + 1;
+  EXPECT_EQ(target.sum(), kThreads * per_thread_sum);
 }
 
 // --------------------------------------------------------------- collectors

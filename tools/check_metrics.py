@@ -22,6 +22,11 @@ Checks (exit 1 on any failure):
     per-series client tallies (exact integer equality).
   * accepts + rejects == quotes within the scrape itself (every issued
     ticket was retired by feedback; nothing leaked).
+  * pdm_broker_batch_size_sum == quotes + accepts + rejects: the batch-size
+    histogram recorded every served PostPrice/Observe request exactly once.
+    The loadgen fails on any request error, so every request it sent was
+    quoted, accepted or rejected, and the equality is exact wherever this
+    gate runs (the smoke fleet and the chaos job's recovered fleet).
   * pdm_server_protocol_errors_total == 0.
   * pdm_server_waits_total (the event loop's waits, by outcome "spun" or
     "blocked") is present, and its series sum to more than 0: a loop that
@@ -151,6 +156,18 @@ def main():
                 "issued tickets leaked without feedback"
             )
 
+    batch_sum = scrape_counter(text, "pdm_broker_batch_size_sum")
+    if batch_sum is None:
+        failures.append("  pdm_broker_batch_size_sum: missing from the scrape")
+    elif len(scraped) == len(COUNTERS):
+        served = scraped["quotes"] + scraped["accepts"] + scraped["rejects"]
+        if batch_sum != served:
+            failures.append(
+                f"  pdm_broker_batch_size_sum: {batch_sum} requests recorded, "
+                f"but the broker served {served} (quotes + accepts + rejects) "
+                "— a call recorded twice or not at all"
+            )
+
     errors = scrape_counter(text, "pdm_server_protocol_errors_total")
     if errors is None:
         failures.append("  pdm_server_protocol_errors_total: missing from the scrape")
@@ -179,8 +196,8 @@ def main():
     print(
         f"OK: scrape reconciles with client tallies exactly "
         f"(quotes={tallies['quotes']}, accepts={tallies['accepts']}, "
-        f"rejects={tallies['rejects']}; 0 protocol errors; {waits} event-loop "
-        "waits)"
+        f"rejects={tallies['rejects']}; batch sizes sum to {batch_sum}; "
+        f"0 protocol errors; {waits} event-loop waits)"
     )
     return 0
 

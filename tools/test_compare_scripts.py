@@ -70,8 +70,11 @@ def serving_doc(p50=100000, p99=500000, p999=900000, rps=8000.0, hw=4, errors=0,
 
 
 def scrape_text(quotes=1000, accepts=600, rejects=400, protocol_errors=0,
-                waits_spun=700, waits_blocked=300, omit=()):
-    """A minimal pdm_serve exposition document for check_metrics tests."""
+                waits_spun=700, waits_blocked=300, batch_size_sum=None, omit=()):
+    """A minimal pdm_serve exposition document for check_metrics tests.
+    The batch-size sum defaults to one record per served request."""
+    if batch_size_sum is None:
+        batch_size_sum = quotes + accepts + rejects
     lines = []
     for name, value in (
         ("pdm_broker_quotes_total", quotes),
@@ -84,6 +87,12 @@ def scrape_text(quotes=1000, accepts=600, rejects=400, protocol_errors=0,
         lines.append(f"# HELP {name} test counter.")
         lines.append(f"# TYPE {name} counter")
         lines.append(f"{name} {value}")
+    if "pdm_broker_batch_size" not in omit:
+        lines.append("# HELP pdm_broker_batch_size test histogram.")
+        lines.append("# TYPE pdm_broker_batch_size histogram")
+        lines.append(f'pdm_broker_batch_size_bucket{{le="+Inf"}} {batch_size_sum}')
+        lines.append(f"pdm_broker_batch_size_sum {batch_size_sum}")
+        lines.append(f"pdm_broker_batch_size_count {batch_size_sum}")
     if "pdm_server_waits_total" not in omit:
         lines.append("# HELP pdm_server_waits_total test counter.")
         lines.append("# TYPE pdm_server_waits_total counter")
@@ -433,6 +442,24 @@ class CompareScriptTest(unittest.TestCase):
         code, out = run(CHECK_METRICS, scrape, serving)
         self.assertEqual(code, 1, out)
         self.assertIn("missing from the scrape", out)
+
+    def test_check_metrics_batch_size_sum_mismatch_fails(self):
+        # Planted: one request recorded twice in the batch-size histogram.
+        scrape = self.write_text("scrape.txt", scrape_text(batch_size_sum=2001))
+        serving = self.write("serving.json", serving_doc())
+        code, out = run(CHECK_METRICS, scrape, serving)
+        self.assertEqual(code, 1, out)
+        self.assertIn("pdm_broker_batch_size_sum: 2001 requests recorded", out)
+        self.assertIn("served 2000", out)
+
+    def test_check_metrics_missing_batch_size_fails(self):
+        scrape = self.write_text(
+            "scrape.txt", scrape_text(omit=("pdm_broker_batch_size",))
+        )
+        serving = self.write("serving.json", serving_doc())
+        code, out = run(CHECK_METRICS, scrape, serving)
+        self.assertEqual(code, 1, out)
+        self.assertIn("pdm_broker_batch_size_sum: missing", out)
 
     def test_check_metrics_protocol_errors_fail(self):
         scrape = self.write_text("scrape.txt", scrape_text(protocol_errors=2))
